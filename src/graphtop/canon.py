@@ -204,3 +204,27 @@ def automorphisms(n, adj):
     place(0)
     found.sort()
     return found
+
+
+def conjugacy_classes(group):
+    """Conjugacy classes of a listed permutation group.
+
+    Returns (representative, size) pairs in group order; each class is
+    represented by its first member.  The class of sigma is the set of
+    tau sigma tau^-1 over tau in the group, which maps tau[v] to
+    tau[sigma[v]].
+    """
+    seen = set()
+    classes = []
+    for sigma in group:
+        if sigma in seen:
+            continue
+        members = set()
+        for t in group:
+            conj = [0] * len(sigma)
+            for v, w in enumerate(sigma):
+                conj[t[v]] = t[w]
+            members.add(tuple(conj))
+        seen |= members
+        classes.append((sigma, len(members)))
+    return classes

@@ -7,6 +7,7 @@ Machine-readable results go to stdout (a single JSON document under
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -31,6 +32,17 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _dump(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _workers(text):
+    """--workers: a positive count, clamped to the CPUs of this host."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def _code_str(code):
@@ -162,7 +174,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_json=True):
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_workers, default=1)
         p.add_argument("--budget-edges", type=int, default=None, dest="budget_edges")
         if with_json:
             p.add_argument("--json", action="store_true")

@@ -281,9 +281,20 @@ def fix_count(g, sigma, budget_edges=None):
 
 
 def h_burnside(g, budget_edges=None):
-    """Homeomorphism-class count by averaging fixed digraphs over Aut(g)."""
+    """Homeomorphism-class count by averaging fixed digraphs over Aut(g).
+
+    fix_count is constant on each conjugacy class of Aut(g): D -> tau(D)
+    maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
+    ones.  So one search per class, weighted by the class size, gives the
+    sum over the whole group.
+    """
     auts = automorphism_group(g)
-    total = sum(fix_count(g, sigma, budget_edges) for sigma in auts)
+    conj = canon.conjugacy_classes(auts)
+    if sum(size for _, size in conj) != len(auts):
+        raise InternalCheckError(
+            f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
+        )
+    total = sum(size * fix_count(g, rep, budget_edges) for rep, size in conj)
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(

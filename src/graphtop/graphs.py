@@ -26,15 +26,22 @@ class Graph:
         if n < 0 or len(adj) != n:
             raise ValueError("adjacency length must equal vertex count")
         full = (1 << n) - 1
+        transpose = [0] * n
         for u, row in enumerate(adj):
             if row & ~full:
                 raise VertexOutOfRange(f"vertex {u} has a neighbor >= {n}")
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        for u in range(n):
-            for v in range(u + 1, n):
-                if (adj[u] >> v & 1) != (adj[v] >> u & 1):
-                    raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
+            for v in _bits(row):
+                transpose[v] |= 1 << u
+        # Asymmetric pairs are the bits of row ^ transpose, a symmetric
+        # matrix, so the first nonzero row u has only bits v > u and its
+        # lowest bit names the lexicographically first asymmetric pair.
+        for u, row in enumerate(adj):
+            diff = row ^ transpose[u]
+            if diff:
+                v = (diff & -diff).bit_length() - 1
+                raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 

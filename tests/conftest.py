@@ -8,7 +8,14 @@ checked by trying every permutation.  Small n only.
 
 import itertools
 
-from graphtop import Graph, amalgamate, complete_graph
+from graphtop import (
+    Graph,
+    amalgamate,
+    cartesian_product,
+    complete_graph,
+    cycle_graph,
+    wheel_graph,
+)
 
 
 def naive_transitive(arcs):
@@ -68,6 +75,14 @@ def brute_automorphisms(g):
     return auts
 
 
+def conjugate(sigma, t):
+    """t o sigma o t^-1, built from an explicit inverse of t."""
+    inverse = [0] * len(t)
+    for v, w in enumerate(t):
+        inverse[w] = v
+    return tuple(t[sigma[inverse[w]]] for w in range(len(t)))
+
+
 def relabel_graph(g, perm):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
@@ -82,3 +97,15 @@ def paw():
 
 def bowtie():
     return amalgamate(complete_graph(3), 0, complete_graph(3), 0)
+
+
+def symmetric_examples():
+    """K4, C6, W5, box(K2,C4) and K3,3: groups with several conjugacy classes."""
+    k33 = Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    return [
+        complete_graph(4),
+        cycle_graph(6),
+        wheel_graph(5),
+        cartesian_product(complete_graph(2), cycle_graph(4)),
+        k33,
+    ]

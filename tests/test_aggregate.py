@@ -66,6 +66,12 @@ def test_labeled_count_identity():
         assert total == 2 ** (n * (n - 1) // 2)
 
 
+def test_labeled_count_identity_n7():
+    table = graphs_up_to_iso(7)
+    total = sum(factorial(7) // len(automorphism_group(e.graph)) for e in table.entries)
+    assert total == 2**21
+
+
 def test_aggregate_golden_values():
     assert aggregate_counts(2)[:2] == (4, 3)
     assert aggregate_counts(3)[:2] == (29, 9)

@@ -13,7 +13,7 @@ from graphtop import (
     graphs_up_to_iso,
     path_graph,
 )
-from graphtop.canon import decode_graph_code, graph_code
+from graphtop.canon import conjugacy_classes, decode_graph_code, graph_code
 from graphtop.enumeration import enumerate_transitive_digraphs
 from graphtop.errors import SizeBoundExceeded
 from graphtop.graphs import rooted_code
@@ -21,9 +21,11 @@ from graphtop.graphs import rooted_code
 from conftest import (
     brute_automorphisms,
     brute_digraph_isomorphic,
+    conjugate,
     paw,
     relabel_graph,
     star,
+    symmetric_examples,
 )
 
 
@@ -72,6 +74,24 @@ def test_automorphism_group_axioms():
                 assert tuple(pi[sigma[x]] for x in range(g.n)) in aut_set
             for u, v in g.edges():
                 assert g.has_edge(sigma[u], sigma[v])
+
+
+@pytest.mark.parametrize("g", symmetric_examples())
+def test_conjugacy_classes_partition_the_group(g):
+    group = automorphism_group(g)
+    classes = conjugacy_classes(group)
+    reps = [rep for rep, _ in classes]
+    assert set(reps) <= set(group)
+    assert reps == sorted(reps, key=group.index)  # in group order
+    covered = set()
+    for rep, size in classes:
+        assert len(group) % size == 0
+        members = {conjugate(rep, t) for t in group}
+        assert len(members) == size
+        assert not members & covered
+        covered |= members
+    assert covered == set(group)
+    assert sum(size for _, size in classes) == len(group)
 
 
 def test_code_invariant_under_relabeling():

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from graphtop import aggregate, enumeration
 from graphtop.cli import main
 
 
@@ -116,6 +118,43 @@ def test_verify_corrupt_memo_fails(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "oracles", "--corrupt-memo")
     assert code == 2
     assert any(l.startswith("FAIL memo-integrity") for l in out.splitlines())
+
+
+def test_workers_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-3", "two"):
+        code, out, err = run_cli(capsys, "count", "K3", "--workers", value)
+        assert code == 1 and out == ""
+        assert "--workers" in err
+
+
+def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records the size asked for; starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(enumeration, "Pool", SerialPool)
+    monkeypatch.setattr(aggregate, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for argv in (
+        ("count", "box(K2,C4)", "--json"),
+        ("enumerate", "C4"),
+        ("aggregate", "-n", "4", "--json"),
+    ):
+        want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
+        for workers in ("2", "1000000"):
+            assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
+    assert sizes == [2, 3] * 3
 
 
 def test_usage_error_exit_code(capsys):

@@ -10,6 +10,7 @@ from graphtop import (
     disjoint_union,
     enumerate_transitive_digraphs,
     fix_count,
+    graphs_up_to_iso,
     h_burnside,
     h_classes,
     h_sink,
@@ -21,6 +22,7 @@ from graphtop import (
     underlying_graph,
     wheel_graph,
 )
+from graphtop.canon import conjugacy_classes
 from graphtop.enumeration import CountReport, counts_for, stream_masks
 from graphtop.errors import (
     BudgetExceeded,
@@ -29,7 +31,14 @@ from graphtop.errors import (
     VertexOutOfRange,
 )
 
-from conftest import bowtie, brute_transitive_digraphs, paw, star
+from conftest import (
+    bowtie,
+    brute_transitive_digraphs,
+    conjugate,
+    paw,
+    star,
+    symmetric_examples,
+)
 
 
 def test_is_transitive():
@@ -130,6 +139,27 @@ def test_fix_count_matches_filter(g):
             if {(sigma[u], sigma[v]) for u, v in arcs} == set(arcs)
         )
         assert fix_count(g, sigma) == fixed
+
+
+@pytest.mark.parametrize("g", symmetric_examples())
+def test_fix_count_is_a_class_function(g):
+    group = automorphism_group(g)
+    for rep, _ in conjugacy_classes(group):
+        want = fix_count(g, rep)
+        for sigma in {conjugate(rep, t) for t in group}:
+            assert fix_count(g, sigma) == want
+
+
+def _full_group_average(g):
+    auts = automorphism_group(g)
+    return sum(fix_count(g, sigma) for sigma in auts) // len(auts)
+
+
+def test_h_burnside_equals_full_group_average():
+    graphs = [e.graph for n in range(6) for e in graphs_up_to_iso(n).entries]
+    graphs.append(complete_graph(6))
+    for g in graphs:
+        assert h_burnside(g) == _full_group_average(g)
 
 
 def test_h_burnside_values():

@@ -78,6 +78,19 @@ def test_graph_validation():
     assert g.edge_count == 1
 
 
+def test_asymmetry_names_the_first_pair():
+    adj = [0] * 3000
+    adj[2997] = 1 << 2999  # 2997 -> 2999 with no way back
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \{2997,2999\}$"):
+        Graph(3000, adj)
+    adj = [0] * 16
+    adj[14] = 1 << 15
+    adj[9] = 1 << 12
+    adj[12] = 1 << 9 | 1 << 14 | 1 << 15  # {9,12} symmetric; three pairs not
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \{12,14\}$"):
+        Graph(16, adj)
+
+
 def test_disjoint_union():
     two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
     assert two_k2.n == 4 and two_k2.edge_count == 2
