@@ -44,7 +44,12 @@ def edge_order(g):
 
 
 class _Search:
-    """Mutable edge-state assignment with transitivity propagation."""
+    """Mutable edge-state assignment with transitivity propagation.
+
+    Three bitmask rows per vertex: out[v] and inn[v] hold the decided arcs
+    at v, and dec[v] the w whose edge {v, w} has a state.  They make the
+    consistency test of a new arc a fixed number of integer operations.
+    """
 
     def __init__(self, g, budget):
         if g.edge_count > budget:
@@ -58,52 +63,73 @@ class _Search:
         self.eidx = {e: k for k, e in enumerate(self.edges)}
         self.out = [0] * g.n
         self.inn = [0] * g.n
+        self.dec = [0] * g.n
         self.decided = [0] * len(self.edges)
 
-    def try_state(self, k, state):
-        """Assign state to edge k if consistent with decided arcs."""
+    def arc_ok(self, x, y):
+        """True iff a new arc x->y demands only arcs that may still exist.
+
+        w->x plus x->y demands w->y, and x->y plus y->z demands x->z: each
+        demanded arc must be an edge of the graph, and an edge already
+        decided must carry it.
+        """
+        w = self.inn[x] & ~(1 << y)
+        z = self.out[y] & ~(1 << x)
+        return not (
+            w & ~self.adj[y]
+            or w & self.dec[y] & ~self.inn[y]
+            or z & ~self.adj[x]
+            or z & self.dec[x] & ~self.out[x]
+        )
+
+    def allowed(self, k):
+        """The states of edge k consistent with the decided arcs, in try order."""
         u, v = self.edges[k]
-        out, inn, adj, eidx = self.out, self.inn, self.adj, self.eidx
-        add = []
+        fwd = self.arc_ok(u, v)
+        bwd = self.arc_ok(v, u)
+        # a direction the edge does not carry must not be demanded already
+        return _ALLOWED[
+            (fwd and not self.out[v] & self.inn[u])
+            | (bwd and not self.out[u] & self.inn[v]) << 1
+            | (fwd and bwd) << 2
+        ]
+
+    def try_state(self, k, state):
+        """Assign state to edge k if consistent with decided arcs.
+
+        Only the arcs that state carries are checked, and the directions
+        it leaves out must not be demanded already.
+        """
+        u, v = self.edges[k]
+        out, inn = self.out, self.inn
         if state & FWD:
-            add.append((u, v))
+            if not self.arc_ok(u, v):
+                return False
+        elif out[u] & inn[v]:
+            return False
         if state & BWD:
-            add.append((v, u))
-        for x, y in add:
-            m = inn[x]
-            while m:  # w -> x plus new x -> y demands w -> y
-                b = m & -m
-                w = b.bit_length() - 1
-                m ^= b
-                if w != y:
-                    if not adj[w] >> y & 1:
-                        return False
-                    ei = eidx[(w, y) if w < y else (y, w)]
-                    if self.decided[ei] and not out[w] >> y & 1:
-                        return False
-            m = out[y]
-            while m:  # new x -> y plus y -> z demands x -> z
-                b = m & -m
-                z = b.bit_length() - 1
-                m ^= b
-                if z != x:
-                    if not adj[x] >> z & 1:
-                        return False
-                    ei = eidx[(x, z) if x < z else (z, x)]
-                    if self.decided[ei] and not out[x] >> z & 1:
-                        return False
-        # a direction this edge does not carry must not be demanded already
-        if not state & FWD and out[u] & inn[v]:
+            if not self.arc_ok(v, u):
+                return False
+        elif out[v] & inn[u]:
             return False
-        if not state & BWD and out[v] & inn[u]:
-            return False
-        for x, y in add:
-            out[x] |= 1 << y
-            inn[y] |= 1 << x
-        self.decided[k] = state
+        self.apply(k, state)
         return True
 
+    def apply(self, k, state):
+        """Set edge k to state, which the caller has found consistent."""
+        u, v = self.edges[k]
+        if state & FWD:
+            self.out[u] |= 1 << v
+            self.inn[v] |= 1 << u
+        if state & BWD:
+            self.out[v] |= 1 << u
+            self.inn[u] |= 1 << v
+        self.dec[u] |= 1 << v
+        self.dec[v] |= 1 << u
+        self.decided[k] = state
+
     def undo(self, k):
+        """Clear the state of edge k; nothing happens if it has none."""
         u, v = self.edges[k]
         state = self.decided[k]
         if state & FWD:
@@ -112,6 +138,8 @@ class _Search:
         if state & BWD:
             self.out[v] &= ~(1 << u)
             self.inn[u] &= ~(1 << v)
+        self.dec[u] &= ~(1 << v)
+        self.dec[v] &= ~(1 << u)
         self.decided[k] = 0
 
     def leaf_masks(self):
@@ -121,15 +149,81 @@ class _Search:
             raise InternalCheckError("non-transitive leaf escaped propagation")
         return out
 
+    def single_blocks(self):
+        """One unflipped single-edge block per edge: the unconstrained search."""
+        return [(((k, 0),), 0) for k in range(len(self.edges))]
 
-def _dfs(search, k):
-    if k == len(search.edges):
+
+# the allowed states, in try order, at index fwd_ok | bwd_ok << 1 | both_ok << 2
+_ALLOWED = [
+    tuple(s for s, ok in ((FWD, f), (BWD, b), (BOTH, fb)) if ok)
+    for fb in (0, 1)
+    for b in (0, 1)
+    for f in (0, 1)
+]
+
+_FLIP = {FWD: BWD, BWD: FWD, BOTH: BOTH}
+
+
+def _walk(search, blocks, depth=0):
+    """Leaves below `depth`, depth first over blocks, as out-mask tuples.
+
+    A block is (members, closure_flip) as _edge_orbits returns it.  Its
+    first member is unflipped and branches over the states allowed to it;
+    every other member takes the same state, mirrored where flipped, and a
+    block whose orbit closes flipped only takes BOTH.  Explicit stacks
+    replace recursion: todo[i] holds the states block i has still to try,
+    placed[i] whether any of its members may be set.
+    """
+    last = len(blocks)
+    if depth == last:
         yield search.leaf_masks()
         return
-    for state in (FWD, BWD, BOTH):
-        if search.try_state(k, state):
-            yield from _dfs(search, k + 1)
-            search.undo(k)
+    allowed, try_state, apply, undo = (
+        search.allowed,
+        search.try_state,
+        search.apply,
+        search.undo,
+    )
+    reps = [members[0][0] for members, _ in blocks]
+    block_edges = [[k for k, _ in members] for members, _ in blocks]
+    follow = [
+        {s: [(k, _FLIP[s] if flip else s) for k, flip in members[1:]] for s in _FLIP}
+        if len(members) > 1
+        else None
+        for members, _ in blocks
+    ]
+
+    def options(i):
+        states = allowed(reps[i])
+        if blocks[i][1]:
+            return iter((BOTH,) if BOTH in states else ())
+        return iter(states)
+
+    todo = [None] * last
+    placed = [False] * last
+    i = depth
+    todo[i] = options(i)
+    while True:
+        if placed[i]:
+            for k in block_edges[i]:
+                undo(k)
+            placed[i] = False
+        state = next(todo[i], 0)
+        if not state:
+            if i == depth:
+                return
+            i -= 1
+            continue
+        apply(reps[i], state)
+        placed[i] = True
+        if follow[i] and not all(try_state(k, s) for k, s in follow[i][state]):
+            continue  # the members set so far are undone at the loop top
+        if i + 1 == last:
+            yield search.leaf_masks()
+        else:
+            i += 1
+            todo[i] = options(i)
 
 
 def _gen_masks(g, budget, prefix=()):
@@ -137,7 +231,7 @@ def _gen_masks(g, budget, prefix=()):
     for k, state in enumerate(prefix):
         if not search.try_state(k, state):
             return
-    yield from _dfs(search, len(prefix))
+    yield from _walk(search, search.single_blocks(), len(prefix))
 
 
 def enumerate_transitive_digraphs(g, budget_edges=None, prefix=()):
@@ -238,9 +332,6 @@ def _edge_orbits(search, sigma):
     return orbits
 
 
-_FLIP = {FWD: BWD, BWD: FWD, BOTH: BOTH}
-
-
 def fix_count(g, sigma, budget_edges=None):
     """Number of transitive digraphs D over g with sigma(D) = D.
 
@@ -251,33 +342,7 @@ def fix_count(g, sigma, budget_edges=None):
     budget = DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges
     sigma = _check_automorphism(g, sigma)
     search = _Search(g, budget)
-    orbits = _edge_orbits(search, sigma)
-    count = 0
-
-    def go(i):
-        nonlocal count
-        if i == len(orbits):
-            search.leaf_masks()
-            count += 1
-            return
-        members, closure_flip = orbits[i]
-        for state in (BOTH,) if closure_flip else (FWD, BWD, BOTH):
-            applied = []
-            ok = True
-            for idx, flip in members:
-                member_state = _FLIP[state] if flip else state
-                if search.try_state(idx, member_state):
-                    applied.append(idx)
-                else:
-                    ok = False
-                    break
-            if ok:
-                go(i + 1)
-            for idx in reversed(applied):
-                search.undo(idx)
-
-    go(0)
-    return count
+    return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
 
 
 def h_burnside(g, budget_edges=None):

@@ -11,7 +11,8 @@ Grammar (whitespace-insensitive; offsets in errors are byte positions):
 
 from dataclasses import dataclass
 
-from .errors import ExprError
+from .canon import MAX_VERTICES
+from .errors import ExprError, SizeBoundExceeded
 from .graphs import (
     amalgamate,
     build_named,
@@ -150,19 +151,46 @@ def expr_to_text(expr):
     raise TypeError(f"not a graph expression: {expr!r}")
 
 
-def build_graph(expr):
-    """Elaborate an expression tree to a Graph; anchors are range-checked."""
+def vertex_count(expr):
+    """Vertices of the graph an expression builds, read off the parse tree."""
     if isinstance(expr, Named):
-        return build_named(expr.family, expr.size)
+        return expr.size + 1 if expr.family == "P" else expr.size
+    if isinstance(expr, Union):
+        return vertex_count(expr.left) + vertex_count(expr.right)
+    if isinstance(expr, Box):
+        return vertex_count(expr.left) * vertex_count(expr.right)
+    if isinstance(expr, Amalgam):
+        return vertex_count(expr.left) + vertex_count(expr.right) - 1
+    # a file reference has no size until it is loaded
+    raise TypeError(f"not a graph expression: {expr!r}")
+
+
+def build_graph(expr):
+    """Elaborate an expression tree to a Graph; anchors are range-checked.
+
+    An expression over MAX_VERTICES vertices is rejected before any of it
+    is built.  A file reference loads as it is: reading it is linear.
+    """
     if isinstance(expr, FileRef):
         return load_edge_list(expr.path)
+    n = vertex_count(expr)
+    if n > MAX_VERTICES:
+        raise SizeBoundExceeded(
+            f"{expr_to_text(expr)} has {n} vertices, over the bound of {MAX_VERTICES}"
+        )
+    return _build(expr)
+
+
+def _build(expr):
+    if isinstance(expr, Named):
+        return build_named(expr.family, expr.size)
     if isinstance(expr, Union):
-        return disjoint_union(build_graph(expr.left), build_graph(expr.right))
+        return disjoint_union(_build(expr.left), _build(expr.right))
     if isinstance(expr, Box):
-        return cartesian_product(build_graph(expr.left), build_graph(expr.right))
+        return cartesian_product(_build(expr.left), _build(expr.right))
     if isinstance(expr, Amalgam):
-        left = build_graph(expr.left)
-        right = build_graph(expr.right)
+        left = _build(expr.left)
+        right = _build(expr.right)
         for g, v in ((left, expr.left_vertex), (right, expr.right_vertex)):
             if not (0 <= v < g.n):
                 raise ExprError(

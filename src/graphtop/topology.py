@@ -222,12 +222,16 @@ class Digraph:
 
 def transitive_masks(n, out):
     """True iff arcs a->b, b->c (a != c) always come with a->c."""
-    for b in range(n):
-        row = out[b]
-        for a in range(n):
-            if a != b and out[a] >> b & 1:
-                if row & ~(1 << a) & ~out[a]:
-                    return False
+    for a in range(n):
+        row = out[a]
+        reach = 0
+        m = row
+        while m:  # everything two arcs away from a
+            b = m & -m
+            reach |= out[b.bit_length() - 1]
+            m ^= b
+        if reach & ~row & ~(1 << a):
+            return False
     return True
 
 

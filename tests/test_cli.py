@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -52,6 +53,19 @@ def test_count_input_errors(capsys):
     assert run_cli(capsys, "count", "box(C4,C4)")[0] == 1  # over budget
     assert run_cli(capsys, "count", "box(C4,C4)", "--budget-edges", "32")[0] == 0
     assert run_cli(capsys, "count", "--file", "/nonexistent/path")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "K3000"), ("count", "box(K5,K5)"), ("enumerate", "N18")],
+)
+def test_oversized_expression_rejected_before_building(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 1 and out == ""
+    assert "over the bound of 16" in err
+    assert elapsed < 0.5  # building K3000 alone took seconds
 
 
 def test_enumerate_jsonl(capsys):

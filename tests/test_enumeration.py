@@ -33,6 +33,7 @@ from graphtop.errors import (
 
 from conftest import (
     bowtie,
+    brute_automorphisms,
     brute_transitive_digraphs,
     conjugate,
     paw,
@@ -93,6 +94,25 @@ def test_stream_matches_brute_force(g):
     brute = set(brute_transitive_digraphs(g))
     assert engine == brute
     assert tau(g) == len(brute)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_kernel_matches_brute_force_on_every_small_class(n):
+    """Every class on n <= 5 vertices with at most 8 edges (3^m <= 6561):
+    the stream and every fix_count against the engine-free oracle."""
+    for entry in graphs_up_to_iso(n).entries:
+        g = entry.graph
+        if g.edge_count > 8:
+            continue
+        brute = brute_transitive_digraphs(g)
+        engine = [frozenset(d.arcs()) for d in enumerate_transitive_digraphs(g)]
+        assert len(engine) == len(brute)
+        assert set(engine) == set(brute)
+        for sigma in brute_automorphisms(g):
+            fixed = sum(
+                1 for arcs in brute if {(sigma[u], sigma[v]) for u, v in arcs} == arcs
+            )
+            assert fix_count(g, sigma) == fixed, (g.edges(), sigma)
 
 
 @pytest.mark.parametrize(

@@ -13,8 +13,9 @@ from graphtop import (
     parse_graph_expr,
     wheel_graph,
 )
-from graphtop.errors import ExprError
-from graphtop.expr import Amalgam, Box, FileRef, Named, Union
+from graphtop.canon import MAX_VERTICES
+from graphtop.errors import ExprError, SizeBoundExceeded
+from graphtop.expr import Amalgam, Box, FileRef, Named, Union, vertex_count
 
 
 def test_parse_named():
@@ -93,6 +94,38 @@ def test_build_graph():
     assert build_graph(parse_graph_expr("amalgam(K3@0,K3@0)")) == amalgamate(
         complete_graph(3), 0, complete_graph(3), 0
     )
+
+
+def test_vertex_count_matches_the_built_graph():
+    for text in (
+        "K4",
+        "P3",
+        "N1",
+        "union(K2,N1)",
+        "box(K2,C4)",
+        "amalgam(K3@0,K2@1)",
+        "box(K4,C4)",
+        "amalgam(K9@0,K8@0)",
+        "union(P14,N1)",
+    ):
+        expr = parse_graph_expr(text)
+        assert vertex_count(expr) == build_graph(expr).n <= MAX_VERTICES
+
+
+def test_oversized_expression_is_rejected():
+    for text in (
+        "N17",
+        "P16",
+        "union(P15,N1)",
+        "box(K5,K5)",
+        "amalgam(K9@0,K9@0)",
+        "union(box(K2,C4),amalgam(W5@2,C6@0))",
+        "box(K3000,K3000)",
+    ):
+        expr = parse_graph_expr(text)
+        assert vertex_count(expr) > MAX_VERTICES
+        with pytest.raises(SizeBoundExceeded):
+            build_graph(expr)
 
 
 def test_anchor_range_check():

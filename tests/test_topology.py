@@ -31,6 +31,9 @@ from graphtop.errors import (
     NotTransitive,
     VertexOutOfRange,
 )
+from graphtop.topology import transitive_masks
+
+from conftest import naive_transitive
 
 # the worked 2-point example: opens {0}, preorder 1 -> 0
 GOLDEN_PREORDER = Preorder.from_pairs(2, [(0, 0), (1, 1), (1, 0)])
@@ -227,3 +230,33 @@ def test_digraph_relabel():
     assert d.relabel((2, 0, 1)).arcs() == [(0, 1), (2, 0)]
     with pytest.raises(ValueError):
         Digraph.from_arcs(2, [(0, 0)])
+
+
+def _random_loop_free_masks(rng, n):
+    density = rng.random()
+    return [
+        sum(1 << b for b in range(n) if b != a and rng.random() < density)
+        for a in range(n)
+    ]
+
+
+def test_transitive_masks_matches_naive_oracle():
+    rng = random.Random(4)
+    cases = [_random_loop_free_masks(rng, rng.randint(1, 6)) for _ in range(4000)]
+    # transitive inputs, and the near misses one arc short of them
+    for n in range(1, 5):
+        for r in all_preorders(n):
+            out = list(preorder_to_digraph(r).out)
+            cases.append(out)
+            for a in range(n):
+                for b in range(n):
+                    if out[a] >> b & 1:
+                        cases.append(out[:a] + [out[a] & ~(1 << b)] + out[a + 1 :])
+    outcomes = set()
+    for out in cases:
+        n = len(out)
+        arcs = [(a, b) for a in range(n) for b in range(n) if out[a] >> b & 1]
+        want = naive_transitive(arcs)
+        assert transitive_masks(n, out) == want, out
+        outcomes.add(want)
+    assert outcomes == {True, False}
