@@ -11,6 +11,7 @@ aggregates over all isomorphism classes of n-vertex graphs.
 from .aggregate import IsoClassTable, aggregate_counts, graphs_up_to_iso
 from .enumeration import (
     CountReport,
+    burnside,
     counts_for,
     enumerate_transitive_digraphs,
     fix_count,
@@ -18,6 +19,7 @@ from .enumeration import (
     h_classes,
     h_sink,
     is_transitive,
+    stream_counts,
     tau,
     tau_sink,
     transitive_digraph_classes,

@@ -14,7 +14,7 @@ from math import factorial
 from multiprocessing import Pool
 
 from . import formulas
-from .enumeration import h_burnside, h_classes, tau
+from .enumeration import burnside, stream_counts
 from .errors import InternalCheckError, SizeBoundExceeded
 from .graphs import (
     Graph,
@@ -78,14 +78,15 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
 def class_counts(g, budget_edges=None):
     """(aut_order, tau, h) for one class, with built-in cross-checks.
 
-    h is computed both by orbit averaging and by canonical digraph codes;
-    for disconnected graphs the multiplicative component rule is checked
-    as well.  Any disagreement raises, never resolves silently.
+    One pass over the stream gives tau and h by canonical digraph codes;
+    h is computed again by orbit averaging over Aut(g), listed once, with
+    that tau as the identity term.  For disconnected graphs the
+    multiplicative component rule is checked as well.  Any disagreement
+    raises, never resolves silently.
     """
-    aut_order = len(automorphism_group(g))
-    t = tau(g, budget_edges)
-    h_avg = h_burnside(g, budget_edges)
-    h_codes = h_classes(g, budget_edges)
+    auts = automorphism_group(g)
+    t, h_codes = stream_counts(g, budget_edges)
+    h_avg = burnside(g, auts, t, budget_edges)
     if h_avg != h_codes:
         raise InternalCheckError(
             f"class counts disagree on {g!r}: burnside={h_avg} codes={h_codes}"
@@ -103,7 +104,7 @@ def class_counts(g, budget_edges=None):
                 f"component rule disagrees on {g!r}: "
                 f"parts=({by_parts.tau},{by_parts.h}) direct=({t},{h_avg})"
             )
-    return aut_order, t, h_avg
+    return len(auts), t, h_avg
 
 
 def _class_task(args):
@@ -122,10 +123,13 @@ def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
         raise ValueError("aggregate_counts needs n >= 1")
     table = graphs_up_to_iso(n)
     if workers > 1:
-        tasks = [(n, e.graph.adj, budget_edges) for e in table.entries]
+        # heaviest classes first, one per task, so that the dense ones
+        # spread over the workers instead of sharing a chunk
+        order = sorted(table.entries, key=lambda e: -e.graph.edge_count)
+        tasks = [(n, e.graph.adj, budget_edges) for e in order]
         with Pool(workers) as pool:
-            results = pool.map(_class_task, tasks)
-        for entry, (aut_order, t, h) in zip(table.entries, results):
+            results = pool.map(_class_task, tasks, chunksize=1)
+        for entry, (aut_order, t, h) in zip(order, results):
             entry.aut_order, entry.tau, entry.h = aut_order, t, h
     else:
         for idx, entry in enumerate(table.entries):

@@ -12,11 +12,11 @@ import sys
 import time
 
 from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
-from .enumeration import CountReport, h_burnside, stream_masks, tau
+from .enumeration import CountReport, burnside, stream_masks, tau
 from .errors import GraphTopError, InternalCheckError
 from .expr import FileRef, build_graph, parse_graph_expr
 from .formulas import formula_for_graph
-from .graphs import canonical_code
+from .graphs import automorphism_group, canonical_code
 from .topology import Digraph
 from .verify import run_verify
 
@@ -62,7 +62,7 @@ def _cmd_count(args):
     g = _graph_from_args(args)
     t0 = time.perf_counter()
     t = tau(g, args.budget_edges, workers=args.workers)
-    h = h_burnside(g, args.budget_edges)
+    h = burnside(g, automorphism_group(g), t, args.budget_edges)
     elapsed = time.perf_counter() - t0
     report = CountReport(
         graph=canonical_code(g), tau=t, h=h, method="enumeration", elapsed=elapsed

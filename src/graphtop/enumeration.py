@@ -51,7 +51,9 @@ class _Search:
     consistency test of a new arc a fixed number of integer operations.
     """
 
-    def __init__(self, g, budget):
+    def __init__(self, g, budget=None):
+        if budget is None:
+            budget = DEFAULT_EDGE_BUDGET
         if g.edge_count > budget:
             raise BudgetExceeded(
                 f"{g.edge_count} edges exceed the budget of {budget}; "
@@ -242,8 +244,7 @@ def enumerate_transitive_digraphs(g, budget_edges=None, prefix=()):
     restricts the stream to one branch, which is how work is partitioned
     across workers.
     """
-    budget = DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges
-    for masks in _gen_masks(g, budget, prefix):
+    for masks in _gen_masks(g, budget_edges, prefix):
         yield Digraph(g.n, masks)
 
 
@@ -268,23 +269,21 @@ def _arcs_task(args):
 
 def tau(g, budget_edges=None, workers=1):
     """Number of transitive digraphs whose underlying graph is g."""
-    budget = DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges
     if workers <= 1:
-        return sum(1 for _ in _gen_masks(g, budget))
-    _Search(g, budget)  # fail fast on budget before forking
-    tasks = [(g.n, g.adj, budget, p) for p in state_prefixes(g, workers)]
+        return sum(1 for _ in _gen_masks(g, budget_edges))
+    _Search(g, budget_edges)  # fail fast on budget before forking
+    tasks = [(g.n, g.adj, budget_edges, p) for p in state_prefixes(g, workers)]
     with Pool(workers) as pool:
         return sum(pool.map(_tau_task, tasks))
 
 
 def stream_masks(g, budget_edges=None, workers=1):
     """Raw out-mask tuples of the stream, in deterministic order."""
-    budget = DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges
     if workers <= 1:
-        yield from _gen_masks(g, budget)
+        yield from _gen_masks(g, budget_edges)
         return
-    _Search(g, budget)
-    tasks = [(g.n, g.adj, budget, p) for p in state_prefixes(g, workers)]
+    _Search(g, budget_edges)
+    tasks = [(g.n, g.adj, budget_edges, p) for p in state_prefixes(g, workers)]
     with Pool(workers) as pool:
         for chunk in pool.map(_arcs_task, tasks):
             yield from chunk
@@ -339,33 +338,41 @@ def fix_count(g, sigma, budget_edges=None):
     state of every edge in a sigma-orbit is determined by the orbit
     representative, so only representatives branch.
     """
-    budget = DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges
     sigma = _check_automorphism(g, sigma)
-    search = _Search(g, budget)
+    search = _Search(g, budget_edges)
     return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
 
 
-def h_burnside(g, budget_edges=None):
-    """Homeomorphism-class count by averaging fixed digraphs over Aut(g).
+def burnside(g, auts, t, budget_edges=None):
+    """Orbits of the stream of g under the listed group auts, by Burnside.
 
-    fix_count is constant on each conjugacy class of Aut(g): D -> tau(D)
+    fix_count is constant on each conjugacy class of auts: D -> tau(D)
     maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
     ones.  So one search per class, weighted by the class size, gives the
-    sum over the whole group.
+    sum over the whole group.  The identity fixes every digraph, so its
+    term is t, the stream length tau(g), and it takes no search.
     """
-    auts = automorphism_group(g)
     conj = canon.conjugacy_classes(auts)
     if sum(size for _, size in conj) != len(auts):
         raise InternalCheckError(
             f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
         )
-    total = sum(size * fix_count(g, rep, budget_edges) for rep, size in conj)
+    identity = tuple(range(g.n))
+    total = sum(
+        size * (t if rep == identity else fix_count(g, rep, budget_edges))
+        for rep, size in conj
+    )
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(
             f"orbit average is not an integer: {total}/{len(auts)}"
         )
     return classes
+
+
+def h_burnside(g, budget_edges=None):
+    """Homeomorphism-class count by averaging fixed digraphs over Aut(g)."""
+    return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
 
 
 def transitive_digraph_classes(g, budget_edges=None):
@@ -387,34 +394,36 @@ def transitive_digraph_classes(g, budget_edges=None):
     return [Digraph.from_arcs(g.n, best[code]) for code in order]
 
 
+def stream_counts(g, budget_edges=None):
+    """(tau, h) from one pass over the stream.
+
+    tau is the stream length and h the number of distinct canonical
+    digraph codes in it, as h_classes counts them.
+    """
+    t = 0
+    codes = set()
+    for masks in stream_masks(g, budget_edges):
+        t += 1
+        codes.add(canon.digraph_code(g.n, masks))
+    return t, len(codes)
+
+
 def h_classes(g, budget_edges=None):
     """Homeomorphism-class count by canonical digraph codes."""
-    codes = set()
-    for d in enumerate_transitive_digraphs(g, budget_edges):
-        codes.add(canon.digraph_code(d.n, d.out))
-    return len(codes)
+    return stream_counts(g, budget_edges)[1]
 
 
 def tau_sink(g, u, budget_edges=None):
     """Stream members in which u is a sink (no outgoing arcs)."""
     g._check_vertex(u)
-    return sum(
-        1 for masks in _gen_masks(g, DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges)
-        if not masks[u]
-    )
+    return sum(1 for masks in _gen_masks(g, budget_edges) if not masks[u])
 
 
 def h_sink(g, u, budget_edges=None):
     """Orbits of the sink-at-u digraphs under automorphisms fixing u."""
     g._check_vertex(u)
     stab = [s for s in automorphism_group(g) if s[u] == u]
-    sinks = [
-        masks
-        for masks in _gen_masks(
-            g, DEFAULT_EDGE_BUDGET if budget_edges is None else budget_edges
-        )
-        if not masks[u]
-    ]
+    sinks = [masks for masks in _gen_masks(g, budget_edges) if not masks[u]]
     seen = set()
     orbits = 0
     for masks in sinks:
@@ -453,6 +462,7 @@ def counts_for(g, budget_edges=None, cache=None):
     code = canonical_code(g)
     hit = table.get(code)
     if hit is None:
-        hit = (tau(g, budget_edges), h_burnside(g, budget_edges))
+        t = tau(g, budget_edges)
+        hit = (t, burnside(g, automorphism_group(g), t, budget_edges))
         table[code] = hit
     return hit

@@ -7,6 +7,7 @@ package does stays exact and fast at the sizes it targets (n <= 16).
 import itertools
 
 from . import canon
+from .canon import _bits
 from .errors import (
     EdgeListFormatError,
     InvalidFamilySize,
@@ -391,13 +392,6 @@ def write_edge_list(g, fh):
     fh.write(f"n {g.n}\n")
     for u, v in g.edges():
         fh.write(f"e {u} {v}\n")
-
-
-def _bits(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
 
 
 def all_vertex_subsets(g):

@@ -9,6 +9,7 @@ digraph.  Vertex subsets and relation rows are int bitmasks throughout.
 import itertools
 
 from . import canon
+from .canon import _bits
 from .errors import (
     GroundSetMismatch,
     InternalCheckError,
@@ -29,13 +30,6 @@ def _mask_to_list(mask):
     return [b for b in range(mask.bit_length()) if mask >> b & 1]
 
 
-def _iter_bits(mask):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 class Preorder:
     """Reflexive transitive relation; rel[x] is the bitmask of R(x)."""
 
@@ -53,7 +47,7 @@ class Preorder:
                 raise NotAPreorder(f"not reflexive at {x}")
         for x in range(n):
             reach = 0
-            for y in _iter_bits(rel[x]):
+            for y in _bits(rel[x]):
                 reach |= rel[y]
             if reach & ~rel[x]:
                 raise NotAPreorder(f"not transitive at {x}")
@@ -195,7 +189,7 @@ class Digraph:
     def reverse(self):
         rev = [0] * self.n
         for u in range(self.n):
-            for v in _iter_bits(self.out[u]):
+            for v in _bits(self.out[u]):
                 rev[v] |= 1 << u
         return Digraph(self.n, rev)
 
@@ -203,7 +197,7 @@ class Digraph:
         new = [0] * self.n
         for u in range(self.n):
             acc = 0
-            for v in _iter_bits(self.out[u]):
+            for v in _bits(self.out[u]):
                 acc |= 1 << perm[v]
             new[perm[u]] = acc
         return Digraph(self.n, new)
@@ -246,7 +240,7 @@ def topology_from_preorder(r):
     opens = []
     for mask in range(1 << r.n):
         ok = True
-        for x in _iter_bits(mask):
+        for x in _bits(mask):
             if r.rel[x] & ~mask:
                 ok = False
                 break
@@ -289,7 +283,7 @@ def underlying_graph(obj):
         raise TypeError(f"cannot take the underlying graph of {type(obj).__name__}")
     adj = list(obj.out)
     for u in range(obj.n):
-        for v in _iter_bits(obj.out[u]):
+        for v in _bits(obj.out[u]):
             adj[v] |= 1 << u
     return Graph(obj.n, adj)
 
@@ -362,7 +356,7 @@ def is_continuous(point_map, tx, ty):
     ry = preorder_from_topology(ty)
     by_relation = True
     for x in range(tx.n):
-        for y in _iter_bits(rx.rel[x]):
+        for y in _bits(rx.rel[x]):
             if not ry.rel[point_map[x]] >> point_map[y] & 1:
                 by_relation = False
                 break

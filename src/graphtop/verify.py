@@ -11,11 +11,10 @@ import sys
 from . import formulas
 from .aggregate import aggregate_counts, graphs_up_to_iso
 from .enumeration import (
+    burnside,
     counts_for,
     enumerate_transitive_digraphs,
-    h_burnside,
-    h_classes,
-    tau,
+    stream_counts,
 )
 from .errors import InternalCheckError
 from .graphs import (
@@ -66,9 +65,8 @@ class _Report:
 
 def _engine_counts(report, name, g, budget=None):
     """(tau, h) from the engine, with the two class counters compared."""
-    t = tau(g, budget)
-    by_codes = h_classes(g, budget)
-    by_orbits = h_burnside(g, budget)
+    t, by_codes = stream_counts(g, budget)
+    by_orbits = burnside(g, automorphism_group(g), t, budget)
     report.check(f"{name}-orbit-agreement", by_orbits, by_codes)
     return t, by_codes
 

@@ -7,10 +7,17 @@ from graphtop import (
     Graph,
     aggregate_counts,
     automorphism_group,
+    canon,
     canonical_code,
     canonical_code_digraph,
+    cartesian_product,
     complete_graph,
+    cycle_graph,
+    enumeration,
     graphs_up_to_iso,
+    h_classes,
+    tau,
+    wheel_graph,
 )
 from graphtop.aggregate import class_counts, labeled_copies
 from graphtop.errors import SizeBoundExceeded
@@ -122,3 +129,36 @@ def test_workers_match_single():
     assert [(e.aut_order, e.tau, e.h) for e in single[2].entries] == [
         (e.aut_order, e.tau, e.h) for e in multi[2].entries
     ]
+
+
+def _count_calls(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+    calls[name] = 0
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_graph(4),
+        wheel_graph(5),
+        cartesian_product(complete_graph(2), cycle_graph(4)),
+    ],
+)
+def test_class_counts_makes_one_pass(monkeypatch, g):
+    """One plain search, one listing of Aut(g), and no fix_count for the
+    identity."""
+    auts = automorphism_group(g)
+    want = (len(auts), tau(g), h_classes(g))
+    nclasses = len(canon.conjugacy_classes(auts))
+    calls = {}
+    _count_calls(monkeypatch, calls, enumeration, "_gen_masks")
+    _count_calls(monkeypatch, calls, enumeration, "fix_count")
+    _count_calls(monkeypatch, calls, canon, "automorphisms")
+    assert class_counts(g) == want
+    assert calls == {"_gen_masks": 1, "fix_count": nclasses - 1, "automorphisms": 1}

@@ -13,10 +13,16 @@ from graphtop import (
     graphs_up_to_iso,
     path_graph,
 )
-from graphtop.canon import conjugacy_classes, decode_graph_code, graph_code
+from graphtop.canon import (
+    conjugacy_classes,
+    decode_graph_code,
+    digraph_code,
+    graph_code,
+)
 from graphtop.enumeration import enumerate_transitive_digraphs
 from graphtop.errors import SizeBoundExceeded
-from graphtop.graphs import rooted_code
+from graphtop.graphs import canonical_graph, rooted_code
+from graphtop.topology import transitive_masks
 
 from conftest import (
     brute_automorphisms,
@@ -173,3 +179,112 @@ def test_size_bound():
         canonical_code(Graph(17, [0] * 17))
     with pytest.raises(SizeBoundExceeded):
         automorphism_group(Graph(17, [0] * 17))
+
+
+# Randomized relabeling at n = 7..16.  Random graphs are mostly rigid, so
+# refinement alone splits them; the twin blow-ups and circulants keep
+# non-singleton cells, which exercises individualization and the
+# _homogeneous shortcut.
+
+
+def _relabel_masks(masks, perm):
+    out = [0] * len(masks)
+    for u, row in enumerate(masks):
+        for v in range(len(masks)):
+            if row >> v & 1:
+                out[perm[u]] |= 1 << perm[v]
+    return out
+
+
+def _random_graph(rng, n):
+    p = rng.uniform(0.2, 0.8)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def _twin_blow_up(rng, n):
+    """A random graph with each vertex replaced by a clique or an
+    independent set of twins, the part sizes summing to n."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    start = [sum(sizes[:i]) for i in range(len(sizes))]
+    clique = [rng.random() < 0.5 for _ in sizes]
+    base = _random_graph(rng, len(sizes))
+    edges = [
+        (start[a] + i, start[b] + j)
+        for a, b in base.edges()
+        for i in range(sizes[a])
+        for j in range(sizes[b])
+    ]
+    edges += [
+        (start[a] + i, start[a] + j)
+        for a in range(len(sizes))
+        if clique[a]
+        for i in range(sizes[a])
+        for j in range(i + 1, sizes[a])
+    ]
+    return Graph.from_edges(n, edges)
+
+
+def _circulant(rng, n):
+    """C_n(1, k): vertex-transitive, so refinement cannot split it."""
+    k = rng.randint(2, n // 2)
+    return Graph.from_edges(
+        n, {tuple(sorted((v, (v + s) % n))) for v in range(n) for s in (1, k)}
+    )
+
+
+def _random_transitive(rng, n):
+    """A random preorder minus its diagonal: blocks of mutual arcs, and a
+    random strict order between the blocks, closed under transitivity."""
+    block = [rng.randrange(max(1, n // 2)) for _ in range(n)]
+    nblocks = max(block) + 1
+    above = [0] * nblocks  # above[a]: the blocks strictly above block a
+    for a in range(nblocks):
+        for b in range(a + 1, nblocks):
+            if rng.random() < 0.3:
+                above[a] |= 1 << b
+    for a in reversed(range(nblocks)):
+        for b in range(a + 1, nblocks):
+            if above[a] >> b & 1:
+                above[a] |= above[b]
+    return [
+        sum(
+            1 << v
+            for v in range(n)
+            if v != u and (block[v] == block[u] or above[block[u]] >> block[v] & 1)
+        )
+        for u in range(n)
+    ]
+
+
+def test_graph_code_invariant_under_random_relabeling_large_n():
+    rng = random.Random(2012)
+    for n in range(7, 17):
+        for make in (_random_graph, _twin_blow_up, _circulant):
+            g = make(rng, n)
+            code = canonical_code(g)
+            assert canonical_code(canonical_graph(code)) == code
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert graph_code(n, _relabel_masks(g.adj, perm)) == code, (make, n)
+
+
+def test_digraph_code_invariant_under_random_relabeling_large_n():
+    rng = random.Random(2013)
+    for n in range(7, 17):
+        loop_free = [
+            sum(1 << v for v in range(n) if v != u and rng.random() < 0.3)
+            for u in range(n)
+        ]
+        transitive = _random_transitive(rng, n)
+        assert transitive_masks(n, transitive)
+        for out in (loop_free, transitive):
+            code = digraph_code(n, out)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                assert digraph_code(n, _relabel_masks(out, perm)) == code, n

@@ -6,7 +6,14 @@ import time
 
 import pytest
 
-from graphtop import aggregate, enumeration
+from graphtop import (
+    aggregate,
+    automorphism_group,
+    build_graph,
+    enumeration,
+    parse_graph_expr,
+)
+from graphtop.canon import conjugacy_classes
 from graphtop.cli import main
 
 
@@ -25,6 +32,24 @@ def test_count_json(capsys):
     assert doc["method"] == "enumeration"
     assert "elapsed" in err  # timing is a diagnostic, never part of the JSON
     assert "elapsed" not in doc
+
+
+@pytest.mark.parametrize("expr", ["K4", "W5", "box(K2,C4)"])
+def test_count_takes_tau_as_the_identity_term(capsys, monkeypatch, expr):
+    """count searches once per non-identity conjugacy class of Aut(G)."""
+    g = build_graph(parse_graph_expr(expr))
+    nclasses = len(conjugacy_classes(automorphism_group(g)))
+    fix_count = enumeration.fix_count
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fix_count(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "fix_count", counted)
+    assert run_cli(capsys, "count", expr, "--json")[0] == 0
+    assert len(calls) == nclasses - 1
+    assert tuple(range(g.n)) not in calls
 
 
 def test_count_text(capsys):
@@ -154,7 +179,7 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=None):
             return list(map(fn, tasks))
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)

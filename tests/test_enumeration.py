@@ -4,6 +4,7 @@ from graphtop import (
     Digraph,
     Graph,
     automorphism_group,
+    burnside,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -16,6 +17,7 @@ from graphtop import (
     h_sink,
     is_transitive,
     path_graph,
+    stream_counts,
     tau,
     tau_sink,
     transitive_digraph_classes,
@@ -180,6 +182,23 @@ def test_h_burnside_equals_full_group_average():
     graphs.append(complete_graph(6))
     for g in graphs:
         assert h_burnside(g) == _full_group_average(g)
+
+
+def _small_classes_and_k6():
+    graphs = [e.graph for n in range(6) for e in graphs_up_to_iso(n).entries]
+    graphs.append(complete_graph(6))
+    return graphs
+
+
+def test_stream_counts_is_tau_and_h_classes():
+    for g in _small_classes_and_k6():
+        assert stream_counts(g) == (tau(g), h_classes(g)), g.edges()
+
+
+def test_burnside_with_tau_as_identity_term():
+    for g in _small_classes_and_k6():
+        got = burnside(g, automorphism_group(g), tau(g))
+        assert got == _full_group_average(g), g.edges()
 
 
 def test_h_burnside_values():
