@@ -11,18 +11,17 @@ guards the generation end to end.
 import time
 from dataclasses import dataclass
 from math import factorial
-from multiprocessing import Pool
 
 from . import formulas
-from .enumeration import burnside, stream_counts
+from .enumeration import burnside, fan_out, stream_counts
 from .errors import InternalCheckError, SizeBoundExceeded
 from .graphs import (
     Graph,
     automorphism_group,
     canonical_code,
     canonical_graph,
-    components,
-    induced_subgraph,
+    component_parts,
+    is_connected,
 )
 
 MAX_CLASS_VERTICES = 7
@@ -91,14 +90,8 @@ def class_counts(g, budget_edges=None):
         raise InternalCheckError(
             f"class counts disagree on {g!r}: burnside={h_avg} codes={h_codes}"
         )
-    comps = components(g)
-    if len(comps) > 1:
-        grouped = {}
-        for comp in comps:
-            part = induced_subgraph(g, comp)
-            grouped.setdefault(canonical_code(part), [part, 0])[1] += 1
-        parts = [(part, mult) for part, mult in grouped.values()]
-        by_parts = formulas.union_counts(parts, budget_edges)
+    if not is_connected(g):
+        by_parts = formulas.union_counts(component_parts(g), budget_edges)
         if (by_parts.tau, by_parts.h) != (t, h_avg):
             raise InternalCheckError(
                 f"component rule disagrees on {g!r}: "
@@ -108,8 +101,11 @@ def class_counts(g, budget_edges=None):
 
 
 def _class_task(args):
+    """((aut_order, tau, h), seconds) for one class."""
     n, adj, budget = args
-    return class_counts(Graph(n, adj), budget)
+    t0 = time.perf_counter()
+    counts = class_counts(Graph(n, adj), budget)
+    return counts, time.perf_counter() - t0
 
 
 def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
@@ -117,28 +113,22 @@ def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
 
     tau_n weights each class by its number of labelings n!/|Aut|; h_n is
     the plain sum of class counts.  With timing, per-class wall times are
-    appended to it as (index, seconds).
+    appended to it as (index, seconds), in class order.
     """
     if n < 1:
         raise ValueError("aggregate_counts needs n >= 1")
     table = graphs_up_to_iso(n)
-    if workers > 1:
-        # heaviest classes first, one per task, so that the dense ones
-        # spread over the workers instead of sharing a chunk
-        order = sorted(table.entries, key=lambda e: -e.graph.edge_count)
-        tasks = [(n, e.graph.adj, budget_edges) for e in order]
-        with Pool(workers) as pool:
-            results = pool.map(_class_task, tasks, chunksize=1)
-        for entry, (aut_order, t, h) in zip(order, results):
-            entry.aut_order, entry.tau, entry.h = aut_order, t, h
-    else:
-        for idx, entry in enumerate(table.entries):
-            t0 = time.perf_counter()
-            entry.aut_order, entry.tau, entry.h = class_counts(
-                entry.graph, budget_edges
-            )
-            if timing is not None:
-                timing.append((idx, time.perf_counter() - t0))
+    # heaviest classes first, so that with several workers the dense ones
+    # start early instead of setting the makespan at the end
+    order = sorted(range(len(table)), key=lambda i: -table.entries[i].graph.edge_count)
+    tasks = [(n, table.entries[i].graph.adj, budget_edges) for i in order]
+    seconds = [0.0] * len(order)
+    for idx, (counts, secs) in zip(order, fan_out(_class_task, tasks, workers)):
+        entry = table.entries[idx]
+        entry.aut_order, entry.tau, entry.h = counts
+        seconds[idx] = secs
+    if timing is not None:
+        timing.extend(enumerate(seconds))
     nfact = factorial(n)
     tau_n = sum(nfact // e.aut_order * e.tau for e in table.entries)
     h_n = sum(e.h for e in table.entries)

@@ -14,6 +14,9 @@ orders tiny for the sizes this package handles.
 from .errors import SizeBoundExceeded
 
 MAX_VERTICES = 16
+# automorphisms lists the group element by element, so |Aut| is bounded:
+# 9! admits every graph on up to 9 vertices and stops N16 (16!) early
+MAX_AUT_ORDER = 362880
 
 
 def _check_size(n):
@@ -161,6 +164,7 @@ def automorphisms(n, adj):
 
     Vertices are matched within refinement cells only, most-constrained
     cells first, with incremental adjacency checks pruning the search.
+    Raises SizeBoundExceeded as soon as more than MAX_AUT_ORDER are found.
     """
     _check_size(n)
     if n == 0:
@@ -181,6 +185,10 @@ def automorphisms(n, adj):
     def place(k):
         if k == n:
             found.append(tuple(image))
+            if len(found) > MAX_AUT_ORDER:
+                raise SizeBoundExceeded(
+                    f"|Aut| exceeds the supported bound {MAX_AUT_ORDER}"
+                )
             return
         v = order[k]
         for w in range(n):

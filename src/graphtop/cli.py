@@ -130,7 +130,7 @@ def _cmd_aggregate(args):
         raise _UsageError(f"-n must be between 1 and {MAX_CLASS_VERTICES}")
     if n >= 7 and not args.allow_large:
         raise _UsageError(f"aggregate -n {n} is expensive; pass --allow-large")
-    timing = [] if n >= 7 and args.workers <= 1 else None
+    timing = [] if n >= 7 else None
     tau_n, h_n, table = aggregate_counts(
         n, args.budget_edges, workers=args.workers, timing=timing
     )

@@ -236,16 +236,26 @@ def _gen_masks(g, budget, prefix=()):
     yield from _walk(search, search.single_blocks(), len(prefix))
 
 
-def enumerate_transitive_digraphs(g, budget_edges=None, prefix=()):
+def enumerate_transitive_digraphs(g, budget_edges=None):
     """Every transitive digraph with underlying graph exactly g, each once.
 
     The stream is deterministic: depth-first over edge_order(g) with
-    states tried forward < backward < both.  A prefix of edge states
-    restricts the stream to one branch, which is how work is partitioned
-    across workers.
+    states tried forward < backward < both.
     """
-    for masks in _gen_masks(g, budget_edges, prefix):
+    for masks in _gen_masks(g, budget_edges):
         yield Digraph(g.n, masks)
+
+
+def fan_out(fn, tasks, workers):
+    """[fn(t) for t in tasks], in task order, over `workers` processes.
+
+    One worker runs the tasks in this process; more hand them out one at
+    a time, so that callers control the schedule by the task order.
+    """
+    if workers <= 1:
+        return list(map(fn, tasks))
+    with Pool(workers) as pool:
+        return pool.map(fn, tasks, chunksize=1)
 
 
 def state_prefixes(g, workers):
@@ -269,12 +279,9 @@ def _arcs_task(args):
 
 def tau(g, budget_edges=None, workers=1):
     """Number of transitive digraphs whose underlying graph is g."""
-    if workers <= 1:
-        return sum(1 for _ in _gen_masks(g, budget_edges))
     _Search(g, budget_edges)  # fail fast on budget before forking
     tasks = [(g.n, g.adj, budget_edges, p) for p in state_prefixes(g, workers)]
-    with Pool(workers) as pool:
-        return sum(pool.map(_tau_task, tasks))
+    return sum(fan_out(_tau_task, tasks, workers))
 
 
 def stream_masks(g, budget_edges=None, workers=1):
@@ -284,9 +291,8 @@ def stream_masks(g, budget_edges=None, workers=1):
         return
     _Search(g, budget_edges)
     tasks = [(g.n, g.adj, budget_edges, p) for p in state_prefixes(g, workers)]
-    with Pool(workers) as pool:
-        for chunk in pool.map(_arcs_task, tasks):
-            yield from chunk
+    for chunk in fan_out(_arcs_task, tasks, workers):
+        yield from chunk
 
 
 def _check_automorphism(g, sigma):
@@ -295,11 +301,8 @@ def _check_automorphism(g, sigma):
         raise NotAnAutomorphism("not a permutation of the vertex set")
     for u in range(g.n):
         image = 0
-        m = g.adj[u]
-        while m:
-            b = m & -m
-            image |= 1 << sigma[b.bit_length() - 1]
-            m ^= b
+        for v in canon._bits(g.adj[u]):
+            image |= 1 << sigma[v]
         if image != g.adj[sigma[u]]:
             raise NotAnAutomorphism("permutation does not preserve adjacency")
     return sigma
@@ -451,18 +454,12 @@ class CountReport:
             raise InternalCheckError(f"inconsistent report: tau={self.tau} h={self.h}")
 
 
-# Shared memo of (tau, h) keyed by canonical graph code.  Recomputation
-# is idempotent, so concurrent fills are harmless.
-_SHARED_COUNTS = {}
-
-
 def counts_for(g, budget_edges=None, cache=None):
-    """Memoized (tau, h) pair for a graph, keyed by canonical code."""
-    table = _SHARED_COUNTS if cache is None else cache
+    """(tau, h) for a graph; memoized by canonical code in cache, if given."""
+    if cache is None:
+        cache = {}
     code = canonical_code(g)
-    hit = table.get(code)
-    if hit is None:
+    if code not in cache:
         t = tau(g, budget_edges)
-        hit = (t, burnside(g, automorphism_group(g), t, budget_edges))
-        table[code] = hit
-    return hit
+        cache[code] = (t, burnside(g, automorphism_group(g), t, budget_edges))
+    return cache[code]

@@ -13,10 +13,9 @@ from .errors import NotConnected
 from .graphs import (
     canonical_code,
     complete_graph,
-    components,
+    component_parts,
     cycle_graph,
     has_triangle,
-    induced_subgraph,
     is_bipartite,
     is_connected,
     is_cut_vertex,
@@ -130,8 +129,8 @@ def union_counts(parts, budget_edges=None, cache=None):
     """Counts for a disjoint union of connected parts with multiplicities.
 
     parts is a list of (graph, multiplicity) with pairwise non-isomorphic
-    connected graphs.  Per-part counts come from the enumeration engine's
-    shared memo.
+    connected graphs.  Per-part counts come from counts_for, memoized in
+    cache if one is given.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
@@ -203,13 +202,7 @@ def formula_for_graph(g, budget_edges=None, cache=None):
     if g.n == 0:
         return None
     if not is_connected(g):
-        grouped = {}
-        for comp in components(g):
-            part = induced_subgraph(g, comp)
-            grouped.setdefault(canonical_code(part), [part, 0])[1] += 1
-        return union_counts(
-            [(part, mult) for part, mult in grouped.values()], budget_edges, cache
-        )
+        return union_counts(component_parts(g), budget_edges, cache)
     code = canonical_code(g)
     if g.n <= 20 and code == canonical_code(complete_graph(g.n)):
         return complete_counts(g.n)

@@ -4,8 +4,6 @@ Neighbor sets are stored as one int bitmask per vertex; everything the
 package does stays exact and fast at the sizes it targets (n <= 16).
 """
 
-import itertools
-
 from . import canon
 from .canon import _bits
 from .errors import (
@@ -215,11 +213,8 @@ def components(g):
         frontier = comp
         while frontier:
             new = 0
-            m = frontier
-            while m:
-                b = m & -m
-                new |= g.adj[b.bit_length() - 1]
-                m ^= b
+            for v in _bits(frontier):
+                new |= g.adj[v]
             frontier = new & ~comp
             comp |= new
         seen |= comp
@@ -248,6 +243,19 @@ def induced_subgraph(g, vertices):
         (index[u], index[v]) for u, v in g.edges() if u in index and v in index
     ]
     return Graph.from_edges(len(vs), edges)
+
+
+def component_parts(g):
+    """Components grouped by isomorphism type, as (graph, multiplicity).
+
+    Each type is represented by its first component, induced and
+    relabeled; types come in order of first appearance.
+    """
+    grouped = {}
+    for comp in components(g):
+        part = induced_subgraph(g, comp)
+        grouped.setdefault(canonical_code(part), [part, 0])[1] += 1
+    return [(part, mult) for part, mult in grouped.values()]
 
 
 def bipartition(g):
@@ -392,10 +400,3 @@ def write_edge_list(g, fh):
     fh.write(f"n {g.n}\n")
     for u, v in g.edges():
         fh.write(f"e {u} {v}\n")
-
-
-def all_vertex_subsets(g):
-    """All subsets of V(g) as sorted tuples (small n only)."""
-    verts = range(g.n)
-    for k in range(g.n + 1):
-        yield from itertools.combinations(verts, k)

@@ -26,10 +26,6 @@ from .graphs import Graph, components
 MAX_GROUND_SET = 12
 
 
-def _mask_to_list(mask):
-    return [b for b in range(mask.bit_length()) if mask >> b & 1]
-
-
 class Preorder:
     """Reflexive transitive relation; rel[x] is the bitmask of R(x)."""
 
@@ -79,7 +75,7 @@ class Preorder:
         return self.rel[x]
 
     def pairs(self):
-        return sorted((x, y) for x in range(self.n) for y in _mask_to_list(self.rel[x]))
+        return sorted((x, y) for x in range(self.n) for y in _bits(self.rel[x]))
 
     def __eq__(self, other):
         return (
@@ -131,7 +127,7 @@ class Topology:
 
     def opens_as_lists(self):
         """Sorted list of sorted vertex lists (the JSON rendering)."""
-        return sorted(_mask_to_list(m) for m in self.opens)
+        return sorted(list(_bits(m)) for m in self.opens)
 
     def __eq__(self, other):
         return (
@@ -180,7 +176,7 @@ class Digraph:
         return cls(n, out)
 
     def arcs(self):
-        return sorted((u, v) for u in range(self.n) for v in _mask_to_list(self.out[u]))
+        return sorted((u, v) for u in range(self.n) for v in _bits(self.out[u]))
 
     @property
     def arc_count(self):
@@ -220,7 +216,9 @@ def transitive_masks(n, out):
         row = out[a]
         reach = 0
         m = row
-        while m:  # everything two arcs away from a
+        # everything two arcs away from a; the loop is inline, not _bits,
+        # because this runs on every leaf of the search
+        while m:
             b = m & -m
             reach |= out[b.bit_length() - 1]
             m ^= b
@@ -316,11 +314,11 @@ def _validate_masks(n, opens):
     for a, b in itertools.combinations(members, 2):
         if a | b not in opens:
             raise NotATopology(
-                "not-closed-under-union", (_mask_to_list(a), _mask_to_list(b))
+                "not-closed-under-union", (list(_bits(a)), list(_bits(b)))
             )
         if a & b not in opens:
             raise NotATopology(
-                "not-closed-under-intersection", (_mask_to_list(a), _mask_to_list(b))
+                "not-closed-under-intersection", (list(_bits(a)), list(_bits(b)))
             )
 
 

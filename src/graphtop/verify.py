@@ -6,6 +6,7 @@ per check with both values.  Exit status 2 on any failure; nothing is
 ever patched over.
 """
 
+import itertools
 import sys
 
 from . import formulas
@@ -19,7 +20,6 @@ from .enumeration import (
 from .errors import InternalCheckError
 from .graphs import (
     Graph,
-    all_vertex_subsets,
     amalgamate,
     automorphism_group,
     canonical_code,
@@ -76,15 +76,18 @@ def _check_formula(report, name, g, result, budget=None):
     report.check(name, (result.tau, result.h), engine)
 
 
-def _paw():
+def paw():
+    """A triangle with a pendant edge at vertex 0."""
     return amalgamate(complete_graph(3), 0, complete_graph(2), 0)
 
 
-def _bowtie():
+def bowtie():
+    """Two triangles sharing vertex 0."""
     return amalgamate(complete_graph(3), 0, complete_graph(3), 0)
 
 
-def _star(leaves):
+def star(leaves):
+    """Hub 0 joined to `leaves` leaves."""
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -114,7 +117,7 @@ def _suite_formulas(report, budget):
         ("product-c3-c3", cycle_graph(3), cycle_graph(3), None),
         ("product-k2-c4", complete_graph(2), cycle_graph(4), None),
         ("product-k2-p3", complete_graph(2), path_graph(3), None),
-        ("product-k2-star3", complete_graph(2), _star(3), None),
+        ("product-k2-star3", complete_graph(2), star(3), None),
         ("product-c4-c4", cycle_graph(4), cycle_graph(4), 32),
     ]
     for name, g, h, override in products:
@@ -160,8 +163,8 @@ def _suite_formulas(report, budget):
 
     for name, g, v in [
         ("cut-vertex-p2", path_graph(2), 1),
-        ("cut-vertex-paw", _paw(), 0),
-        ("cut-vertex-bowtie", _bowtie(), 0),
+        ("cut-vertex-paw", paw(), 0),
+        ("cut-vertex-bowtie", bowtie(), 0),
     ]:
         _check_formula(report, name, g, formulas.cut_vertex_counts(g, v, budget))
 
@@ -222,13 +225,13 @@ def _suite_oracles(report, budget, corrupt_memo):
         report.check(
             f"ordered-partition-oracle-{n}",
             formulas.complete_counts(n).tau,
-            _count_ordered_partitions(n),
+            count_ordered_partitions(n),
         )
     for n in range(1, 11):
         report.check(
             f"composition-oracle-{n}",
             formulas.complete_counts(n).h,
-            _count_compositions(n),
+            count_compositions(n),
         )
 
     bad_dual = 0
@@ -254,7 +257,7 @@ def _suite_oracles(report, budget, corrupt_memo):
         cycle_graph(6),
         complete_graph(4),
         wheel_graph(5),
-        _paw(),
+        paw(),
     ]:
         stream = {d.out for d in enumerate_transitive_digraphs(g, budget)}
         reversed_stream = {
@@ -264,15 +267,16 @@ def _suite_oracles(report, budget, corrupt_memo):
             bad_reversal += 1
     report.check("reversal-closure", bad_reversal, 0)
 
+    cache = {}
     for n in range(1, 7):
         bad = 0
         for entry in graphs_up_to_iso(n).entries:
             g = entry.graph
-            t = counts_for(g, budget)[0]
+            t = counts_for(g, budget, cache)[0]
             vanish = [
-                counts_for(induced_subgraph(g, s), budget)[0] == 0
-                for s in all_vertex_subsets(g)
-                if s
+                counts_for(induced_subgraph(g, s), budget, cache)[0] == 0
+                for k in range(1, g.n + 1)
+                for s in itertools.combinations(range(g.n), k)
             ]
             if any(vanish) != (t == 0):
                 bad += 1
@@ -286,9 +290,8 @@ def _suite_oracles(report, budget, corrupt_memo):
     report.check("memo-integrity", (via_memo.tau, via_memo.h), direct)
 
 
-def _count_ordered_partitions(n):
+def count_ordered_partitions(n):
     """Ordered set partitions of {0..n-1}, counted by direct recursion."""
-    from itertools import combinations
 
     def go(remaining):
         if not remaining:
@@ -296,14 +299,14 @@ def _count_ordered_partitions(n):
         total = 0
         items = sorted(remaining)
         for k in range(1, len(items) + 1):
-            for block in combinations(items, k):
+            for block in itertools.combinations(items, k):
                 total += go(remaining - set(block))
         return total
 
     return go(set(range(n)))
 
 
-def _count_compositions(n):
+def count_compositions(n):
     """Compositions of n, counted by direct recursion."""
 
     def go(remaining):

@@ -10,12 +10,13 @@ import itertools
 
 from graphtop import (
     Graph,
-    amalgamate,
     cartesian_product,
     complete_graph,
     cycle_graph,
     wheel_graph,
 )
+# the named example graphs are verify's own, shared with the tests
+from graphtop.verify import bowtie, paw, star
 
 
 def naive_transitive(arcs):
@@ -85,18 +86,6 @@ def conjugate(sigma, t):
 
 def relabel_graph(g, perm):
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
-def star(leaves):
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def paw():
-    return amalgamate(complete_graph(3), 0, complete_graph(2), 0)
-
-
-def bowtie():
-    return amalgamate(complete_graph(3), 0, complete_graph(3), 0)
 
 
 def symmetric_examples():

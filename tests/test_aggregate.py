@@ -131,6 +131,18 @@ def test_workers_match_single():
     ]
 
 
+def test_timing_fills_for_any_worker_count():
+    serial = aggregate_counts(5)
+    timing = []
+    multi = aggregate_counts(5, workers=2, timing=timing)
+    assert [idx for idx, _ in timing] == list(range(34))
+    assert all(seconds >= 0 for _, seconds in timing)
+    assert multi[:2] == serial[:2]
+    assert [(e.aut_order, e.tau, e.h) for e in multi[2].entries] == [
+        (e.aut_order, e.tau, e.h) for e in serial[2].entries
+    ]
+
+
 def _count_calls(monkeypatch, calls, module, name):
     fn = getattr(module, name)
     calls[name] = 0

@@ -7,9 +7,9 @@ import time
 import pytest
 
 from graphtop import (
-    aggregate,
     automorphism_group,
     build_graph,
+    canon,
     enumeration,
     parse_graph_expr,
 )
@@ -183,7 +183,6 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
             return list(map(fn, tasks))
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)
-    monkeypatch.setattr(aggregate, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for argv in (
         ("count", "box(K2,C4)", "--json"),
@@ -194,6 +193,14 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
         for workers in ("2", "1000000"):
             assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
     assert sizes == [2, 3] * 3
+
+
+def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):
+    monkeypatch.setattr(canon, "MAX_AUT_ORDER", 100)
+    code, out, err = run_cli(capsys, "count", "N6")  # |Aut| = 720
+    assert code == 1 and out == ""
+    assert "|Aut|" in err and "100" in err
+    assert run_cli(capsys, "count", "K4")[0] == 0  # |Aut| = 24
 
 
 def test_usage_error_exit_code(capsys):

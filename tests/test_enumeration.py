@@ -2,6 +2,7 @@ import pytest
 
 from graphtop import (
     Digraph,
+    enumeration,
     Graph,
     automorphism_group,
     burnside,
@@ -292,6 +293,20 @@ def test_counts_for_memoizes():
     (code, value), = cache.items()
     cache[code] = (99, 4)
     assert counts_for(complete_graph(3), cache=cache) == (99, 4)  # hit, not recomputed
+
+
+def test_counts_for_without_a_cache_keeps_no_memo(monkeypatch):
+    searches = []
+    gen_masks = enumeration._gen_masks
+
+    def counted(*args, **kwargs):
+        searches.append(args[0])
+        return gen_masks(*args, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_gen_masks", counted)
+    assert counts_for(complete_graph(3)) == (13, 4)
+    assert counts_for(complete_graph(3)) == (13, 4)
+    assert len(searches) == 2
 
 
 def test_count_report_invariant():

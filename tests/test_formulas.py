@@ -28,6 +28,7 @@ from graphtop import (
 )
 from graphtop.errors import NotConnected
 from graphtop.graphs import is_bipartite, is_connected
+from graphtop.verify import count_compositions, count_ordered_partitions
 
 from conftest import bowtie, paw, star
 
@@ -79,25 +80,13 @@ def test_complete_counts_vs_engine():
 
 def test_ordered_partition_identity():
     # tau over the complete graph counts ordered set partitions
-    def ordered_partitions(items):
-        if not items:
-            return 1
-        total = 0
-        for k in range(1, len(items) + 1):
-            for block in itertools.combinations(items, k):
-                total += ordered_partitions(items - set(block))
-        return total
-
     for n in range(1, 6):
-        assert complete_counts(n).tau == ordered_partitions(set(range(n)))
+        assert complete_counts(n).tau == count_ordered_partitions(n)
 
 
 def test_composition_identity():
-    def compositions(m):
-        return 1 if m == 0 else sum(compositions(m - i) for i in range(1, m + 1))
-
     for n in range(1, 11):
-        assert complete_counts(n).h == compositions(n)
+        assert complete_counts(n).h == count_compositions(n)
 
 
 def test_cycle_counts():
