@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import formulas
+from .decomposition import tau_tree
 from .enumeration import burnside, fan_out, stream_counts
 from .errors import InternalCheckError, SizeBoundExceeded
 from .graphs import (
@@ -77,14 +78,18 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
 def class_counts(g, budget_edges=None):
     """(aut_order, tau, h) for one class, with built-in cross-checks.
 
-    One pass over the stream gives tau and h by canonical digraph codes;
-    h is computed again by orbit averaging over Aut(g), listed once, with
-    that tau as the identity term.  For disconnected graphs the
-    multiplicative component rule is checked as well.  Any disagreement
-    raises, never resolves silently.
+    One pass over the stream gives tau and h by canonical digraph codes.
+    tau is computed again from the modular-decomposition tree, and h by
+    orbit averaging over Aut(g), listed once, with that tau as the
+    identity term.  For disconnected graphs the multiplicative component
+    rule is checked as well.  Any disagreement raises, never resolves
+    silently.
     """
     auts = automorphism_group(g)
     t, h_codes = stream_counts(g, budget_edges)
+    t_tree = tau_tree(g)
+    if t_tree != t:
+        raise InternalCheckError(f"tau disagrees on {g!r}: tree={t_tree} stream={t}")
     h_avg = burnside(g, auts, t, budget_edges)
     if h_avg != h_codes:
         raise InternalCheckError(
@@ -102,9 +107,8 @@ def class_counts(g, budget_edges=None):
 
 def _class_task(args):
     """((aut_order, tau, h), seconds) for one class."""
-    n, adj, budget = args
     t0 = time.perf_counter()
-    counts = class_counts(Graph(n, adj), budget)
+    counts = class_counts(*args)
     return counts, time.perf_counter() - t0
 
 
@@ -121,9 +125,10 @@ def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
     # heaviest classes first, so that with several workers the dense ones
     # start early instead of setting the makespan at the end
     order = sorted(range(len(table)), key=lambda i: -table.entries[i].graph.edge_count)
-    tasks = [(n, table.entries[i].graph.adj, budget_edges) for i in order]
+    tasks = [(table.entries[i].graph, budget_edges) for i in order]
     seconds = [0.0] * len(order)
-    for idx, (counts, secs) in zip(order, fan_out(_class_task, tasks, workers)):
+    results = fan_out(_class_task, tasks, workers)
+    for idx, (counts, secs) in zip(order, results, strict=True):
         entry = table.entries[idx]
         entry.aut_order, entry.tau, entry.h = counts
         seconds[idx] = secs

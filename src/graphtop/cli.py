@@ -12,7 +12,8 @@ import sys
 import time
 
 from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
-from .enumeration import CountReport, burnside, stream_masks, tau
+from .decomposition import tau_tree
+from .enumeration import CountReport, burnside, check_budget, stream_masks
 from .errors import GraphTopError, InternalCheckError
 from .expr import FileRef, build_graph, parse_graph_expr
 from .formulas import formula_for_graph
@@ -61,8 +62,11 @@ def _graph_from_args(args):
 def _cmd_count(args):
     g = _graph_from_args(args)
     t0 = time.perf_counter()
-    t = tau(g, args.budget_edges, workers=args.workers)
-    h = burnside(g, automorphism_group(g), t, args.budget_edges)
+    check_budget(g, args.budget_edges)  # bounds the fix_count searches below
+    t = tau_tree(g)
+    h = burnside(
+        g, automorphism_group(g), t, args.budget_edges, workers=args.workers
+    )
     elapsed = time.perf_counter() - t0
     report = CountReport(
         graph=canonical_code(g), tau=t, h=h, method="enumeration", elapsed=elapsed

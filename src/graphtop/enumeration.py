@@ -16,7 +16,7 @@ from multiprocessing import Pool
 
 from . import canon
 from .errors import BudgetExceeded, InternalCheckError, NotAnAutomorphism
-from .graphs import Graph, automorphism_group, canonical_code
+from .graphs import automorphism_group, canonical_code
 from .topology import Digraph, transitive_masks
 
 DEFAULT_EDGE_BUDGET = 24
@@ -43,6 +43,17 @@ def edge_order(g):
     )
 
 
+def check_budget(g, budget=None):
+    """Raise BudgetExceeded if g has more edges than a search may take."""
+    if budget is None:
+        budget = DEFAULT_EDGE_BUDGET
+    if g.edge_count > budget:
+        raise BudgetExceeded(
+            f"{g.edge_count} edges exceed the budget of {budget}; "
+            "pass an explicit budget_edges to override"
+        )
+
+
 class _Search:
     """Mutable edge-state assignment with transitivity propagation.
 
@@ -52,13 +63,7 @@ class _Search:
     """
 
     def __init__(self, g, budget=None):
-        if budget is None:
-            budget = DEFAULT_EDGE_BUDGET
-        if g.edge_count > budget:
-            raise BudgetExceeded(
-                f"{g.edge_count} edges exceed the budget of {budget}; "
-                "pass an explicit budget_edges to override"
-            )
+        check_budget(g, budget)
         self.n = g.n
         self.adj = g.adj
         self.edges = edge_order(g)
@@ -247,15 +252,20 @@ def enumerate_transitive_digraphs(g, budget_edges=None):
 
 
 def fan_out(fn, tasks, workers):
-    """[fn(t) for t in tasks], in task order, over `workers` processes.
+    """fn(t) for t in the list tasks, lazily and in task order, over
+    `workers` processes.
 
-    One worker runs the tasks in this process; more hand them out one at
-    a time, so that callers control the schedule by the task order.
+    One worker, or fewer than two tasks, run in this process, since a
+    pool would only add its start-up.  Otherwise the tasks are handed out
+    one at a time, so that callers control the schedule by the task
+    order, and each result is yielded as soon as it and those before it
+    are done.
     """
-    if workers <= 1:
-        return list(map(fn, tasks))
+    if workers <= 1 or len(tasks) < 2:
+        yield from map(fn, tasks)
+        return
     with Pool(workers) as pool:
-        return pool.map(fn, tasks, chunksize=1)
+        yield from pool.imap(fn, tasks, chunksize=1)
 
 
 def state_prefixes(g, workers):
@@ -268,19 +278,17 @@ def state_prefixes(g, workers):
 
 
 def _tau_task(args):
-    n, adj, budget, prefix = args
-    return sum(1 for _ in _gen_masks(Graph(n, adj), budget, prefix))
+    return sum(1 for _ in _gen_masks(*args))
 
 
 def _arcs_task(args):
-    n, adj, budget, prefix = args
-    return list(_gen_masks(Graph(n, adj), budget, prefix))
+    return list(_gen_masks(*args))
 
 
 def tau(g, budget_edges=None, workers=1):
     """Number of transitive digraphs whose underlying graph is g."""
-    _Search(g, budget_edges)  # fail fast on budget before forking
-    tasks = [(g.n, g.adj, budget_edges, p) for p in state_prefixes(g, workers)]
+    check_budget(g, budget_edges)  # fail fast before forking
+    tasks = [(g, budget_edges, p) for p in state_prefixes(g, workers)]
     return sum(fan_out(_tau_task, tasks, workers))
 
 
@@ -289,8 +297,8 @@ def stream_masks(g, budget_edges=None, workers=1):
     if workers <= 1:
         yield from _gen_masks(g, budget_edges)
         return
-    _Search(g, budget_edges)
-    tasks = [(g.n, g.adj, budget_edges, p) for p in state_prefixes(g, workers)]
+    check_budget(g, budget_edges)
+    tasks = [(g, budget_edges, p) for p in state_prefixes(g, workers)]
     for chunk in fan_out(_arcs_task, tasks, workers):
         yield from chunk
 
@@ -346,14 +354,19 @@ def fix_count(g, sigma, budget_edges=None):
     return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
 
 
-def burnside(g, auts, t, budget_edges=None):
+def _fix_task(args):
+    return fix_count(*args)
+
+
+def burnside(g, auts, t, budget_edges=None, workers=1):
     """Orbits of the stream of g under the listed group auts, by Burnside.
 
     fix_count is constant on each conjugacy class of auts: D -> tau(D)
     maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
     ones.  So one search per class, weighted by the class size, gives the
     sum over the whole group.  The identity fixes every digraph, so its
-    term is t, the stream length tau(g), and it takes no search.
+    term is t, the stream length tau(g), and it takes no search.  The
+    other classes' searches go through fan_out, in class order.
     """
     conj = canon.conjugacy_classes(auts)
     if sum(size for _, size in conj) != len(auts):
@@ -361,10 +374,10 @@ def burnside(g, auts, t, budget_edges=None):
             f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
         )
     identity = tuple(range(g.n))
-    total = sum(
-        size * (t if rep == identity else fix_count(g, rep, budget_edges))
-        for rep, size in conj
-    )
+    reps = [rep for rep, _ in conj if rep != identity]
+    tasks = [(g, rep, budget_edges) for rep in reps]
+    fixed = dict(zip(reps, fan_out(_fix_task, tasks, workers), strict=True))
+    total = sum(size * (t if rep == identity else fixed[rep]) for rep, size in conj)
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(

@@ -47,6 +47,9 @@ class Graph:
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
+    def __reduce__(self):  # pickles for worker processes, rebuilt by __init__
+        return Graph, (self.n, self.adj)
+
     @classmethod
     def from_edges(cls, n, edges):
         adj = [0] * n

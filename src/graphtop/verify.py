@@ -11,6 +11,7 @@ import sys
 
 from . import formulas
 from .aggregate import aggregate_counts, graphs_up_to_iso
+from .decomposition import tau_tree
 from .enumeration import (
     burnside,
     counts_for,
@@ -64,10 +65,12 @@ class _Report:
 
 
 def _engine_counts(report, name, g, budget=None):
-    """(tau, h) from the engine, with the two class counters compared."""
+    """(tau, h) from the engine, with the two class counters and the
+    stream length and the tree's tau compared."""
     t, by_codes = stream_counts(g, budget)
     by_orbits = burnside(g, automorphism_group(g), t, budget)
     report.check(f"{name}-orbit-agreement", by_orbits, by_codes)
+    report.check(f"{name}-tree-agreement", tau_tree(g), t)
     return t, by_codes
 
 

@@ -98,3 +98,36 @@ def symmetric_examples():
         cartesian_product(complete_graph(2), cycle_graph(4)),
         k33,
     ]
+
+
+def random_graph(rng, n):
+    """A random graph, each edge drawn with one probability from [0.2, 0.8]."""
+    p = rng.uniform(0.2, 0.8)
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def twin_blow_up(rng, n):
+    """A random graph with each vertex replaced by a clique or an
+    independent set of twins, the part sizes summing to n."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
+    start = [sum(sizes[:i]) for i in range(len(sizes))]
+    clique = [rng.random() < 0.5 for _ in sizes]
+    base = random_graph(rng, len(sizes))
+    edges = [
+        (start[a] + i, start[b] + j)
+        for a, b in base.edges()
+        for i in range(sizes[a])
+        for j in range(sizes[b])
+    ]
+    edges += [
+        (start[a] + i, start[a] + j)
+        for a in range(len(sizes))
+        if clique[a]
+        for i in range(sizes[a])
+        for j in range(i + 1, sizes[a])
+    ]
+    return Graph.from_edges(n, edges)

@@ -29,9 +29,11 @@ from conftest import (
     brute_digraph_isomorphic,
     conjugate,
     paw,
+    random_graph,
     relabel_graph,
     star,
     symmetric_examples,
+    twin_blow_up,
 )
 
 
@@ -196,38 +198,6 @@ def _relabel_masks(masks, perm):
     return out
 
 
-def _random_graph(rng, n):
-    p = rng.uniform(0.2, 0.8)
-    return Graph.from_edges(
-        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    )
-
-
-def _twin_blow_up(rng, n):
-    """A random graph with each vertex replaced by a clique or an
-    independent set of twins, the part sizes summing to n."""
-    sizes = []
-    while sum(sizes) < n:
-        sizes.append(min(rng.randint(1, 3), n - sum(sizes)))
-    start = [sum(sizes[:i]) for i in range(len(sizes))]
-    clique = [rng.random() < 0.5 for _ in sizes]
-    base = _random_graph(rng, len(sizes))
-    edges = [
-        (start[a] + i, start[b] + j)
-        for a, b in base.edges()
-        for i in range(sizes[a])
-        for j in range(sizes[b])
-    ]
-    edges += [
-        (start[a] + i, start[a] + j)
-        for a in range(len(sizes))
-        if clique[a]
-        for i in range(sizes[a])
-        for j in range(i + 1, sizes[a])
-    ]
-    return Graph.from_edges(n, edges)
-
-
 def _circulant(rng, n):
     """C_n(1, k): vertex-transitive, so refinement cannot split it."""
     k = rng.randint(2, n // 2)
@@ -263,7 +233,7 @@ def _random_transitive(rng, n):
 def test_graph_code_invariant_under_random_relabeling_large_n():
     rng = random.Random(2012)
     for n in range(7, 17):
-        for make in (_random_graph, _twin_blow_up, _circulant):
+        for make in (random_graph, twin_blow_up, _circulant):
             g = make(rng, n)
             code = canonical_code(g)
             assert canonical_code(canonical_graph(code)) == code

@@ -179,8 +179,8 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=None):
-            return list(map(fn, tasks))
+        def imap(self, fn, tasks, chunksize=None):
+            return map(fn, tasks)
 
     monkeypatch.setattr(enumeration, "Pool", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

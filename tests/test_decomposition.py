@@ -1,0 +1,120 @@
+"""tau from the twin quotient and the modular-decomposition tree."""
+
+import io
+import json
+import os
+import random
+
+import pytest
+
+from graphtop import (
+    Graph,
+    complete_counts,
+    complete_graph,
+    cycle_counts,
+    cycle_graph,
+    enumeration,
+    graphs_up_to_iso,
+    path_graph,
+    tau,
+    verify,
+    wheel_counts,
+    wheel_graph,
+)
+from graphtop.aggregate import class_counts
+from graphtop.cli import main
+from graphtop.decomposition import tau_tree
+from graphtop.errors import InternalCheckError
+
+from conftest import paw, twin_blow_up
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Make any call into the transitive-digraph search raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    for name in ("_Search", "_gen_masks", "_walk"):
+        monkeypatch.setattr(enumeration, name, refuse)
+
+
+def complete_bipartite(m, n):
+    return Graph.from_edges(m + n, [(u, m + v) for u in range(m) for v in range(n)])
+
+
+def complete_minus_edge(n):
+    """K_n without the edge {0, 1}: a twin class of n - 2 universal vertices."""
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1)]
+    )
+
+
+def cycle_complement(n):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 2, n) if v - u != n - 1]
+    )
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_tree_matches_the_search_on_every_class(n):
+    for entry in graphs_up_to_iso(n).entries:
+        assert tau_tree(entry.graph) == tau(entry.graph), entry.graph
+
+
+def test_complete_graphs_need_no_search(no_search):
+    for n in range(1, 17):
+        assert tau_tree(complete_graph(n)) == complete_counts(n).tau
+    with pytest.raises(AssertionError, match="the search ran"):
+        tau(complete_graph(3))
+
+
+def test_hand_cases(no_search):
+    assert tau_tree(Graph(0, ())) == 1
+    for n in range(3, 12):
+        assert tau_tree(cycle_graph(n)) == cycle_counts(n).tau  # odd n >= 5: 0
+    for n in range(4, 12):
+        assert tau_tree(wheel_graph(n)) == wheel_counts(n).tau  # W5: 3! = 6
+    assert tau_tree(cycle_complement(7)) == 0  # prime, not a comparability graph
+    assert tau_tree(path_graph(3)) == 2  # P4 is prime: one orientation and its reverse
+    assert tau_tree(complete_bipartite(1, 1)) == 3  # K2: one twin class of size 2
+    for m in range(1, 5):
+        for n in range(max(m, 2), 6):
+            assert tau_tree(complete_bipartite(m, n)) == 2  # series node, 2 children
+    # K_n minus an edge: a series node with 2 children, one of them a twin
+    # class of size s = n - 2, giving 2! * sum_k S(s, k) (k + 1)! / 2!
+    assert [tau_tree(complete_minus_edge(n)) for n in (3, 4, 5, 6)] == [2, 8, 44, 308]
+    assert tau_tree(paw()) == 6  # twins {1, 2} under a parallel node: 2! * 3
+
+
+def test_tree_matches_the_search_on_twin_blow_ups():
+    rng = random.Random(2026)
+    checked = 0
+    while checked < 12:
+        g = twin_blow_up(rng, rng.randint(7, 10))
+        if g.edge_count <= 18:  # keeps the search, the reference here, small
+            assert tau_tree(g) == tau(g), g
+            checked += 1
+
+
+def test_a_disagreeing_tree_is_reported(monkeypatch):
+    monkeypatch.setattr("graphtop.aggregate.tau_tree", lambda g: tau(g) + 1)
+    with pytest.raises(InternalCheckError, match="tree="):
+        class_counts(complete_graph(3))
+    monkeypatch.setattr(verify, "tau_tree", lambda g: -1)
+    report = verify._Report(io.StringIO())
+    verify._engine_counts(report, "k3", complete_graph(3))
+    assert report.failures == 1
+    assert "FAIL k3-tree-agreement: -1 != 13" in report.out.getvalue()
+
+
+@pytest.mark.parametrize("expr", ["box(K2,C4)", "W5"])
+def test_count_with_two_workers_matches_serial(capsys, monkeypatch, expr):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    outs = []
+    for workers in ("1", "2"):
+        assert main(["count", expr, "--json", "--workers", workers]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["tau"] == {"box(K2,C4)": 2, "W5": 6}[expr]
