@@ -64,9 +64,7 @@ def _cmd_count(args):
     t0 = time.perf_counter()
     check_budget(g, args.budget_edges)  # bounds the fix_count searches below
     t = tau_tree(g)
-    h = burnside(
-        g, automorphism_group(g), t, args.budget_edges, workers=args.workers
-    )
+    h = burnside(g, automorphism_group(g), t, args.budget_edges)
     elapsed = time.perf_counter() - t0
     report = CountReport(
         graph=canonical_code(g), tau=t, h=h, method="enumeration", elapsed=elapsed

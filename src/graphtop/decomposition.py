@@ -25,24 +25,9 @@ from math import factorial
 from .canon import _bits
 from .errors import InternalCheckError
 from .formulas import stirling2
+from .graphs import components_of
 
 PARALLEL, SERIES, PRIME = "parallel", "series", "prime"
-
-
-def _components(adj, s):
-    """Connected components of the graph adj induced on the mask s."""
-    parts = []
-    while s:
-        comp = frontier = s & -s
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & s & ~comp
-            comp |= frontier
-        parts.append(comp)
-        s &= ~comp
-    return parts
 
 
 def _least_module(adj, s, seed):
@@ -96,9 +81,9 @@ def _tree_nodes(adj, co, s):
     """
     if not s & (s - 1):  # no vertex or one: a leaf
         return
-    kind, parts = PARALLEL, _components(adj, s)
+    kind, parts = PARALLEL, components_of(adj, s)
     if len(parts) == 1:
-        kind, parts = SERIES, _components(co, s)
+        kind, parts = SERIES, components_of(co, s)
         if len(parts) == 1:
             kind, parts = PRIME, _maximal_modules(adj, s)
     yield kind, parts

@@ -252,16 +252,14 @@ def enumerate_transitive_digraphs(g, budget_edges=None):
 
 
 def fan_out(fn, tasks, workers):
-    """fn(t) for t in the list tasks, lazily and in task order, over
-    `workers` processes.
+    """fn(t) for t in tasks, lazily and in task order, over `workers`
+    processes.
 
-    One worker, or fewer than two tasks, run in this process, since a
-    pool would only add its start-up.  Otherwise the tasks are handed out
-    one at a time, so that callers control the schedule by the task
-    order, and each result is yielded as soon as it and those before it
-    are done.
+    One worker runs the tasks in this process.  More hand them out one at
+    a time, so that callers control the schedule by the task order, and
+    each result is yielded as soon as it and those before it are done.
     """
-    if workers <= 1 or len(tasks) < 2:
+    if workers <= 1:
         yield from map(fn, tasks)
         return
     with Pool(workers) as pool:
@@ -277,19 +275,13 @@ def state_prefixes(g, workers):
     return list(itertools.product((FWD, BWD, BOTH), repeat=k))
 
 
-def _tau_task(args):
-    return sum(1 for _ in _gen_masks(*args))
-
-
 def _arcs_task(args):
     return list(_gen_masks(*args))
 
 
-def tau(g, budget_edges=None, workers=1):
-    """Number of transitive digraphs whose underlying graph is g."""
-    check_budget(g, budget_edges)  # fail fast before forking
-    tasks = [(g, budget_edges, p) for p in state_prefixes(g, workers)]
-    return sum(fan_out(_tau_task, tasks, workers))
+def tau(g, budget_edges=None):
+    """Number of transitive digraphs whose underlying graph is g, by search."""
+    return sum(1 for _ in _gen_masks(g, budget_edges))
 
 
 def stream_masks(g, budget_edges=None, workers=1):
@@ -354,19 +346,14 @@ def fix_count(g, sigma, budget_edges=None):
     return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
 
 
-def _fix_task(args):
-    return fix_count(*args)
-
-
-def burnside(g, auts, t, budget_edges=None, workers=1):
+def burnside(g, auts, t, budget_edges=None):
     """Orbits of the stream of g under the listed group auts, by Burnside.
 
     fix_count is constant on each conjugacy class of auts: D -> tau(D)
     maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
     ones.  So one search per class, weighted by the class size, gives the
     sum over the whole group.  The identity fixes every digraph, so its
-    term is t, the stream length tau(g), and it takes no search.  The
-    other classes' searches go through fan_out, in class order.
+    term is t, the stream length tau(g), and it takes no search.
     """
     conj = canon.conjugacy_classes(auts)
     if sum(size for _, size in conj) != len(auts):
@@ -374,10 +361,10 @@ def burnside(g, auts, t, budget_edges=None, workers=1):
             f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
         )
     identity = tuple(range(g.n))
-    reps = [rep for rep, _ in conj if rep != identity]
-    tasks = [(g, rep, budget_edges) for rep in reps]
-    fixed = dict(zip(reps, fan_out(_fix_task, tasks, workers), strict=True))
-    total = sum(size * (t if rep == identity else fixed[rep]) for rep, size in conj)
+    total = sum(
+        size * (t if rep == identity else fix_count(g, rep, budget_edges))
+        for rep, size in conj
+    )
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(

@@ -205,24 +205,26 @@ def amalgamate(g, u, h, v):
     return Graph.from_edges(g.n + h.n - 1, edges)
 
 
+def components_of(adj, s):
+    """Connected components of the graph adj induced on the vertex mask s,
+    as masks ordered by minimum."""
+    parts = []
+    while s:
+        comp = frontier = s & -s
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & s & ~comp
+            comp |= frontier
+        parts.append(comp)
+        s &= ~comp
+    return parts
+
+
 def components(g):
     """Connected components as sorted vertex tuples, ordered by minimum."""
-    seen = 0
-    out = []
-    for start in range(g.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            new = 0
-            for v in _bits(frontier):
-                new |= g.adj[v]
-            frontier = new & ~comp
-            comp |= new
-        seen |= comp
-        out.append(tuple(_bits(comp)))
-    return out
+    return [tuple(_bits(c)) for c in components_of(g.adj, (1 << g.n) - 1)]
 
 
 def is_connected(g):

@@ -192,7 +192,7 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
         want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
         for workers in ("2", "1000000"):
             assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
-    assert sizes == [2, 3] * 3
+    assert sizes == [2, 3] * 2  # enumerate and aggregate; count runs serially
 
 
 def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):

@@ -274,7 +274,7 @@ def test_worker_determinism():
     g = cartesian_product(complete_graph(2), cycle_graph(4))
     single = list(stream_masks(g))
     assert list(stream_masks(g, workers=4)) == single
-    assert tau(g, workers=4) == tau(g) == len(single)
+    assert tau(g) == len(single)
 
 
 def test_parallel_stream_yields_before_the_last_task(monkeypatch):
