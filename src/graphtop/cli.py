@@ -12,13 +12,13 @@ import sys
 import time
 
 from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
+from .canon import _bits
 from .decomposition import tau_tree
 from .enumeration import CountReport, burnside, check_budget, stream_masks
 from .errors import GraphTopError, InternalCheckError
 from .expr import FileRef, build_graph, parse_graph_expr
 from .formulas import formula_for_graph
 from .graphs import automorphism_group, canonical_code
-from .topology import Digraph
 from .verify import run_verify
 
 
@@ -103,26 +103,34 @@ def _cmd_count(args):
     return 0
 
 
-def _dot_block(index, d):
+def _dot_block(index, n, arcs):
     lines = [f"digraph d{index} {{"]
-    for v in range(d.n):
+    for v in range(n):
         lines.append(f"  {v};")
-    for u, v in d.arcs():  # a bidirected pair renders as two arcs
-        lines.append(f"  {u} -> {v};")
+    if arcs:
+        lines.append(arcs)
     lines.append("}")
     return "\n".join(lines)
 
 
 def _cmd_enumerate(args):
     g = _graph_from_args(args)
-    for index, masks in enumerate(
-        stream_masks(g, args.budget_edges, workers=args.workers)
-    ):
-        d = Digraph(g.n, masks)
+    # a bidirected pair renders as two arcs in either format
+    arc, sep = ("  {} -> {};", "\n") if args.dot else ("[{},{}]", ",")
+    rows = {}  # (u, out-mask) -> its arcs as text; rows recur across leaves
+    for index, masks in enumerate(stream_masks(g, args.budget_edges)):
+        parts = []
+        for u, mask in enumerate(masks):
+            if mask:
+                if (u, mask) not in rows:
+                    # u ascending, then v ascending: the order Digraph.arcs() sorts to
+                    rows[u, mask] = sep.join(arc.format(u, v) for v in _bits(mask))
+                parts.append(rows[u, mask])
+        arcs = sep.join(parts)
         if args.dot:
-            print(_dot_block(index, d))
+            print(_dot_block(index, g.n, arcs))
         else:
-            print(_dump({"arcs": [list(a) for a in d.arcs()], "n": d.n}))
+            print(f'{{"arcs":[{arcs}],"n":{g.n}}}')
     return 0
 
 

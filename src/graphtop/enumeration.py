@@ -10,7 +10,6 @@ hereditary under taking induced subgraphs, so pruning a partial assignment
 never loses a completion.
 """
 
-import itertools
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -172,8 +171,8 @@ _ALLOWED = [
 _FLIP = {FWD: BWD, BWD: FWD, BOTH: BOTH}
 
 
-def _walk(search, blocks, depth=0):
-    """Leaves below `depth`, depth first over blocks, as out-mask tuples.
+def _walk(search, blocks):
+    """Leaves of the search, depth first over blocks, as out-mask tuples.
 
     A block is (members, closure_flip) as _edge_orbits returns it.  Its
     first member is unflipped and branches over the states allowed to it;
@@ -183,7 +182,7 @@ def _walk(search, blocks, depth=0):
     placed[i] whether any of its members may be set.
     """
     last = len(blocks)
-    if depth == last:
+    if not last:
         yield search.leaf_masks()
         return
     allowed, try_state, apply, undo = (
@@ -209,7 +208,7 @@ def _walk(search, blocks, depth=0):
 
     todo = [None] * last
     placed = [False] * last
-    i = depth
+    i = 0
     todo[i] = options(i)
     while True:
         if placed[i]:
@@ -218,7 +217,7 @@ def _walk(search, blocks, depth=0):
             placed[i] = False
         state = next(todo[i], 0)
         if not state:
-            if i == depth:
+            if i == 0:
                 return
             i -= 1
             continue
@@ -233,12 +232,9 @@ def _walk(search, blocks, depth=0):
             todo[i] = options(i)
 
 
-def _gen_masks(g, budget, prefix=()):
+def _gen_masks(g, budget):
     search = _Search(g, budget)
-    for k, state in enumerate(prefix):
-        if not search.try_state(k, state):
-            return
-    yield from _walk(search, search.single_blocks(), len(prefix))
+    yield from _walk(search, search.single_blocks())
 
 
 def enumerate_transitive_digraphs(g, budget_edges=None):
@@ -266,33 +262,14 @@ def fan_out(fn, tasks, workers):
         yield from pool.imap(fn, tasks, chunksize=1)
 
 
-def state_prefixes(g, workers):
-    """Prefixes splitting the stream into at least `workers` branches."""
-    m = len(g.edges())
-    k = 0
-    while 3**k < workers and k < m:
-        k += 1
-    return list(itertools.product((FWD, BWD, BOTH), repeat=k))
-
-
-def _arcs_task(args):
-    return list(_gen_masks(*args))
-
-
 def tau(g, budget_edges=None):
     """Number of transitive digraphs whose underlying graph is g, by search."""
     return sum(1 for _ in _gen_masks(g, budget_edges))
 
 
-def stream_masks(g, budget_edges=None, workers=1):
+def stream_masks(g, budget_edges=None):
     """Raw out-mask tuples of the stream, in deterministic order."""
-    if workers <= 1:
-        yield from _gen_masks(g, budget_edges)
-        return
-    check_budget(g, budget_edges)
-    tasks = [(g, budget_edges, p) for p in state_prefixes(g, workers)]
-    for chunk in fan_out(_arcs_task, tasks, workers):
-        yield from chunk
+    yield from _gen_masks(g, budget_edges)
 
 
 def _check_automorphism(g, sigma):

@@ -192,7 +192,7 @@ def amalgam_counts(g, u, h, v, budget_edges=None):
     return FormulaResult(t, hh, "amalgamation")
 
 
-def formula_for_graph(g, budget_edges=None, cache=None):
+def formula_for_graph(g, budget_edges=None):
     """The first closed form whose hypotheses cover g, or None.
 
     Tried in order: disjoint-union decomposition for disconnected
@@ -202,7 +202,7 @@ def formula_for_graph(g, budget_edges=None, cache=None):
     if g.n == 0:
         return None
     if not is_connected(g):
-        return union_counts(component_parts(g), budget_edges, cache)
+        return union_counts(component_parts(g), budget_edges)
     code = canonical_code(g)
     if g.n <= 20 and code == canonical_code(complete_graph(g.n)):
         return complete_counts(g.n)

@@ -11,6 +11,7 @@ from .errors import (
     InvalidFamilySize,
     NotBipartite,
     NotConnected,
+    SizeBoundExceeded,
     VertexOutOfRange,
 )
 
@@ -351,7 +352,8 @@ def is_reflexible(g):
 #   e <u> <v>
 #
 # '#' starts a comment, blank lines are ignored; duplicate and loop edges
-# are rejected.
+# are rejected, and so is a count over canon.MAX_VERTICES, as soon as its
+# line is read: files and expressions share one bound.
 
 
 def parse_edge_list(text):
@@ -369,6 +371,10 @@ def parse_edge_list(text):
             if len(parts) != 2 or not parts[1].isdigit():
                 raise EdgeListFormatError(f"line {lineno}: expected 'n <count>'")
             n = int(parts[1])
+            if n > canon.MAX_VERTICES:
+                raise SizeBoundExceeded(
+                    f"line {lineno}: n={n} is over the bound of {canon.MAX_VERTICES}"
+                )
         elif parts[0] == "e":
             if n is None:
                 raise EdgeListFormatError(f"line {lineno}: edge before n line")

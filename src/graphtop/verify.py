@@ -262,10 +262,11 @@ def _suite_oracles(report, budget, corrupt_memo):
         wheel_graph(5),
         paw(),
     ]:
-        stream = {d.out for d in enumerate_transitive_digraphs(g, budget)}
-        reversed_stream = {
-            reverse_digraph(d).out for d in enumerate_transitive_digraphs(g, budget)
-        }
+        stream = set()
+        reversed_stream = set()
+        for d in enumerate_transitive_digraphs(g, budget):
+            stream.add(d.out)
+            reversed_stream.add(reverse_digraph(d).out)
         if stream != reversed_stream:
             bad_reversal += 1
     report.check("reversal-closure", bad_reversal, 0)

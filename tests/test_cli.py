@@ -93,6 +93,29 @@ def test_oversized_expression_rejected_before_building(capsys, argv):
     assert elapsed < 0.5  # building K3000 alone took seconds
 
 
+@pytest.mark.parametrize("n", ["100000", "1000000000000"])
+def test_oversized_edge_list_rejected_before_building(capsys, tmp_path, n):
+    path = tmp_path / "big.txt"
+    path.write_text(f"n {n}\ne 0 1\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--file", str(path))
+    elapsed = time.perf_counter() - start
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "over the bound of 16" in err
+    assert "Traceback" not in err
+    assert elapsed < 0.5  # n=16000 took 0.45 s and 86 MB before the bound
+
+
+def test_edge_list_bound_is_the_expression_bound(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 17\n")
+    code, out, err = run_cli(capsys, "enumerate", "--file", str(path))
+    assert code == 1 and out == "" and "over the bound of 16" in err
+    path.write_text("n 16\ne 0 15\n")
+    code, out, _ = run_cli(capsys, "enumerate", "--file", str(path))
+    assert code == 0 and len(out.splitlines()) == 3
+
+
 def test_enumerate_jsonl(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "C3")
     assert code == 0
@@ -111,6 +134,28 @@ def test_enumerate_dot(capsys):
     assert len(blocks) == 3
     # the doubled edge renders as two arcs
     assert "0 -> 1;" in blocks[2] and "1 -> 0;" in blocks[2]
+
+
+@pytest.mark.parametrize("expr", ["N3", "P4", "K4", "W5", "box(K2,C4)"])
+def test_enumerate_renders_the_library_stream(capsys, expr):
+    """Each line and dot block holds the sorted arcs of the same digraph."""
+    g = build_graph(parse_graph_expr(expr))
+    stream = list(enumeration.enumerate_transitive_digraphs(g))
+    code, out, _ = run_cli(capsys, "enumerate", expr)
+    assert code == 0
+    assert out == "".join(
+        json.dumps({"arcs": d.arcs(), "n": g.n}, separators=(",", ":")) + "\n"
+        for d in stream
+    )
+    code, out, _ = run_cli(capsys, "enumerate", expr, "--dot")
+    assert code == 0
+    assert out == "".join(
+        f"digraph d{i} {{\n"
+        + "".join(f"  {v};\n" for v in range(g.n))
+        + "".join(f"  {u} -> {v};\n" for u, v in d.arcs())
+        + "}\n"
+        for i, d in enumerate(stream)
+    )
 
 
 def test_aggregate_json(capsys):
@@ -192,7 +237,19 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
         want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
         for workers in ("2", "1000000"):
             assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
-    assert sizes == [2, 3] * 2  # enumerate and aggregate; count runs serially
+    assert sizes == [2, 3]  # aggregate; count and enumerate run serially
+
+
+def test_enumerate_with_workers_starts_no_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("enumerate started a worker pool")
+
+    monkeypatch.setattr(enumeration, "Pool", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for argv in (("enumerate", "K4"), ("enumerate", "K4", "--dot")):
+        code, want, _ = run_cli(capsys, *argv)
+        assert code == 0 and want
+        assert run_cli(capsys, *argv, "--workers", "2")[:2] == (0, want)
 
 
 def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):

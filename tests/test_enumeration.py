@@ -273,39 +273,7 @@ def test_bowtie_sink_structure():
 def test_worker_determinism():
     g = cartesian_product(complete_graph(2), cycle_graph(4))
     single = list(stream_masks(g))
-    assert list(stream_masks(g, workers=4)) == single
     assert tau(g) == len(single)
-
-
-def test_parallel_stream_yields_before_the_last_task(monkeypatch):
-    class LazyPool:  # hands results back one by one; starts no process
-        def __init__(self, processes):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=None):
-            return map(fn, tasks)
-
-    calls = []
-    arcs_task = enumeration._arcs_task
-
-    def counted(args):
-        calls.append(args)
-        return arcs_task(args)
-
-    monkeypatch.setattr(enumeration, "Pool", LazyPool)
-    monkeypatch.setattr(enumeration, "_arcs_task", counted)
-    g = complete_graph(3)
-    stream = stream_masks(g, workers=2)
-    first = next(stream)
-    assert len(calls) == 1  # the first prefix task alone gave the first digraph
-    assert [first, *stream] == list(stream_masks(g))
-    assert len(calls) == 3
 
 
 def test_empty_graph_has_one_digraph():
