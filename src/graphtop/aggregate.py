@@ -90,7 +90,7 @@ def class_counts(g, budget_edges=None):
     t_tree = tau_tree(g)
     if t_tree != t:
         raise InternalCheckError(f"tau disagrees on {g!r}: tree={t_tree} stream={t}")
-    h_avg = burnside(g, auts, t, budget_edges)
+    h_avg = burnside(g, auts, t)
     if h_avg != h_codes:
         raise InternalCheckError(
             f"class counts disagree on {g!r}: burnside={h_avg} codes={h_codes}"

@@ -62,9 +62,11 @@ def _graph_from_args(args):
 def _cmd_count(args):
     g = _graph_from_args(args)
     t0 = time.perf_counter()
-    check_budget(g, args.budget_edges)  # bounds the fix_count searches below
+    # tau and h come from the tree; the bound is for the searches that
+    # formula_for_graph may run, and rejects a large graph before any work
+    check_budget(g, args.budget_edges)
     t = tau_tree(g)
-    h = burnside(g, automorphism_group(g), t, args.budget_edges)
+    h = burnside(g, automorphism_group(g), t)
     elapsed = time.perf_counter() - t0
     report = CountReport(
         graph=canonical_code(g), tau=t, h=h, method="enumeration", elapsed=elapsed

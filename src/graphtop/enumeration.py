@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import canon
-from .errors import BudgetExceeded, InternalCheckError, NotAnAutomorphism
-from .graphs import automorphism_group, canonical_code
+from .decomposition import fix_tree
+from .errors import BudgetExceeded, InternalCheckError
+from .graphs import _check_automorphism, automorphism_group, canonical_code
 from .topology import Digraph, transitive_masks
 
 DEFAULT_EDGE_BUDGET = 24
@@ -272,19 +273,6 @@ def stream_masks(g, budget_edges=None):
     yield from _gen_masks(g, budget_edges)
 
 
-def _check_automorphism(g, sigma):
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(g.n)):
-        raise NotAnAutomorphism("not a permutation of the vertex set")
-    for u in range(g.n):
-        image = 0
-        for v in canon._bits(g.adj[u]):
-            image |= 1 << sigma[v]
-        if image != g.adj[sigma[u]]:
-            raise NotAnAutomorphism("permutation does not preserve adjacency")
-    return sigma
-
-
 def _edge_orbits(search, sigma):
     """Orbits of sigma on edges, as (edge index, flip) chains.
 
@@ -323,14 +311,16 @@ def fix_count(g, sigma, budget_edges=None):
     return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
 
 
-def burnside(g, auts, t, budget_edges=None):
+def burnside(g, auts, t):
     """Orbits of the stream of g under the listed group auts, by Burnside.
 
-    fix_count is constant on each conjugacy class of auts: D -> tau(D)
+    Fix(sigma) is constant on each conjugacy class of auts: D -> tau(D)
     maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
-    ones.  So one search per class, weighted by the class size, gives the
+    ones.  So one term per class, weighted by the class size, gives the
     sum over the whole group.  The identity fixes every digraph, so its
-    term is t, the stream length tau(g), and it takes no search.
+    term is t, the stream length tau(g); every other class takes its term
+    from the modular-decomposition tree, decomposition.fix_tree, and no
+    search runs.
     """
     conj = canon.conjugacy_classes(auts)
     if sum(size for _, size in conj) != len(auts):
@@ -338,10 +328,10 @@ def burnside(g, auts, t, budget_edges=None):
             f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
         )
     identity = tuple(range(g.n))
-    total = sum(
-        size * (t if rep == identity else fix_count(g, rep, budget_edges))
-        for rep, size in conj
-    )
+    reps = [rep for rep, _ in conj if rep != identity]
+    fixed = dict(zip(reps, fix_tree(g, reps)))
+    fixed[identity] = t
+    total = sum(size * fixed[rep] for rep, size in conj)
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(
@@ -352,7 +342,7 @@ def burnside(g, auts, t, budget_edges=None):
 
 def h_burnside(g, budget_edges=None):
     """Homeomorphism-class count by averaging fixed digraphs over Aut(g)."""
-    return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
+    return burnside(g, automorphism_group(g), tau(g, budget_edges))
 
 
 def transitive_digraph_classes(g, budget_edges=None):
@@ -438,5 +428,5 @@ def counts_for(g, budget_edges=None, cache=None):
     code = canonical_code(g)
     if code not in cache:
         t = tau(g, budget_edges)
-        cache[code] = (t, burnside(g, automorphism_group(g), t, budget_edges))
+        cache[code] = (t, burnside(g, automorphism_group(g), t))
     return cache[code]

@@ -8,6 +8,7 @@ from a genuine count of zero.  All arithmetic is exact.
 from dataclasses import dataclass
 from math import comb
 
+from .decomposition import stirling2
 from .enumeration import counts_for, h_sink, tau_sink
 from .errors import NotConnected
 from .graphs import (
@@ -38,23 +39,6 @@ class FormulaResult:
             return "not-applicable" if x is None else x
 
         return {"tau": show(self.tau), "h": show(self.h), "theorem": self.theorem}
-
-
-def stirling2(n, k):
-    """Partitions of an n-set into exactly k nonempty blocks, exactly.
-
-    Python integers do not wrap, so the arithmetic cannot overflow; the
-    n <= 64 cap just keeps inputs at the intended scale.
-    """
-    if not (0 <= k <= n <= 64):
-        raise ValueError(f"stirling2 needs 0 <= k <= n <= 64, got ({n},{k})")
-    row = [1] + [0] * k  # S(0, 0..k)
-    for _ in range(n):
-        new = [0] * (k + 1)
-        for j in range(1, k + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
-    return row[k]
 
 
 def complete_counts(n):

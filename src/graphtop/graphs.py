@@ -9,6 +9,7 @@ from .canon import _bits
 from .errors import (
     EdgeListFormatError,
     InvalidFamilySize,
+    NotAnAutomorphism,
     NotBipartite,
     NotConnected,
     SizeBoundExceeded,
@@ -304,6 +305,19 @@ def automorphism_group(g):
     return canon.automorphisms(g.n, g.adj)
 
 
+def _check_automorphism(g, sigma):
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(g.n)):
+        raise NotAnAutomorphism("not a permutation of the vertex set")
+    for u in range(g.n):
+        image = 0
+        for v in _bits(g.adj[u]):
+            image |= 1 << sigma[v]
+        if image != g.adj[sigma[u]]:
+            raise NotAnAutomorphism("permutation does not preserve adjacency")
+    return sigma
+
+
 def canonical_code(g):
     """Total order on graphs; equal codes iff isomorphic. Bound: n <= 16."""
     return canon.graph_code(g.n, g.adj)
@@ -357,10 +371,19 @@ def is_reflexible(g):
 
 
 def parse_edge_list(text):
+    return parse_edge_lines(text.splitlines())
+
+
+def parse_edge_lines(lines):
+    """The graph of an edge list given as an iterable of lines.
+
+    Lines are taken one at a time, so an error, an oversized n line
+    included, stops the parse before the lines after it are read.
+    """
     n = None
     adj_edges = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -404,7 +427,8 @@ def parse_edge_list(text):
 
 def load_edge_list(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        # splitlines breaks a line where parse_edge_list would
+        return parse_edge_lines(part for raw in fh for part in raw.splitlines())
 
 
 def write_edge_list(g, fh):

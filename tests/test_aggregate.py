@@ -163,8 +163,8 @@ def _count_calls(monkeypatch, calls, module, name):
     ],
 )
 def test_class_counts_makes_one_pass(monkeypatch, g):
-    """One plain search, one listing of Aut(g), and no fix_count for the
-    identity."""
+    """One plain search, one listing of Aut(g), no fix_count search, and
+    one tree evaluation per non-identity conjugacy class."""
     auts = automorphism_group(g)
     want = (len(auts), tau(g), h_classes(g))
     nclasses = len(canon.conjugacy_classes(auts))
@@ -172,5 +172,14 @@ def test_class_counts_makes_one_pass(monkeypatch, g):
     _count_calls(monkeypatch, calls, enumeration, "_gen_masks")
     _count_calls(monkeypatch, calls, enumeration, "fix_count")
     _count_calls(monkeypatch, calls, canon, "automorphisms")
+    fix_tree = enumeration.fix_tree
+    sigmas = []
+
+    def recorded(g, reps):
+        sigmas.extend(reps)
+        return fix_tree(g, reps)
+
+    monkeypatch.setattr(enumeration, "fix_tree", recorded)
     assert class_counts(g) == want
-    assert calls == {"_gen_masks": 1, "fix_count": nclasses - 1, "automorphisms": 1}
+    assert calls == {"_gen_masks": 1, "fix_count": 0, "automorphisms": 1}
+    assert len(sigmas) == nclasses - 1

@@ -36,18 +36,26 @@ def test_count_json(capsys):
 
 @pytest.mark.parametrize("expr", ["K4", "W5", "box(K2,C4)"])
 def test_count_takes_tau_as_the_identity_term(capsys, monkeypatch, expr):
-    """count searches once per non-identity conjugacy class of Aut(G)."""
+    """count runs no fix_count search and evaluates the tree once per
+    non-identity conjugacy class of Aut(G)."""
     g = build_graph(parse_graph_expr(expr))
     nclasses = len(conjugacy_classes(automorphism_group(g)))
-    fix_count = enumeration.fix_count
+    fix_count, fix_tree = enumeration.fix_count, enumeration.fix_tree
+    searches = []
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[1])
+        searches.append(args[1])
         return fix_count(*args, **kwargs)
 
+    def recorded(g, reps):
+        calls.extend(reps)
+        return fix_tree(g, reps)
+
     monkeypatch.setattr(enumeration, "fix_count", counted)
+    monkeypatch.setattr(enumeration, "fix_tree", recorded)
     assert run_cli(capsys, "count", expr, "--json")[0] == 0
+    assert searches == []
     assert len(calls) == nclasses - 1
     assert tuple(range(g.n)) not in calls
 

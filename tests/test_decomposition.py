@@ -1,4 +1,4 @@
-"""tau from the twin quotient and the modular-decomposition tree."""
+"""tau and Fix(sigma) from the modular-decomposition tree."""
 
 import io
 import json
@@ -9,11 +9,15 @@ import pytest
 
 from graphtop import (
     Graph,
+    automorphism_group,
+    burnside,
+    canon,
     complete_counts,
     complete_graph,
     cycle_counts,
     cycle_graph,
     enumeration,
+    fix_count,
     graphs_up_to_iso,
     path_graph,
     tau,
@@ -23,10 +27,10 @@ from graphtop import (
 )
 from graphtop.aggregate import class_counts
 from graphtop.cli import main
-from graphtop.decomposition import tau_tree
-from graphtop.errors import InternalCheckError
+from graphtop.decomposition import fix_tree, tau_tree
+from graphtop.errors import InternalCheckError, NotAnAutomorphism
 
-from conftest import paw, twin_blow_up
+from conftest import paw, random_graph, twin_blow_up
 
 
 @pytest.fixture
@@ -118,3 +122,77 @@ def test_count_with_two_workers_matches_serial(capsys, monkeypatch, expr):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["tau"] == {"box(K2,C4)": 2, "W5": 6}[expr]
+
+
+def _class_reps(g):
+    return [rep for rep, _ in canon.conjugacy_classes(automorphism_group(g))]
+
+
+def test_fix_tree_matches_the_search_on_every_small_class():
+    """Every conjugacy class of Aut(G), the identity included, for every
+    class with n <= 6."""
+    for n in range(7):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            reps = _class_reps(g)
+            assert fix_tree(g, reps) == [fix_count(g, r) for r in reps], g
+
+
+def test_fix_tree_matches_the_search_on_larger_graphs():
+    rng = random.Random(909)
+    checked = 0
+    while checked < 24:
+        n = rng.randint(8, 10)
+        g = twin_blow_up(rng, n) if checked % 3 else random_graph(rng, n)
+        if g.edge_count > 18:  # keeps the search, the reference here, small
+            continue
+        reps = _class_reps(g)
+        assert fix_tree(g, reps) == [fix_count(g, r) for r in reps], g
+        checked += 1
+
+
+def test_fix_tree_hand_cases(no_search):
+    k2, k3 = complete_graph(2), complete_graph(3)
+    assert fix_tree(k2, [(0, 1), (1, 0)]) == [3, 1]  # the swap keeps the doubled edge
+    # K3: one series node of three single vertices; sum_k S(c, k) k! over
+    # the c cycles of sigma: 13 for c = 3, 3 for c = 2, 1 for c = 1
+    assert fix_tree(k3, [(0, 1, 2), (1, 0, 2), (1, 2, 0)]) == [13, 3, 1]
+    # C6 is prime with the orientations even -> odd and odd -> even: a
+    # rotation by one step or a reflection through two edges swaps them
+    c6 = cycle_graph(6)
+    rotations = [tuple((v + r) % 6 for v in range(6)) for r in (1, 2, 3)]
+    reflections = [tuple((r - v) % 6 for v in range(6)) for r in (0, 1)]
+    assert fix_tree(c6, rotations + reflections) == [0, 2, 0, 2, 0]
+    # K3,3: a series node over the two sides; swapping them moves a child
+    # of two or more vertices, so nothing is fixed, while a swap inside a
+    # side keeps both orders of the sides
+    k33 = complete_bipartite(3, 3)
+    assert fix_tree(k33, [(3, 4, 5, 0, 1, 2), (1, 0, 2, 3, 4, 5)]) == [0, 2]
+    # two triangles swapped: their series nodes form one orbit of length 2,
+    # and sigma^2 decides the factor: the identity gives 13, a 3-cycle 1
+    two_k3 = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert fix_tree(two_k3, [(3, 4, 5, 0, 1, 2), (3, 4, 5, 1, 2, 0)]) == [13, 1]
+    # W5: hub 0 and the rim pairs {1, 3} and {2, 4} under one series node
+    w5 = wheel_graph(5)
+    sigmas = [(0, 2, 3, 4, 1), (0, 3, 4, 1, 2), (0, 3, 2, 1, 4), (0, 2, 1, 4, 3)]
+    assert fix_tree(w5, sigmas) == [0, 6, 6, 0]
+    assert burnside(w5, automorphism_group(w5), tau_tree(w5)) == 3
+
+
+def test_fix_tree_checks_each_permutation():
+    with pytest.raises(NotAnAutomorphism):
+        fix_tree(path_graph(2), [(0, 1, 2), (1, 0, 2)])
+    with pytest.raises(NotAnAutomorphism):
+        fix_tree(complete_graph(2), [(0, 0)])
+
+
+def test_burnside_runs_no_search(no_search):
+    cases = [
+        (complete_graph(5), complete_counts(5)),
+        (wheel_graph(6), wheel_counts(6)),
+        (cycle_graph(8), cycle_counts(8)),
+    ]
+    for g, want in cases:
+        assert burnside(g, automorphism_group(g), tau_tree(g)) == want.h
+    k33 = complete_bipartite(3, 3)  # two orders of the sides, one up to swapping
+    assert burnside(k33, automorphism_group(k33), tau_tree(k33)) == 1

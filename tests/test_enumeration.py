@@ -26,6 +26,7 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.canon import conjugacy_classes
+from graphtop.decomposition import fix_tree
 from graphtop.enumeration import CountReport, counts_for, stream_masks
 from graphtop.errors import (
     BudgetExceeded,
@@ -102,7 +103,8 @@ def test_stream_matches_brute_force(g):
 @pytest.mark.parametrize("n", range(6))
 def test_kernel_matches_brute_force_on_every_small_class(n):
     """Every class on n <= 5 vertices with at most 8 edges (3^m <= 6561):
-    the stream and every fix_count against the engine-free oracle."""
+    the stream, and every fix_count and fix_tree, against the engine-free
+    oracle."""
     for entry in graphs_up_to_iso(n).entries:
         g = entry.graph
         if g.edge_count > 8:
@@ -111,11 +113,13 @@ def test_kernel_matches_brute_force_on_every_small_class(n):
         engine = [frozenset(d.arcs()) for d in enumerate_transitive_digraphs(g)]
         assert len(engine) == len(brute)
         assert set(engine) == set(brute)
-        for sigma in brute_automorphisms(g):
+        sigmas = brute_automorphisms(g)
+        for sigma, by_tree in zip(sigmas, fix_tree(g, sigmas), strict=True):
             fixed = sum(
                 1 for arcs in brute if {(sigma[u], sigma[v]) for u, v in arcs} == arcs
             )
             assert fix_count(g, sigma) == fixed, (g.edges(), sigma)
+            assert by_tree == fixed, (g.edges(), sigma)
 
 
 @pytest.mark.parametrize(
@@ -169,8 +173,10 @@ def test_fix_count_is_a_class_function(g):
     group = automorphism_group(g)
     for rep, _ in conjugacy_classes(group):
         want = fix_count(g, rep)
-        for sigma in {conjugate(rep, t) for t in group}:
+        members = sorted({conjugate(rep, t) for t in group})
+        for sigma in members:
             assert fix_count(g, sigma) == want
+        assert fix_tree(g, members) == [want] * len(members)
 
 
 def _full_group_average(g):

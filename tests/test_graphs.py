@@ -18,6 +18,7 @@ from graphtop import (
     is_connected,
     is_cut_vertex,
     is_reflexible,
+    load_edge_list,
     null_graph,
     parse_edge_list,
     path_graph,
@@ -29,8 +30,10 @@ from graphtop.errors import (
     InvalidFamilySize,
     NotBipartite,
     NotConnected,
+    SizeBoundExceeded,
     VertexOutOfRange,
 )
+from graphtop.graphs import parse_edge_lines
 
 from conftest import bowtie, paw, star
 
@@ -249,3 +252,22 @@ def test_edge_list_parsing():
         parse_edge_list("n 2\ne 0 7\n")  # out of range
     with pytest.raises(EdgeListFormatError):
         parse_edge_list("")  # missing n
+
+
+def test_edge_list_stops_at_an_oversized_n_line():
+    def lines():
+        yield "# a comment"
+        yield "n 17"
+        raise AssertionError("read past the n line")
+
+    with pytest.raises(SizeBoundExceeded, match="line 2: n=17"):
+        parse_edge_lines(lines())
+
+
+def test_edge_list_file_is_read_line_by_line(tmp_path):
+    path = tmp_path / "g.txt"
+    # a form feed ends a line for parse_edge_list, and so for the loader
+    path.write_text("# a path\r\nn 3\r\ne 0 1\x0ce 1 2\n", encoding="utf-8")
+    want = parse_edge_list(path.read_text(encoding="utf-8"))
+    assert load_edge_list(path) == want
+    assert want.edges() == [(0, 1), (1, 2)]
