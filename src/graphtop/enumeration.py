@@ -8,12 +8,23 @@ a->b, b->c among decided edges demands the arc a->c, which must be an edge
 of the graph and must not already be decided against.  Transitivity is
 hereditary under taking induced subgraphs, so pruning a partial assignment
 never loses a completion.
+
+A lookahead prunes further without changing the stream.  Edges ab and ac
+whose far ends b and c are not adjacent are Gamma-partners (Golumbic,
+Algorithmic Graph Theory and Perfect Graphs, ch. 5): an arc on one forces
+an arc on the other.  Once an edge is set, each undecided partner must
+still have an allowed state.  The allowed states of an edge only shrink
+as more arcs are decided, so a partner with none now has none in any
+completion, and skipping the branch drops only subtrees without leaves;
+the leaves and their order stay the same.  A graph with no induced P3 (a
+union of cliques) has no partners, and its search is unchanged.
 """
 
 from dataclasses import dataclass
 from multiprocessing import Pool
 
 from . import canon
+from .canon import _bits
 from .decomposition import fix_tree
 from .errors import BudgetExceeded, InternalCheckError
 from .graphs import _check_automorphism, automorphism_group, canonical_code
@@ -60,6 +71,9 @@ class _Search:
     Three bitmask rows per vertex: out[v] and inn[v] hold the decided arcs
     at v, and dec[v] the w whose edge {v, w} has a state.  They make the
     consistency test of a new arc a fixed number of integer operations.
+    partners[k] lists the Gamma-partners of edge k = {u, v}: the edges
+    {u, b} with b adjacent to u but not to v, and {v, b} with b adjacent
+    to v but not to u.
     """
 
     def __init__(self, g, budget=None):
@@ -68,6 +82,14 @@ class _Search:
         self.adj = g.adj
         self.edges = edge_order(g)
         self.eidx = {e: k for k, e in enumerate(self.edges)}
+        self.partners = [
+            [
+                self.eidx[(a, b) if a < b else (b, a)]
+                for a, far in ((u, v), (v, u))
+                for b in _bits(g.adj[a] & ~g.adj[far] & ~(1 << far))
+            ]
+            for u, v in self.edges
+        ]
         self.out = [0] * g.n
         self.inn = [0] * g.n
         self.dec = [0] * g.n
@@ -180,7 +202,10 @@ def _walk(search, blocks):
     every other member takes the same state, mirrored where flipped, and a
     block whose orbit closes flipped only takes BOTH.  Explicit stacks
     replace recursion: todo[i] holds the states block i has still to try,
-    placed[i] whether any of its members may be set.
+    placed[i] whether any of its members may be set.  watch[i] lists the
+    Gamma-partners of block i's members that lie in later blocks, so are
+    still undecided once block i is placed; a branch that leaves one of
+    them no allowed state has no leaf and is skipped.
     """
     last = len(blocks)
     if not last:
@@ -199,6 +224,11 @@ def _walk(search, blocks):
         if len(members) > 1
         else None
         for members, _ in blocks
+    ]
+    block_of = {k: i for i, ks in enumerate(block_edges) for k in ks}
+    watch = [
+        list(dict.fromkeys(j for k in ks for j in search.partners[k] if block_of[j] > i))
+        for i, ks in enumerate(block_edges)
     ]
 
     def options(i):
@@ -226,6 +256,8 @@ def _walk(search, blocks):
         placed[i] = True
         if follow[i] and not all(try_state(k, s) for k, s in follow[i][state]):
             continue  # the members set so far are undone at the loop top
+        if watch[i] and not all(map(allowed, watch[i])):
+            continue  # a later edge has no state left in any completion
         if i + 1 == last:
             yield search.leaf_masks()
         else:

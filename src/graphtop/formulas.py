@@ -13,16 +13,14 @@ from .enumeration import counts_for, h_sink, tau_sink
 from .errors import NotConnected
 from .graphs import (
     canonical_code,
-    complete_graph,
     component_parts,
-    cycle_graph,
+    components_of,
     has_triangle,
     is_bipartite,
     is_connected,
     is_cut_vertex,
     is_reflexible,
     rooted_code,
-    wheel_graph,
 )
 
 
@@ -182,19 +180,27 @@ def formula_for_graph(g, budget_edges=None):
     Tried in order: disjoint-union decomposition for disconnected
     graphs, then complete/cycle/wheel recognition, then the connected
     triangle-free rule.  Used by the CLI to cross-check enumeration.
+    The named graphs are told apart by degrees alone: a connected graph
+    is K_n iff it has n(n-1)/2 edges, C_n iff it is 2-regular, and W_n
+    iff one vertex has degree n-1 and deleting it leaves a connected
+    2-regular graph, so every other vertex has degree 3 (W4 = K4 is
+    caught as complete).
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return None
     if not is_connected(g):
         return union_counts(component_parts(g), budget_edges)
-    code = canonical_code(g)
-    if g.n <= 20 and code == canonical_code(complete_graph(g.n)):
-        return complete_counts(g.n)
-    if g.n >= 3 and code == canonical_code(cycle_graph(g.n)):
-        return cycle_counts(g.n)
-    if g.n >= 4 and code == canonical_code(wheel_graph(g.n)):
-        return wheel_counts(g.n)
-    if g.n >= 2 and not has_triangle(g):
+    deg = [bin(row).count("1") for row in g.adj]
+    if n <= 20 and sum(deg) == n * (n - 1):
+        return complete_counts(n)
+    if n >= 3 and deg == [2] * n:
+        return cycle_counts(n)
+    if n >= 4 and sorted(deg) == [3] * (n - 1) + [n - 1]:
+        rim = (1 << n) - 1 & ~(1 << deg.index(n - 1))
+        if len(components_of(g.adj, rim)) == 1:
+            return wheel_counts(n)
+    if n >= 2 and not has_triangle(g):
         return bipartite_counts(g)
     return None
 

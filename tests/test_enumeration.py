@@ -26,20 +26,22 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.canon import conjugacy_classes
-from graphtop.decomposition import fix_tree
-from graphtop.enumeration import CountReport, counts_for, stream_masks
+from graphtop.decomposition import fix_tree, tau_tree
+from graphtop.enumeration import CountReport, counts_for, edge_order, stream_masks
 from graphtop.errors import (
     BudgetExceeded,
     InternalCheckError,
     NotAnAutomorphism,
     VertexOutOfRange,
 )
+from graphtop.expr import build_graph, parse_graph_expr
 
 from conftest import (
     bowtie,
     brute_automorphisms,
     brute_transitive_digraphs,
     conjugate,
+    naive_transitive,
     paw,
     star,
     symmetric_examples,
@@ -321,3 +323,81 @@ def test_count_report_invariant():
         CountReport(graph=(2, 1), tau=1, h=2, method="enumeration", elapsed=0.0)
     with pytest.raises(InternalCheckError):
         CountReport(graph=(2, 1), tau=3, h=0, method="enumeration", elapsed=0.0)
+
+
+def check_stream_order(g):
+    """The stream's edge-state vectors along edge_order(g) strictly
+    increase (FWD < BWD < BOTH), and the stream is every transitive
+    digraph over g."""
+    edges = edge_order(g)
+    stream = list(stream_masks(g))
+    vectors = [
+        tuple(out[u] >> v & 1 | (out[v] >> u & 1) << 1 for u, v in edges)
+        for out in stream
+    ]
+    assert all(a < b for a, b in zip(vectors, vectors[1:]))
+    found = {
+        frozenset((u, v) for u in range(g.n) for v in range(g.n) if out[u] >> v & 1)
+        for out in stream
+    }
+    if g.edge_count <= 8:
+        assert found == set(brute_transitive_digraphs(g))
+        return
+    # 3^m edge states are too many to try: the members are distinct (the
+    # vectors strictly increase), each is transitive with underlying graph
+    # exactly g (no state is 0, no arc leaves the edges), and there are as
+    # many as the tree, which runs no search, counts
+    assert all(0 not in vector for vector in vectors)
+    assert all(g.adj[u] >> v & 1 for arcs in found for u, v in arcs)
+    assert all(naive_transitive(arcs) for arcs in found)
+    assert len(found) == tau_tree(g)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_stream_order_on_every_small_class(n):
+    for entry in graphs_up_to_iso(n).entries:
+        check_stream_order(entry.graph)
+
+
+@pytest.mark.parametrize("text", ["amalgam(K6@0,P2@0)", "amalgam(K5@0,P1@0)"])
+def test_stream_order_on_amalgams(text):
+    check_stream_order(build_graph(parse_graph_expr(text)))
+
+
+def test_gamma_partners():
+    # P3 0-1-2: each edge forces the other; a triangle has no induced P3
+    search = enumeration._Search(path_graph(2))
+    assert search.edges == [(0, 1), (1, 2)]
+    assert search.partners == [[1], [0]]
+    assert enumeration._Search(complete_graph(5)).partners == [[]] * 10
+    # edges meeting in one vertex whose far ends are not adjacent
+    for g in (paw(), bowtie(), wheel_graph(5), star(3)):
+        search = enumeration._Search(g)
+        for k, e in enumerate(search.edges):
+            expected = set()
+            for j, f in enumerate(search.edges):
+                if len(set(e) ^ set(f)) == 2:
+                    x, y = set(e) ^ set(f)
+                    if not g.adj[x] >> y & 1:
+                        expected.add(j)
+            assert sorted(search.partners[k]) == sorted(expected)
+
+
+def test_gamma_lookahead_prunes(monkeypatch):
+    """A branch that leaves a later Gamma-partner no state is dropped at
+    once, and only undecided partners are looked at.  K7 has no induced
+    P3, so no partners, and its search is as it was without the lookahead."""
+    calls = dict.fromkeys(("allowed", "apply"), 0)
+    for name in calls:
+
+        def counted(self, *args, name=name, real=getattr(enumeration._Search, name)):
+            calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(enumeration._Search, name, counted)
+    assert tau(build_graph(parse_graph_expr("amalgam(K6@0,P2@0)"))) == 1082
+    assert calls["apply"] <= 7000  # 24,333 without the lookahead
+    assert calls["allowed"] <= 7000  # 12,762 if decided partners are re-checked
+    calls.update(allowed=0, apply=0)
+    assert tau(complete_graph(7)) == 47293
+    assert calls["apply"] == 271663

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 from math import comb, factorial
 
 import pytest
@@ -14,6 +16,7 @@ from graphtop import (
     cycle_counts,
     cycle_graph,
     disjoint_union,
+    formula_for_graph,
     graphs_up_to_iso,
     h_burnside,
     h_classes,
@@ -27,10 +30,10 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.errors import NotConnected
-from graphtop.graphs import is_bipartite, is_connected
+from graphtop.graphs import canonical_code, is_bipartite, is_connected
 from graphtop.verify import count_compositions, count_ordered_partitions
 
-from conftest import bowtie, paw, star
+from conftest import bowtie, paw, relabel_graph, star
 
 
 def brute_stirling2(n, k):
@@ -253,8 +256,6 @@ def test_cut_vertex_counts():
 
 
 def test_formula_for_graph_dispatch():
-    from graphtop import formula_for_graph
-
     assert formula_for_graph(complete_graph(4)).theorem == "complete"
     assert formula_for_graph(cycle_graph(5)).theorem == "cycle"
     assert formula_for_graph(wheel_graph(5)).theorem == "wheel"
@@ -273,6 +274,58 @@ def test_formula_for_graph_dispatch():
     ]:
         result = formula_for_graph(g)
         assert (result.tau, result.h) == (tau(g), h_burnside(g))
+
+
+@functools.cache
+def named_codes(n):
+    """The canonical codes of K_n, C_n and W_n that exist, by name."""
+    return [
+        (name, canonical_code(make(n)))
+        for name, make, smallest in (
+            ("complete", complete_graph, 1),
+            ("cycle", cycle_graph, 3),
+            ("wheel", wheel_graph, 4),
+        )
+        if n >= smallest
+    ]
+
+
+def named_by_code(g):
+    """complete, cycle or wheel by comparing canonical codes, as the
+    recognition once did, or None."""
+    code = canonical_code(g)
+    return next((name for name, ref in named_codes(g.n) if ref == code), None)
+
+
+def named_by_dispatch(g):
+    result = formula_for_graph(g)
+    theorem = result and result.theorem
+    return theorem if theorem in ("complete", "cycle", "wheel") else None
+
+
+def test_named_forms_from_degrees_match_canonical_codes():
+    # every connected class up to n = 7 (a disconnected graph goes to the
+    # union rule before any named form is tried)
+    named = 0
+    for n in range(1, 8):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            if is_connected(g):
+                assert named_by_dispatch(g) == named_by_code(g), g.edges()
+                named += named_by_code(g) is not None
+    assert named == 7 + 4 + 3  # K1..K7, C4..C7 (C3 = K3), W5..W7 (W4 = K4)
+    rng = random.Random(10)
+    for n in range(1, 17):
+        for name, make, smallest in (
+            ("complete", complete_graph, 1),
+            ("cycle", cycle_graph, 4),
+            ("wheel", wheel_graph, 5),
+        ):
+            if n >= smallest:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                g = relabel_graph(make(n), perm)
+                assert named_by_dispatch(g) == named_by_code(g) == name
 
 
 def test_formula_result_json():
