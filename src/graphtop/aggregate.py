@@ -13,12 +13,11 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import formulas
-from .decomposition import tau_tree
-from .enumeration import burnside, fan_out, stream_counts
+from .decomposition import tree_counts
+from .enumeration import fan_out, stream_counts
 from .errors import InternalCheckError, SizeBoundExceeded
 from .graphs import (
     Graph,
-    automorphism_group,
     canonical_code,
     canonical_graph,
     component_parts,
@@ -78,31 +77,27 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
 def class_counts(g, budget_edges=None):
     """(aut_order, tau, h) for one class, with built-in cross-checks.
 
-    One pass over the stream gives tau and h by canonical digraph codes.
-    tau is computed again from the modular-decomposition tree, and h by
-    orbit averaging over Aut(g), listed once, with that tau as the
-    identity term.  For disconnected graphs the multiplicative component
-    rule is checked as well.  Any disagreement raises, never resolves
-    silently.
+    One walk of the modular-decomposition tree gives |Aut|, tau and h.
+    One pass over the stream gives tau and h again, as its length and
+    its number of canonical digraph codes.  For disconnected graphs the
+    multiplicative component rule is checked as well.  Any disagreement
+    raises, never resolves silently.
     """
-    auts = automorphism_group(g)
-    t, h_codes = stream_counts(g, budget_edges)
-    t_tree = tau_tree(g)
-    if t_tree != t:
-        raise InternalCheckError(f"tau disagrees on {g!r}: tree={t_tree} stream={t}")
-    h_avg = burnside(g, auts, t)
-    if h_avg != h_codes:
+    aut_order, t_tree, h_tree = tree_counts(g)
+    t, h = stream_counts(g, budget_edges)
+    if (t_tree, h_tree) != (t, h):
         raise InternalCheckError(
-            f"class counts disagree on {g!r}: burnside={h_avg} codes={h_codes}"
+            f"class counts disagree on {g!r}: "
+            f"tree=({t_tree},{h_tree}) stream=({t},{h})"
         )
     if not is_connected(g):
         by_parts = formulas.union_counts(component_parts(g), budget_edges)
-        if (by_parts.tau, by_parts.h) != (t, h_avg):
+        if (by_parts.tau, by_parts.h) != (t, h):
             raise InternalCheckError(
                 f"component rule disagrees on {g!r}: "
-                f"parts=({by_parts.tau},{by_parts.h}) direct=({t},{h_avg})"
+                f"parts=({by_parts.tau},{by_parts.h}) direct=({t},{h})"
             )
-    return len(auts), t, h_avg
+    return aut_order, t, h
 
 
 def _class_task(args):

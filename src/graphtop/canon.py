@@ -15,7 +15,9 @@ from .errors import SizeBoundExceeded
 
 MAX_VERTICES = 16
 # automorphisms lists the group element by element, so |Aut| is bounded:
-# 9! admits every graph on up to 9 vertices and stops N16 (16!) early
+# 9! admits every graph on up to 9 vertices and stops N16 (16!) early.
+# Counting lists no whole group; only the reference routes and the small
+# groups of prime quotients in the decomposition tree meet the bound
 MAX_AUT_ORDER = 362880
 
 
@@ -159,17 +161,19 @@ def decode_graph_code(code):
     return n, tuple(adj)
 
 
-def automorphisms(n, adj):
+def automorphisms(n, adj, seed_colors=None):
     """All adjacency-preserving permutations of 0..n-1, sorted.
 
     Vertices are matched within refinement cells only, most-constrained
     cells first, with incremental adjacency checks pruning the search.
-    Raises SizeBoundExceeded as soon as more than MAX_AUT_ORDER are found.
+    With seed_colors, only color-preserving permutations are listed, as
+    in graph_code.  Raises SizeBoundExceeded as soon as more than
+    MAX_AUT_ORDER are found.
     """
     _check_size(n)
     if n == 0:
         return [()]
-    colors = _refine(n, adj, None, [0] * n)
+    colors = _refine(n, adj, None, _seed(n, seed_colors))
     cells = _cells(n, colors)
     cell_size = {}
     for cell in cells:

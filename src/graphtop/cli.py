@@ -13,12 +13,12 @@ import time
 
 from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
 from .canon import _bits
-from .decomposition import tau_tree
-from .enumeration import CountReport, burnside, check_budget, stream_masks
+from .decomposition import tree_counts
+from .enumeration import CountReport, stream_masks
 from .errors import GraphTopError, InternalCheckError
 from .expr import FileRef, build_graph, parse_graph_expr
 from .formulas import formula_for_graph
-from .graphs import automorphism_group, canonical_code
+from .graphs import canonical_code
 from .verify import run_verify
 
 
@@ -62,11 +62,7 @@ def _graph_from_args(args):
 def _cmd_count(args):
     g = _graph_from_args(args)
     t0 = time.perf_counter()
-    # tau and h come from the tree; the bound is for the searches that
-    # formula_for_graph may run, and rejects a large graph before any work
-    check_budget(g, args.budget_edges)
-    t = tau_tree(g)
-    h = burnside(g, automorphism_group(g), t)
+    _, t, h = tree_counts(g)
     elapsed = time.perf_counter() - t0
     report = CountReport(
         graph=canonical_code(g), tau=t, h=h, method="enumeration", elapsed=elapsed

@@ -1,4 +1,4 @@
-"""Fixed transitive digraphs from the modular-decomposition tree.
+"""|Aut|, tau and h from one walk of the modular-decomposition tree.
 
 A preorder whose comparability graph is G is one independent choice at
 each internal node of G's modular-decomposition tree (Gallai 1967;
@@ -10,30 +10,42 @@ Golumbic, *Algorithmic Graph Theory and Perfect Graphs*, ch. 5):
   quotient, if the quotient is a comparability graph (none otherwise);
 - at a parallel node, nothing.
 
-An automorphism sigma permutes the strong modules, and so the internal
-nodes.  A preorder is sigma-invariant iff the choice at sigma X is the
-image of the choice at X, so along a sigma-orbit of length l the choice
-at X decides the others and must be invariant under pi, the permutation
-sigma^l induces on X's children.  Fix(sigma) is the product over the
-orbits of the number of pi-invariant choices at X:
+At a node X with children Y_1..Y_c, Aut(G[X]) is (prod Aut(Y_i)) x| H_X,
+where H_X permutes the children, keeps the quotient and maps each child
+to an isomorphic one.  The product is normal and leaves the choice at X
+alone, so Burnside over H_X counts the orbits of (choice at X) x prod
+(classes of Y_i) (Harary & Palmer, *Graphical Enumeration*, ch. 2).  One
+post-order walk gives each node's (type, |Aut|, tau, h):
 
-- parallel: 1;
-- series with a children of two or more vertices: 0 unless pi fixes each
-  of them, and otherwise sum_k S(c, k) (a + k)!, where c is the number of
-  pi-cycles on the single-vertex children (a weak order is pi-invariant
-  iff pi fixes each of its blocks);
-- prime: 2 if pi keeps an arc in its own implication class, 0 if it maps
-  the arc into the reverse class.
+- a single vertex: type (), and 1, 1, 1;
+- any other node has type (kind, sorted child types), and a prime node
+  adds the graph_code of its quotient with the child types as seed
+  colours: a complete isomorphism invariant;
+- parallel: |Aut| gains prod m_t! over the m_t children of type t, and
+  h = prod C(h_t + m_t - 1, m_t), the multisets of child classes;
+- series, with s single-vertex children and a larger ones: tau gains
+  sum_k S(s, k) (a + k)!, |Aut| gains s! prod m_t! over the larger
+  types, and h = W prod h(Y) / prod m_t!.  Only permutations that fix
+  every larger child fix a weak order, and W = sum_k C(s - 1, k - 1)
+  (a + k)! / k! counts the weak orders with the twins unlabelled (a!
+  when s = 0);
+- prime: H is the type-preserving automorphism group of the quotient,
+  |Aut| gains |H|, tau gains 2 (or becomes 0 if the quotient has no
+  transitive orientation), and h = (1/|H|) sum 2 prod h(Y_C) over the pi
+  in H that keep the orientation, the product running over the cycles C
+  of pi.
 
-At the identity the product is tau(G).  Everything here is polynomial in
-n and never runs the search.
+Every division is checked to be exact.  Nothing here runs the search or
+lists Aut(G): only prime quotients have their (small) groups listed.
 """
 
-from math import factorial
+from collections import Counter
+from math import comb, factorial, perm, prod
 
+from . import canon
 from .canon import _bits
 from .errors import InternalCheckError
-from .graphs import _check_automorphism, components_of
+from .graphs import components_of
 
 PARALLEL, SERIES, PRIME = "parallel", "series", "prime"
 
@@ -95,29 +107,15 @@ def _maximal_modules(adj, s):
     return parts
 
 
-def _tree_nodes(adj, co, s):
-    """(mask, kind, children) for each internal node of the
-    modular-decomposition tree of G[s], parents first.
-
-    adj and co are the neighbour masks of G and of its complement; the
-    children are vertex masks.  A parallel node splits G[s] into its
-    components, a series node into the components of the complement, and
-    a prime node into its maximal proper modules.
-    """
-    if not s & (s - 1):  # no vertex or one: a leaf
-        return
-    kind, parts = PARALLEL, components_of(adj, s)
-    if len(parts) == 1:
-        kind, parts = SERIES, components_of(co, s)
-        if len(parts) == 1:
-            kind, parts = PRIME, _maximal_modules(adj, s)
-    yield s, kind, parts
-    for part in parts:
-        yield from _tree_nodes(adj, co, part)
+def _quotient(adj, parts):
+    """Neighbour masks of the quotient of G over the modules in parts,
+    indexed by part."""
+    reps = [(p & -p).bit_length() - 1 for p in parts]
+    return [sum(1 << j for j, r in enumerate(reps) if adj[u] >> r & 1) for u in reps]
 
 
-def _prime_orientations(adj, parts):
-    """One transitive orientation of a prime node's quotient, as a set of
+def _prime_orientations(q):
+    """One transitive orientation of a prime node's quotient q, as a set of
     arcs (a, b) between child indices, or None if there is none.
 
     Arcs a->b and a->b' force each other (Gamma) when b and b' are not
@@ -127,9 +125,7 @@ def _prime_orientations(adj, parts):
     prime graph form one colour class, so it then has exactly two
     implication classes, one orientation and its reverse.
     """
-    k = len(parts)
-    reps = [(p & -p).bit_length() - 1 for p in parts]
-    q = [sum(1 << j for j, r in enumerate(reps) if adj[u] >> r & 1) for u in reps]
+    k = len(q)
     parent = list(range(k * k))  # union-find over the arcs a->b, at a * k + b
 
     def find(x):
@@ -160,89 +156,85 @@ def _prime_orientations(adj, parts):
     return {(a, b) for a, b in arcs if find(a * k + b) == first}
 
 
-def _image(sigma, mask):
-    out = 0
-    for v in _bits(mask):
-        out |= 1 << sigma[v]
-    return out
+def _exact(num, den):
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise InternalCheckError(f"orbit count is not an integer: {num}/{den}")
+    return quotient
 
 
-def _orbit_factor(nodes, sigma, x, seen):
-    """The pi-invariant choices at x, where pi is what sigma^l induces on
-    x's children and l is the length of x's sigma-orbit, whose nodes are
-    added to seen."""
-    kind, parts, orient = nodes[x]
-    power = sigma
-    y = _image(sigma, x)
-    while y != x:
-        if y not in nodes or nodes[y][0] != kind:
-            raise InternalCheckError(
-                f"sigma maps node {x:#x} to {y:#x}, not a {kind} node"
-            )
-        seen.add(y)
-        y = _image(sigma, y)
-        power = tuple(sigma[v] for v in power)
+def _cycle_heads(pi):
+    """The least member of each cycle of the permutation pi."""
+    for i in range(len(pi)):
+        j = pi[i]
+        while j > i:
+            j = pi[j]
+        if j == i:
+            yield i
+
+
+def _node(adj, co, s):
+    """(type, |Aut|, tau, h) of G[s], from its children up.
+
+    adj and co are the neighbour masks of G and of its complement.  A
+    parallel node splits G[s] into its components, a series node into the
+    components of the complement, and a prime node into its maximal
+    proper modules.
+    """
+    if not s & (s - 1):  # no vertex or one: a leaf
+        return (), 1, 1, 1
+    kind, parts = PARALLEL, components_of(adj, s)
+    if len(parts) == 1:
+        kind, parts = SERIES, components_of(co, s)
+        if len(parts) == 1:
+            kind, parts = PRIME, _maximal_modules(adj, s)
+    kids = [_node(adj, co, p) for p in parts]
+    types = [kid[0] for kid in kids]
+    node_type = (kind, tuple(sorted(types)))
+    aut = prod(kid[1] for kid in kids)
+    t = prod(kid[2] for kid in kids)
+    mult = Counter(types)
     if kind == PARALLEL:
-        return 1
-    index = {p: i for i, p in enumerate(parts)}
-    pi = []
-    for p in parts:
-        i = index.get(_image(power, p))
-        if i is None:
-            raise InternalCheckError(
-                f"sigma^l maps child {p:#x} of {x:#x} onto no child of {x:#x}"
-            )
-        pi.append(i)
-    if kind == PRIME:
+        h_of = {kid[0]: kid[3] for kid in kids}
+        aut *= prod(map(factorial, mult.values()))
+        h = prod(comb(h_of[typ] + m - 1, m) for typ, m in mult.items())
+    elif kind == SERIES:
+        twins = mult.pop((), 0)
+        a = len(parts) - twins
+        sym = prod(map(factorial, mult.values()))
+        aut *= factorial(twins) * sym
+        t *= sum(stirling2(twins, k) * factorial(a + k) for k in range(twins + 1))
+        w = factorial(a) if not twins else sum(
+            comb(twins - 1, k - 1) * perm(a + k, a) for k in range(1, twins + 1)
+        )
+        h = _exact(w * prod(kid[3] for kid in kids), sym)
+    else:
+        q = _quotient(adj, parts)
+        node_type += (canon.graph_code(len(q), q, types),)
+        group = canon.automorphisms(len(q), q, types)
+        aut *= len(group)
+        orient = _prime_orientations(q)
         if orient is None:
-            return 0
-        a, b = next(iter(orient))
-        return 2 if (pi[a], pi[b]) in orient else 0
-    larger = 0
-    cycles = 0
-    for i, p in enumerate(parts):
-        if p & (p - 1):
-            if pi[i] != i:
-                return 0
-            larger += 1
+            t = h = 0
         else:
-            # count each pi-cycle on the single-vertex children at its least member
-            j = pi[i]
-            while j > i:
-                j = pi[j]
-            cycles += j == i
-    return sum(
-        stirling2(cycles, k) * factorial(larger + k) for k in range(cycles + 1)
-    )
+            t *= 2
+            u, v = next(iter(orient))
+            fixed = sum(
+                2 * prod(kids[i][3] for i in _cycle_heads(pi))
+                for pi in group
+                if (pi[u], pi[v]) in orient
+            )
+            h = _exact(fixed, len(group))
+    return node_type, aut, t, h
 
 
-def fix_tree(g, sigmas):
-    """Fix(sigma), the number of sigma-invariant transitive digraphs over
-    g, for each automorphism sigma in sigmas, from one tree of g.
+def tree_counts(g):
+    """(|Aut(g)|, tau(g), h(g)) from one walk of g's modular-decomposition
+    tree: no search runs and Aut(g) is not listed.
 
-    Equal to enumeration.fix_count(g, sigma) without a search.
+    Equal to (len(automorphism_group(g)), enumeration.tau(g),
+    enumeration.h_burnside(g)).
     """
     full = (1 << g.n) - 1
     co = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
-    nodes = {
-        x: (kind, parts, _prime_orientations(g.adj, parts) if kind == PRIME else None)
-        for x, kind, parts in _tree_nodes(g.adj, co, full)
-    }
-    counts = []
-    for sigma in sigmas:
-        sigma = _check_automorphism(g, sigma)
-        total = 1
-        seen = set()
-        for x in nodes:
-            if total and x not in seen:
-                total *= _orbit_factor(nodes, sigma, x, seen)
-        counts.append(total)
-    return counts
-
-
-def tau_tree(g):
-    """Number of transitive digraphs whose underlying graph is g.
-
-    Equal to enumeration.tau(g): the tree at the identity.
-    """
-    return fix_tree(g, [tuple(range(g.n))])[0]
+    return _node(g.adj, co, full)[1:]

@@ -25,7 +25,6 @@ from multiprocessing import Pool
 
 from . import canon
 from .canon import _bits
-from .decomposition import fix_tree
 from .errors import BudgetExceeded, InternalCheckError
 from .graphs import _check_automorphism, automorphism_group, canonical_code
 from .topology import Digraph, transitive_masks
@@ -54,17 +53,6 @@ def edge_order(g):
     )
 
 
-def check_budget(g, budget=None):
-    """Raise BudgetExceeded if g has more edges than a search may take."""
-    if budget is None:
-        budget = DEFAULT_EDGE_BUDGET
-    if g.edge_count > budget:
-        raise BudgetExceeded(
-            f"{g.edge_count} edges exceed the budget of {budget}; "
-            "pass an explicit budget_edges to override"
-        )
-
-
 class _Search:
     """Mutable edge-state assignment with transitivity propagation.
 
@@ -73,11 +61,18 @@ class _Search:
     consistency test of a new arc a fixed number of integer operations.
     partners[k] lists the Gamma-partners of edge k = {u, v}: the edges
     {u, b} with b adjacent to u but not to v, and {v, b} with b adjacent
-    to v but not to u.
+    to v but not to u.  A graph with more edges than the budget is
+    refused before any work.
     """
 
     def __init__(self, g, budget=None):
-        check_budget(g, budget)
+        if budget is None:
+            budget = DEFAULT_EDGE_BUDGET
+        if g.edge_count > budget:
+            raise BudgetExceeded(
+                f"{g.edge_count} edges exceed the budget of {budget}; "
+                "pass an explicit budget_edges to override"
+            )
         self.n = g.n
         self.adj = g.adj
         self.edges = edge_order(g)
@@ -178,10 +173,6 @@ class _Search:
             raise InternalCheckError("non-transitive leaf escaped propagation")
         return out
 
-    def single_blocks(self):
-        """One unflipped single-edge block per edge: the unconstrained search."""
-        return [(((k, 0),), 0) for k in range(len(self.edges))]
-
 
 # the allowed states, in try order, at index fwd_ok | bwd_ok << 1 | both_ok << 2
 _ALLOWED = [
@@ -266,8 +257,9 @@ def _walk(search, blocks):
 
 
 def _gen_masks(g, budget):
+    # the identity's edge orbits are the single edges, unflipped
     search = _Search(g, budget)
-    yield from _walk(search, search.single_blocks())
+    yield from _walk(search, _edge_orbits(search, range(g.n)))
 
 
 def enumerate_transitive_digraphs(g, budget_edges=None):
@@ -343,7 +335,7 @@ def fix_count(g, sigma, budget_edges=None):
     return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
 
 
-def burnside(g, auts, t):
+def burnside(g, auts, t, budget_edges=None):
     """Orbits of the stream of g under the listed group auts, by Burnside.
 
     Fix(sigma) is constant on each conjugacy class of auts: D -> tau(D)
@@ -351,8 +343,8 @@ def burnside(g, auts, t):
     ones.  So one term per class, weighted by the class size, gives the
     sum over the whole group.  The identity fixes every digraph, so its
     term is t, the stream length tau(g); every other class takes its term
-    from the modular-decomposition tree, decomposition.fix_tree, and no
-    search runs.
+    from the fix_count search.  This is the reference route that
+    decomposition.tree_counts is checked against.
     """
     conj = canon.conjugacy_classes(auts)
     if sum(size for _, size in conj) != len(auts):
@@ -360,10 +352,10 @@ def burnside(g, auts, t):
             f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
         )
     identity = tuple(range(g.n))
-    reps = [rep for rep, _ in conj if rep != identity]
-    fixed = dict(zip(reps, fix_tree(g, reps)))
-    fixed[identity] = t
-    total = sum(size * fixed[rep] for rep, size in conj)
+    total = sum(
+        size * (t if rep == identity else fix_count(g, rep, budget_edges))
+        for rep, size in conj
+    )
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(
@@ -374,7 +366,7 @@ def burnside(g, auts, t):
 
 def h_burnside(g, budget_edges=None):
     """Homeomorphism-class count by averaging fixed digraphs over Aut(g)."""
-    return burnside(g, automorphism_group(g), tau(g, budget_edges))
+    return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
 
 
 def transitive_digraph_classes(g, budget_edges=None):
@@ -460,5 +452,5 @@ def counts_for(g, budget_edges=None, cache=None):
     code = canonical_code(g)
     if code not in cache:
         t = tau(g, budget_edges)
-        cache[code] = (t, burnside(g, automorphism_group(g), t))
+        cache[code] = (t, burnside(g, automorphism_group(g), t, budget_edges))
     return cache[code]

@@ -11,10 +11,11 @@ from graphtop import (
     build_graph,
     canon,
     enumeration,
+    null_graph,
     parse_graph_expr,
 )
-from graphtop.canon import conjugacy_classes
 from graphtop.cli import main
+from graphtop.errors import SizeBoundExceeded
 
 
 def run_cli(capsys, *argv):
@@ -35,29 +36,24 @@ def test_count_json(capsys):
 
 
 @pytest.mark.parametrize("expr", ["K4", "W5", "box(K2,C4)"])
-def test_count_takes_tau_as_the_identity_term(capsys, monkeypatch, expr):
-    """count runs no fix_count search and evaluates the tree once per
-    non-identity conjugacy class of Aut(G)."""
-    g = build_graph(parse_graph_expr(expr))
-    nclasses = len(conjugacy_classes(automorphism_group(g)))
-    fix_count, fix_tree = enumeration.fix_count, enumeration.fix_tree
-    searches = []
+def test_count_runs_no_search_on_a_connected_graph(capsys, monkeypatch, expr):
+    """count takes tau and h from the tree: on a connected graph no
+    search starts and Aut(G) is not split into conjugacy classes."""
     calls = []
 
-    def counted(*args, **kwargs):
-        searches.append(args[1])
-        return fix_count(*args, **kwargs)
+    def refuse(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"count called {name}")
 
-    def recorded(g, reps):
-        calls.extend(reps)
-        return fix_tree(g, reps)
+        return record
 
-    monkeypatch.setattr(enumeration, "fix_count", counted)
-    monkeypatch.setattr(enumeration, "fix_tree", recorded)
-    assert run_cli(capsys, "count", expr, "--json")[0] == 0
-    assert searches == []
-    assert len(calls) == nclasses - 1
-    assert tuple(range(g.n)) not in calls
+    for name in ("_Search", "fix_count"):
+        monkeypatch.setattr(enumeration, name, refuse(name))
+    monkeypatch.setattr(canon, "conjugacy_classes", refuse("conjugacy_classes"))
+    code, out, _ = run_cli(capsys, "count", expr, "--json")
+    assert code == 0 and calls == []
+    assert json.loads(out)["h"] == {"K4": 8, "W5": 3, "box(K2,C4)": 1}[expr]
 
 
 def test_count_text(capsys):
@@ -83,8 +79,13 @@ def test_count_argument_validation(capsys):
 def test_count_input_errors(capsys):
     code, _, err = run_cli(capsys, "count", "C2")
     assert code == 1 and "invalid-family-size" in err
-    assert run_cli(capsys, "count", "box(C4,C4)")[0] == 1  # over budget
+    # count runs no search on a connected graph, so the edge budget is
+    # not in its way; the union rule still searches each component
+    assert run_cli(capsys, "count", "box(C4,C4)")[0] == 0
     assert run_cli(capsys, "count", "box(C4,C4)", "--budget-edges", "32")[0] == 0
+    code, out, err = run_cli(capsys, "count", "union(K3,K2)", "--budget-edges", "2")
+    assert code == 1 and out == ""
+    assert "budget of 2" in err
     assert run_cli(capsys, "count", "--file", "/nonexistent/path")[0] == 1
 
 
@@ -262,10 +263,13 @@ def test_enumerate_with_workers_starts_no_pool(capsys, monkeypatch):
 
 def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):
     monkeypatch.setattr(canon, "MAX_AUT_ORDER", 100)
-    code, out, err = run_cli(capsys, "count", "N6")  # |Aut| = 720
-    assert code == 1 and out == ""
-    assert "|Aut|" in err and "100" in err
-    assert run_cli(capsys, "count", "K4")[0] == 0  # |Aut| = 24
+    with pytest.raises(SizeBoundExceeded, match=r"\|Aut\| exceeds .* bound 100"):
+        automorphism_group(null_graph(6))  # |Aut| = 720
+    assert len(automorphism_group(null_graph(4))) == 24
+    # count lists no group, so the bound does not touch it
+    code, out, _ = run_cli(capsys, "count", "N6")
+    assert code == 0 and "tau=1 h=1" in out
+    assert run_cli(capsys, "count", "K4")[0] == 0
 
 
 def test_usage_error_exit_code(capsys):

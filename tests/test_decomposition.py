@@ -1,9 +1,10 @@
-"""tau and Fix(sigma) from the modular-decomposition tree."""
+"""|Aut|, tau and h from the modular-decomposition tree."""
 
 import io
 import json
 import os
 import random
+from math import factorial
 
 import pytest
 
@@ -11,14 +12,14 @@ from graphtop import (
     Graph,
     automorphism_group,
     burnside,
-    canon,
     complete_counts,
     complete_graph,
     cycle_counts,
     cycle_graph,
+    disjoint_union,
     enumeration,
-    fix_count,
     graphs_up_to_iso,
+    null_graph,
     path_graph,
     tau,
     verify,
@@ -27,8 +28,8 @@ from graphtop import (
 )
 from graphtop.aggregate import class_counts
 from graphtop.cli import main
-from graphtop.decomposition import fix_tree, tau_tree
-from graphtop.errors import InternalCheckError, NotAnAutomorphism
+from graphtop.decomposition import tree_counts
+from graphtop.errors import InternalCheckError
 
 from conftest import paw, random_graph, twin_blow_up
 
@@ -61,35 +62,49 @@ def cycle_complement(n):
     )
 
 
+def tree_tau(g):
+    return tree_counts(g)[1]
+
+
+def _reference_counts(g):
+    """(|Aut|, tau, h) by listing Aut(g), the plain search and Burnside
+    with every non-identity term from the fix_count search."""
+    auts = automorphism_group(g)
+    t = tau(g)
+    return len(auts), t, burnside(g, auts, t)
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_tree_matches_the_search_on_every_class(n):
     for entry in graphs_up_to_iso(n).entries:
-        assert tau_tree(entry.graph) == tau(entry.graph), entry.graph
+        g = entry.graph
+        assert tree_counts(g) == _reference_counts(g), g
 
 
 def test_complete_graphs_need_no_search(no_search):
     for n in range(1, 17):
-        assert tau_tree(complete_graph(n)) == complete_counts(n).tau
+        want = (factorial(n), complete_counts(n).tau, 2 ** (n - 1))
+        assert tree_counts(complete_graph(n)) == want
     with pytest.raises(AssertionError, match="the search ran"):
         tau(complete_graph(3))
 
 
 def test_hand_cases(no_search):
-    assert tau_tree(Graph(0, ())) == 1
+    assert tree_tau(Graph(0, ())) == 1
     for n in range(3, 12):
-        assert tau_tree(cycle_graph(n)) == cycle_counts(n).tau  # odd n >= 5: 0
+        assert tree_tau(cycle_graph(n)) == cycle_counts(n).tau  # odd n >= 5: 0
     for n in range(4, 12):
-        assert tau_tree(wheel_graph(n)) == wheel_counts(n).tau  # W5: 3! = 6
-    assert tau_tree(cycle_complement(7)) == 0  # prime, not a comparability graph
-    assert tau_tree(path_graph(3)) == 2  # P4 is prime: one orientation and its reverse
-    assert tau_tree(complete_bipartite(1, 1)) == 3  # K2: one twin class of size 2
+        assert tree_tau(wheel_graph(n)) == wheel_counts(n).tau  # W5: 3! = 6
+    assert tree_tau(cycle_complement(7)) == 0  # prime, not a comparability graph
+    assert tree_tau(path_graph(3)) == 2  # P4 is prime: one orientation and its reverse
+    assert tree_tau(complete_bipartite(1, 1)) == 3  # K2: one twin class of size 2
     for m in range(1, 5):
         for n in range(max(m, 2), 6):
-            assert tau_tree(complete_bipartite(m, n)) == 2  # series node, 2 children
+            assert tree_tau(complete_bipartite(m, n)) == 2  # series node, 2 children
     # K_n minus an edge: a series node with 2 children, one of them a twin
     # class of size s = n - 2, giving 2! * sum_k S(s, k) (k + 1)! / 2!
-    assert [tau_tree(complete_minus_edge(n)) for n in (3, 4, 5, 6)] == [2, 8, 44, 308]
-    assert tau_tree(paw()) == 6  # twins {1, 2} under a parallel node: 2! * 3
+    assert [tree_tau(complete_minus_edge(n)) for n in (3, 4, 5, 6)] == [2, 8, 44, 308]
+    assert tree_tau(paw()) == 6  # twins {1, 2} under a parallel node: 2! * 3
 
 
 def test_tree_matches_the_search_on_twin_blow_ups():
@@ -98,19 +113,20 @@ def test_tree_matches_the_search_on_twin_blow_ups():
     while checked < 12:
         g = twin_blow_up(rng, rng.randint(7, 10))
         if g.edge_count <= 18:  # keeps the search, the reference here, small
-            assert tau_tree(g) == tau(g), g
+            assert tree_tau(g) == tau(g), g
             checked += 1
 
 
 def test_a_disagreeing_tree_is_reported(monkeypatch):
-    monkeypatch.setattr("graphtop.aggregate.tau_tree", lambda g: tau(g) + 1)
+    monkeypatch.setattr("graphtop.aggregate.tree_counts", lambda g: (6, tau(g) + 1, 4))
     with pytest.raises(InternalCheckError, match="tree="):
         class_counts(complete_graph(3))
-    monkeypatch.setattr(verify, "tau_tree", lambda g: -1)
+    monkeypatch.setattr(verify, "tree_counts", lambda g: (6, -1, 4))
     report = verify._Report(io.StringIO())
     verify._engine_counts(report, "k3", complete_graph(3))
     assert report.failures == 1
-    assert "FAIL k3-tree-agreement: -1 != 13" in report.out.getvalue()
+    out = report.out.getvalue()
+    assert "FAIL k3-tree-agreement: (6, -1, 4) != (6, 13, 4)" in out
 
 
 @pytest.mark.parametrize("expr", ["box(K2,C4)", "W5"])
@@ -124,21 +140,7 @@ def test_count_with_two_workers_matches_serial(capsys, monkeypatch, expr):
     assert json.loads(outs[0])["tau"] == {"box(K2,C4)": 2, "W5": 6}[expr]
 
 
-def _class_reps(g):
-    return [rep for rep, _ in canon.conjugacy_classes(automorphism_group(g))]
-
-
-def test_fix_tree_matches_the_search_on_every_small_class():
-    """Every conjugacy class of Aut(G), the identity included, for every
-    class with n <= 6."""
-    for n in range(7):
-        for entry in graphs_up_to_iso(n).entries:
-            g = entry.graph
-            reps = _class_reps(g)
-            assert fix_tree(g, reps) == [fix_count(g, r) for r in reps], g
-
-
-def test_fix_tree_matches_the_search_on_larger_graphs():
+def test_tree_counts_match_the_listed_group_on_larger_graphs():
     rng = random.Random(909)
     checked = 0
     while checked < 24:
@@ -146,53 +148,61 @@ def test_fix_tree_matches_the_search_on_larger_graphs():
         g = twin_blow_up(rng, n) if checked % 3 else random_graph(rng, n)
         if g.edge_count > 18:  # keeps the search, the reference here, small
             continue
-        reps = _class_reps(g)
-        assert fix_tree(g, reps) == [fix_count(g, r) for r in reps], g
+        assert tree_counts(g) == _reference_counts(g), g
         checked += 1
 
 
-def test_fix_tree_hand_cases(no_search):
-    k2, k3 = complete_graph(2), complete_graph(3)
-    assert fix_tree(k2, [(0, 1), (1, 0)]) == [3, 1]  # the swap keeps the doubled edge
+def _orbits(terms):
+    """Burnside over (class size, Fix(sigma)) pairs, one per conjugacy class."""
+    total, rem = divmod(
+        sum(size * fixed for size, fixed in terms), sum(size for size, _ in terms)
+    )
+    assert rem == 0
+    return total
+
+
+def test_tree_counts_hand_cases(no_search):
+    """Each h also as Burnside over hand-derived Fix(sigma), the identity
+    fixing all tau digraphs."""
+    # K2: the swap keeps only the doubled edge
+    assert tree_counts(complete_graph(2)) == (2, 3, _orbits([(1, 3), (1, 1)]))
     # K3: one series node of three single vertices; sum_k S(c, k) k! over
     # the c cycles of sigma: 13 for c = 3, 3 for c = 2, 1 for c = 1
-    assert fix_tree(k3, [(0, 1, 2), (1, 0, 2), (1, 2, 0)]) == [13, 3, 1]
+    k3 = _orbits([(1, 13), (3, 3), (2, 1)])
+    assert tree_counts(complete_graph(3)) == (6, 13, k3) == (6, 13, 4)
     # C6 is prime with the orientations even -> odd and odd -> even: a
     # rotation by one step or a reflection through two edges swaps them
-    c6 = cycle_graph(6)
-    rotations = [tuple((v + r) % 6 for v in range(6)) for r in (1, 2, 3)]
-    reflections = [tuple((r - v) % 6 for v in range(6)) for r in (0, 1)]
-    assert fix_tree(c6, rotations + reflections) == [0, 2, 0, 2, 0]
+    # (rotations by 1, 2 and 3 steps fix 0, 2 and 0; reflections through
+    # two vertices fix 2, through two edges 0)
+    c6 = _orbits([(1, 2), (2, 0), (2, 2), (1, 0), (3, 2), (3, 0)])
+    assert tree_counts(cycle_graph(6)) == (12, 2, c6) == (12, 2, 1)
     # K3,3: a series node over the two sides; swapping them moves a child
-    # of two or more vertices, so nothing is fixed, while a swap inside a
-    # side keeps both orders of the sides
-    k33 = complete_bipartite(3, 3)
-    assert fix_tree(k33, [(3, 4, 5, 0, 1, 2), (1, 0, 2, 3, 4, 5)]) == [0, 2]
-    # two triangles swapped: their series nodes form one orbit of length 2,
-    # and sigma^2 decides the factor: the identity gives 13, a 3-cycle 1
+    # of two or more vertices, so nothing is fixed, while a permutation
+    # inside the sides keeps both orders of the sides
+    k33 = _orbits([(36, 2), (36, 0)])
+    assert tree_counts(complete_bipartite(3, 3)) == (72, 2, k33) == (72, 2, 1)
+    # two triangles: a parallel node over two K3 children, the multisets of
+    # two of K3's 4 classes; a swap of the triangles fixes 13 digraphs when
+    # its square is the identity and 1 when its square is a 3-cycle
     two_k3 = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
-    assert fix_tree(two_k3, [(3, 4, 5, 0, 1, 2), (3, 4, 5, 1, 2, 0)]) == [13, 1]
-    # W5: hub 0 and the rim pairs {1, 3} and {2, 4} under one series node
-    w5 = wheel_graph(5)
-    sigmas = [(0, 2, 3, 4, 1), (0, 3, 4, 1, 2), (0, 3, 2, 1, 4), (0, 2, 1, 4, 3)]
-    assert fix_tree(w5, sigmas) == [0, 6, 6, 0]
-    assert burnside(w5, automorphism_group(w5), tau_tree(w5)) == 3
-
-
-def test_fix_tree_checks_each_permutation():
-    with pytest.raises(NotAnAutomorphism):
-        fix_tree(path_graph(2), [(0, 1, 2), (1, 0, 2)])
-    with pytest.raises(NotAnAutomorphism):
-        fix_tree(complete_graph(2), [(0, 0)])
-
-
-def test_burnside_runs_no_search(no_search):
+    assert tree_counts(two_k3) == (72, 169, 10)
+    # W5: hub 0 and the rim pairs {1, 3} and {2, 4} under one series node;
+    # rotations by one and two steps fix 0 and 6, reflections through two
+    # rim vertices 6, through two rim edges 0
+    w5 = _orbits([(1, 6), (2, 0), (1, 6), (2, 6), (2, 0)])
+    assert tree_counts(wheel_graph(5)) == (8, 6, w5) == (8, 6, 3)
     cases = [
         (complete_graph(5), complete_counts(5)),
         (wheel_graph(6), wheel_counts(6)),
         (cycle_graph(8), cycle_counts(8)),
     ]
     for g, want in cases:
-        assert burnside(g, automorphism_group(g), tau_tree(g)) == want.h
-    k33 = complete_bipartite(3, 3)  # two orders of the sides, one up to swapping
-    assert burnside(k33, automorphism_group(k33), tau_tree(k33)) == 1
+        assert tree_counts(g)[1:] == (want.tau, want.h)
+    for n in range(1, 17):
+        assert tree_counts(null_graph(n)) == (factorial(n), 1, 1)
+    # k copies of K2: each edge carries one of three digraphs, and the
+    # classes are the multisets of k of K2's two classes
+    g = complete_graph(2)
+    for k in range(1, 9):
+        assert tree_counts(g) == (2**k * factorial(k), 3**k, k + 1)
+        g = disjoint_union(g, complete_graph(2))
