@@ -161,9 +161,9 @@ def _orbits(terms):
     return total
 
 
-def test_tree_counts_hand_cases(no_search):
-    """Each h also as Burnside over hand-derived Fix(sigma), the identity
-    fixing all tau digraphs."""
+def test_fix_tree_hand_cases(no_search):
+    """Hand-derived Fix(sigma), one term per conjugacy class with the
+    identity fixing all tau digraphs, must average to the tree's h."""
     # K2: the swap keeps only the doubled edge
     assert tree_counts(complete_graph(2)) == (2, 3, _orbits([(1, 3), (1, 1)]))
     # K3: one series node of three single vertices; sum_k S(c, k) k! over
@@ -191,6 +191,11 @@ def test_tree_counts_hand_cases(no_search):
     # rim vertices 6, through two rim edges 0
     w5 = _orbits([(1, 6), (2, 0), (1, 6), (2, 6), (2, 0)])
     assert tree_counts(wheel_graph(5)) == (8, 6, w5) == (8, 6, 3)
+
+
+def test_burnside_runs_no_search(no_search):
+    """h by Burnside over the tree's node groups, with no listed group and
+    no fix_count search."""
     cases = [
         (complete_graph(5), complete_counts(5)),
         (wheel_graph(6), wheel_counts(6)),
@@ -198,6 +203,9 @@ def test_tree_counts_hand_cases(no_search):
     ]
     for g, want in cases:
         assert tree_counts(g)[1:] == (want.tau, want.h)
+
+
+def test_tree_counts_hand_cases(no_search):
     for n in range(1, 17):
         assert tree_counts(null_graph(n)) == (factorial(n), 1, 1)
     # k copies of K2: each edge carries one of three digraphs, and the
