@@ -9,6 +9,10 @@ least adjacency encoding over all cell-respecting vertex orders.  When
 refinement gets stuck, one vertex of the first non-singleton cell is
 split off (every choice is tried), which keeps the number of explored
 orders tiny for the sizes this package handles.
+
+A refinement round popcounts each vertex's neighbours in every cell
+(_key); the count keys sort exactly like the sorted neighbour colors of
+textbook refinement, so color ids, codes and groups match it.
 """
 
 from .errors import SizeBoundExceeded
@@ -33,23 +37,32 @@ def _bits(mask):
         mask ^= b
 
 
+def _key(row, masks, top):
+    """Per-cell neighbour counts of row: -c while a later cell holds a
+    neighbour, then c + top; sorts like the sorted neighbour colors."""
+    key = []
+    for m in masks:
+        if not row:
+            break
+        x = row & m
+        row ^= x
+        key.append(-x.bit_count() if row else x.bit_count() + top)
+    return tuple(key)
+
+
 def _refine(n, out, inn, colors):
-    """Refine colors until stable; ids are ranks of sorted signatures."""
-    ncolors = len(set(colors))
+    """Refine colors until stable; ids are ranks of per-cell count keys."""
+    top = -2 * n - 1
     while True:
-        sigs = []
-        for v in range(n):
-            out_sig = sorted(colors[w] for w in _bits(out[v]))
-            if inn is None:
-                sigs.append((colors[v], tuple(out_sig)))
-            else:
-                in_sig = sorted(colors[w] for w in _bits(inn[v]))
-                sigs.append((colors[v], tuple(out_sig), tuple(in_sig)))
+        masks = [sum(1 << v for v in cell) for cell in _cells(n, colors)]
+        sigs = [
+            (colors[v], _key(out[v], masks, top), inn and _key(inn[v], masks, top))
+            for v in range(n)
+        ]
         rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colors = [rank[sigs[v]] for v in range(n)]
-        if len(rank) == ncolors:
+        colors = [rank[sig] for sig in sigs]
+        if len(rank) in (len(masks), n):  # stable, or discrete and so stable
             return colors
-        ncolors = len(rank)
 
 
 def _cells(n, colors):
@@ -64,11 +77,10 @@ def _homogeneous(cells, out):
     """True when every within-cell order yields the same adjacency bits."""
     masks = [sum(1 << v for v in cell) for cell in cells]
     for i, cell in enumerate(cells):
-        u = cell[0]
+        row = out[cell[0]]
         for j, other in enumerate(cells):
-            want = len(other) - 1 if i == j else len(other)
-            cnt = bin(out[u] & masks[j]).count("1")
-            if cnt != 0 and cnt != want:
+            cnt = (row & masks[j]).bit_count()
+            if cnt and cnt != len(other) - (i == j):
                 return False
     return True
 
@@ -117,9 +129,11 @@ def _canonical_bits(n, out, inn, colors, encode):
     return best
 
 
-def _seed(n, seed_colors):
+def _seed(seed_colors, out, inn=None):
+    """Ranks of seed_colors; by default the exact first refinement round."""
     if seed_colors is None:
-        return [0] * n
+        ins = inn or [0] * len(out)
+        seed_colors = [(r.bit_count(), i.bit_count()) for r, i in zip(out, ins)]
     rank = {c: i for i, c in enumerate(sorted(set(seed_colors)))}
     return [rank[c] for c in seed_colors]
 
@@ -131,7 +145,7 @@ def graph_code(n, adj, seed_colors=None):
     ones, which gives rooted/colored canonical forms.
     """
     _check_size(n)
-    bits = _canonical_bits(n, adj, None, _seed(n, seed_colors), _encode_undirected)
+    bits = _canonical_bits(n, adj, None, _seed(seed_colors, adj), _encode_undirected)
     return (n, bits if bits is not None else 0)
 
 
@@ -142,7 +156,7 @@ def digraph_code(n, out, seed_colors=None):
     for u in range(n):
         for v in _bits(out[u]):
             inn[v] |= 1 << u
-    bits = _canonical_bits(n, out, inn, _seed(n, seed_colors), _encode_directed)
+    bits = _canonical_bits(n, out, inn, _seed(seed_colors, out, inn), _encode_directed)
     return (n, bits if bits is not None else 0)
 
 
@@ -173,7 +187,7 @@ def automorphisms(n, adj, seed_colors=None):
     _check_size(n)
     if n == 0:
         return [()]
-    colors = _refine(n, adj, None, _seed(n, seed_colors))
+    colors = _refine(n, adj, None, _seed(seed_colors, adj))
     cells = _cells(n, colors)
     cell_size = {}
     for cell in cells:

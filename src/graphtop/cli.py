@@ -35,15 +35,20 @@ def _dump(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _workers(text):
-    """--workers: a positive count, clamped to the CPUs of this host."""
+def _int_at_least(text, least=0):
+    """An int option of at least `least` (0 for --budget-edges)."""
     try:
-        workers = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+    if value < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+    return value
+
+
+def _workers(text):
+    """--workers: a positive count, clamped to the CPUs of this host."""
+    return min(_int_at_least(text, 1), os.cpu_count() or 1)
 
 
 def _code_str(code):
@@ -183,7 +188,7 @@ def _build_parser():
 
     def common(p, with_json=True):
         p.add_argument("--workers", type=_workers, default=1)
-        p.add_argument("--budget-edges", type=int, default=None, dest="budget_edges")
+        p.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
         if with_json:
             p.add_argument("--json", action="store_true")
 
@@ -212,7 +217,7 @@ def _build_parser():
     ver.add_argument(
         "--suite", choices=("all", "formulas", "oracles"), default="all"
     )
-    ver.add_argument("--budget-edges", type=int, default=None, dest="budget_edges")
+    ver.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
     ver.add_argument("--corrupt-memo", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(func=_cmd_verify)
     return parser

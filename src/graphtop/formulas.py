@@ -191,7 +191,7 @@ def formula_for_graph(g, budget_edges=None):
         return None
     if not is_connected(g):
         return union_counts(component_parts(g), budget_edges)
-    deg = [bin(row).count("1") for row in g.adj]
+    deg = [row.bit_count() for row in g.adj]
     if n <= 20 and sum(deg) == n * (n - 1):
         return complete_counts(n)
     if n >= 3 and deg == [2] * n:

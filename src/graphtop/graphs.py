@@ -75,7 +75,7 @@ class Graph:
 
     @property
     def edge_count(self):
-        return sum(bin(row).count("1") for row in self.adj) // 2
+        return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u, v):
         self._check_vertex(u)
@@ -84,7 +84,7 @@ class Graph:
 
     def degree(self, u):
         self._check_vertex(u)
-        return bin(self.adj[u]).count("1")
+        return self.adj[u].bit_count()
 
     def _check_vertex(self, u):
         if not (0 <= u < self.n):

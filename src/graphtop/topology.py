@@ -180,7 +180,7 @@ class Digraph:
 
     @property
     def arc_count(self):
-        return sum(bin(row).count("1") for row in self.out)
+        return sum(row.bit_count() for row in self.out)
 
     def reverse(self):
         rev = [0] * self.n

@@ -131,3 +131,33 @@ def twin_blow_up(rng, n):
         for j in range(i + 1, sizes[a])
     ]
     return Graph.from_edges(n, edges)
+
+
+def sorted_signature_refine(n, out, inn, colors):
+    """Textbook color refinement, the oracle for canon._refine: each round
+    ranks (color, sorted out-neighbour colors, sorted in-neighbour colors)
+    until the number of colors stops growing."""
+    ncolors = len(set(colors))
+    while True:
+        sigs = []
+        for v in range(n):
+            out_sig = tuple(sorted(colors[w] for w in range(n) if out[v] >> w & 1))
+            if inn is None:
+                sigs.append((colors[v], out_sig))
+            else:
+                in_sig = tuple(sorted(colors[w] for w in range(n) if inn[v] >> w & 1))
+                sigs.append((colors[v], out_sig, in_sig))
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [rank[sig] for sig in sigs]
+        if len(rank) == ncolors:
+            return colors
+        ncolors = len(rank)
+
+
+def one_color_seed(seed_colors, out, inn=None):
+    """The oracle's seed: ranks of seed_colors, or one color for all, so
+    that the first refinement round is computed rather than assumed."""
+    if seed_colors is None:
+        return [0] * len(out)
+    rank = {c: i for i, c in enumerate(sorted(set(seed_colors)))}
+    return [rank[c] for c in seed_colors]

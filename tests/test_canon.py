@@ -6,6 +6,7 @@ import pytest
 from graphtop import (
     Graph,
     automorphism_group,
+    canon,
     canonical_code,
     canonical_code_digraph,
     complete_graph,
@@ -19,7 +20,7 @@ from graphtop.canon import (
     digraph_code,
     graph_code,
 )
-from graphtop.enumeration import enumerate_transitive_digraphs
+from graphtop.enumeration import enumerate_transitive_digraphs, stream_masks
 from graphtop.errors import SizeBoundExceeded
 from graphtop.graphs import canonical_graph, rooted_code
 from graphtop.topology import transitive_masks
@@ -28,9 +29,11 @@ from conftest import (
     brute_automorphisms,
     brute_digraph_isomorphic,
     conjugate,
+    one_color_seed,
     paw,
     random_graph,
     relabel_graph,
+    sorted_signature_refine,
     star,
     symmetric_examples,
     twin_blow_up,
@@ -230,20 +233,23 @@ def _random_transitive(rng, n):
     ]
 
 
-def test_graph_code_invariant_under_random_relabeling_large_n():
+def _shuffled(rng, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _large_graphs():
+    """(family, graph, three relabelings) for n = 7..16, from one seed."""
     rng = random.Random(2012)
     for n in range(7, 17):
         for make in (random_graph, twin_blow_up, _circulant):
             g = make(rng, n)
-            code = canonical_code(g)
-            assert canonical_code(canonical_graph(code)) == code
-            for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                assert graph_code(n, _relabel_masks(g.adj, perm)) == code, (make, n)
+            yield make, g, [_shuffled(rng, n) for _ in range(3)]
 
 
-def test_digraph_code_invariant_under_random_relabeling_large_n():
+def _large_digraphs():
+    """(family, out masks, three relabelings) for n = 7..16, from one seed."""
     rng = random.Random(2013)
     for n in range(7, 17):
         loop_free = [
@@ -251,10 +257,102 @@ def test_digraph_code_invariant_under_random_relabeling_large_n():
             for u in range(n)
         ]
         transitive = _random_transitive(rng, n)
-        assert transitive_masks(n, transitive)
-        for out in (loop_free, transitive):
-            code = digraph_code(n, out)
-            for _ in range(3):
-                perm = list(range(n))
-                rng.shuffle(perm)
-                assert digraph_code(n, _relabel_masks(out, perm)) == code, n
+        for family, out in (("loop-free", loop_free), ("transitive", transitive)):
+            yield family, out, [_shuffled(rng, n) for _ in range(3)]
+
+
+def test_graph_code_invariant_under_random_relabeling_large_n():
+    for make, g, perms in _large_graphs():
+        code = canonical_code(g)
+        assert canonical_code(canonical_graph(code)) == code
+        for perm in perms:
+            assert graph_code(g.n, _relabel_masks(g.adj, perm)) == code, (make, g.n)
+
+
+def test_digraph_code_invariant_under_random_relabeling_large_n():
+    for family, out, perms in _large_digraphs():
+        n = len(out)
+        if family == "transitive":
+            assert transitive_masks(n, out)
+        code = digraph_code(n, out)
+        for perm in perms:
+            assert digraph_code(n, _relabel_masks(out, perm)) == code, n
+
+
+# The refinement counts neighbours per cell by popcount (canon._key) and
+# must give exactly the color ids of textbook refinement, which ranks
+# sorted neighbour-color tuples: class order, and so every aggregate
+# byte, depends on the code values, not only on the partitions.
+
+
+def test_count_keys_sort_like_sorted_color_tuples():
+    for n in range(1, 8):
+        top = -2 * n - 1
+        for ncells in range(1, 5):
+            # cells of n - 1 vertices each, so any count up to n - 1 fits
+            masks = [((1 << n - 1) - 1) << (i * (n - 1)) for i in range(ncells)]
+            vectors = [
+                vec
+                for vec in itertools.product(range(n), repeat=ncells)
+                if sum(vec) <= n - 1
+            ]
+
+            def key(vec):
+                row = sum(((1 << c) - 1) << (i * (n - 1)) for i, c in enumerate(vec))
+                return canon._key(row, masks, top)
+
+            def colors(vec):
+                return tuple(i for i, c in enumerate(vec) for _ in range(c))
+
+            assert len({key(vec) for vec in vectors}) == len(vectors)
+            assert sorted(vectors, key=key) == sorted(vectors, key=colors)
+
+
+def _with_oracle(monkeypatch, fn, *args):
+    """fn(*args) under the sorted-signature refinement, from one color."""
+    monkeypatch.setattr(canon, "_refine", sorted_signature_refine)
+    monkeypatch.setattr(canon, "_seed", one_color_seed)
+    try:
+        return fn(*args)
+    finally:
+        monkeypatch.undo()
+
+
+def test_graph_codes_and_groups_match_the_sorted_signature_oracle(monkeypatch):
+    checked = 0
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            adj = entry.graph.adj
+            seeds = [None, [v % 3 for v in range(n)]]
+            seeds += [[v == root for v in range(n)] for root in range(n)]
+            for seed in seeds:
+                for fn in (graph_code, canon.automorphisms):
+                    want = _with_oracle(monkeypatch, fn, n, adj, seed)
+                    assert fn(n, adj, seed) == want, (fn.__name__, adj, seed)
+                    checked += 1
+    assert checked == 2 * sum(
+        (n + 2) * len(graphs_up_to_iso(n).entries) for n in range(1, 7)
+    )
+
+
+def test_digraph_codes_match_the_sorted_signature_oracle_on_every_leaf(monkeypatch):
+    leaves = 0
+    for n in range(1, 6):
+        for entry in graphs_up_to_iso(n).entries:
+            for masks in stream_masks(entry.graph):
+                want = _with_oracle(monkeypatch, digraph_code, n, list(masks))
+                assert digraph_code(n, list(masks)) == want, masks
+                leaves += 1
+    assert leaves == 1 + 4 + 19 + 123 + 881  # the sum of tau over the classes
+
+
+def test_codes_match_the_sorted_signature_oracle_large_n(monkeypatch):
+    for make, g, perms in _large_graphs():
+        for adj in [g.adj] + [_relabel_masks(g.adj, perm) for perm in perms]:
+            want = _with_oracle(monkeypatch, graph_code, g.n, adj)
+            assert graph_code(g.n, adj) == want, (make, g.n)
+    for family, out, perms in _large_digraphs():
+        n = len(out)
+        for masks in [out] + [_relabel_masks(out, perm) for perm in perms]:
+            want = _with_oracle(monkeypatch, digraph_code, n, masks)
+            assert digraph_code(n, masks) == want, (family, n)

@@ -14,7 +14,7 @@ from graphtop import (
     null_graph,
     parse_graph_expr,
 )
-from graphtop.cli import main
+from graphtop.cli import _build_parser, main
 from graphtop.errors import SizeBoundExceeded
 
 
@@ -218,6 +218,31 @@ def test_workers_below_one_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "count", "K3", "--workers", value)
         assert code == 1 and out == ""
         assert "--workers" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("count", "K3"), ("enumerate", "K3"), ("aggregate", "-n", "3"), ("verify",)],
+)
+def test_negative_budget_edges_is_a_usage_error(capsys, argv):
+    for value in ("-1", "many"):
+        code, out, err = run_cli(capsys, *argv, "--budget-edges", value)
+        assert code == 1 and out == ""
+        assert "--budget-edges" in err
+
+
+def test_budget_edges_zero_is_accepted(capsys):
+    # 0 is a budget: it admits edgeless graphs and names itself on the rest
+    assert run_cli(capsys, "count", "K3", "--budget-edges", "0")[0] == 0
+    code, out, _ = run_cli(capsys, "enumerate", "N3", "--budget-edges", "0")
+    assert code == 0 and out == '{"arcs":[],"n":3}\n'
+    code, out, err = run_cli(capsys, "enumerate", "K3", "--budget-edges", "0")
+    assert code == 1 and out == "" and "budget of 0" in err
+    argv = ("aggregate", "-n", "1", "--json", "--budget-edges", "0")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["tau_n"] == 1
+    args = _build_parser().parse_args(["verify", "--budget-edges", "0"])
+    assert args.budget_edges == 0
 
 
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
