@@ -16,13 +16,11 @@ from .enumeration import (
     enumerate_transitive_digraphs,
     fix_count,
     h_burnside,
-    h_classes,
     h_sink,
     is_transitive,
     stream_counts,
     tau,
     tau_sink,
-    transitive_digraph_classes,
 )
 from .expr import build_graph, expr_to_text, parse_graph_expr
 from .formulas import (

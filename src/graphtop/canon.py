@@ -10,9 +10,12 @@ refinement gets stuck, one vertex of the first non-singleton cell is
 split off (every choice is tried), which keeps the number of explored
 orders tiny for the sizes this package handles.
 
-A refinement round popcounts each vertex's neighbours in every cell
-(_key); the count keys sort exactly like the sorted neighbour colors of
-textbook refinement, so color ids, codes and groups match it.
+A partition is a list of vertex masks, one per cell in color order, from
+the seed to the leaves; individualizing v puts the cell {v} just before
+the rest of v's cell.  A refinement round popcounts each vertex's
+neighbours in every cell (_key) and splits each cell in key order; the
+count keys sort exactly like the sorted neighbour colors of textbook
+refinement, so cells, codes and groups match it.
 """
 
 from .errors import SizeBoundExceeded
@@ -50,37 +53,35 @@ def _key(row, masks, top):
     return tuple(key)
 
 
-def _refine(n, out, inn, colors):
-    """Refine colors until stable; ids are ranks of per-cell count keys."""
+def _refine(n, out, inn, cells):
+    """Refine cells until stable: each cell splits by the count keys of its
+    vertices, its parts in key order.  A stable round returns its input."""
     top = -2 * n - 1
     while True:
-        masks = [sum(1 << v for v in cell) for cell in _cells(n, colors)]
-        sigs = [
-            (colors[v], _key(out[v], masks, top), inn and _key(inn[v], masks, top))
-            for v in range(n)
-        ]
-        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colors = [rank[sig] for sig in sigs]
-        if len(rank) in (len(masks), n):  # stable, or discrete and so stable
-            return colors
-
-
-def _cells(n, colors):
-    """Vertex cells grouped by color, ordered by color id."""
-    by_color = {}
-    for v in range(n):
-        by_color.setdefault(colors[v], []).append(v)
-    return [by_color[c] for c in sorted(by_color)]
+        split = []
+        for cell in cells:
+            if not cell & cell - 1:  # a singleton keeps its place
+                split.append(cell)
+                continue
+            parts = {}
+            for v in _bits(cell):
+                sig = (_key(out[v], cells, top), inn and _key(inn[v], cells, top))
+                parts[sig] = parts.get(sig, 0) | 1 << v
+            split += [parts[sig] for sig in sorted(parts)]
+        if len(split) == len(cells):
+            return cells
+        cells = split
+        if len(cells) == n:  # discrete, and so stable
+            return cells
 
 
 def _homogeneous(cells, out):
     """True when every within-cell order yields the same adjacency bits."""
-    masks = [sum(1 << v for v in cell) for cell in cells]
-    for i, cell in enumerate(cells):
-        row = out[cell[0]]
-        for j, other in enumerate(cells):
-            cnt = (row & masks[j]).bit_count()
-            if cnt and cnt != len(other) - (i == j):
+    for cell in cells:
+        row = out[(cell & -cell).bit_length() - 1]
+        for other in cells:
+            cnt = (row & other).bit_count()
+            if cnt and cnt != other.bit_count() - (other == cell):
                 return False
     return True
 
@@ -104,38 +105,35 @@ def _encode_directed(n, out, order):
     return code
 
 
-def _canonical_bits(n, out, inn, colors, encode):
+def _canonical_bits(n, out, inn, cells, encode):
     best = None
 
-    def recurse(colors):
+    def recurse(cells):
         nonlocal best
-        colors = _refine(n, out, inn, colors)
-        cells = _cells(n, colors)
-        if all(len(c) == 1 for c in cells) or _homogeneous(cells, out):
-            order = [v for cell in cells for v in cell]
-            cand = encode(n, out, order)
+        cells = _refine(n, out, inn, cells)
+        if len(cells) == n or _homogeneous(cells, out):
+            cand = encode(n, out, [v for cell in cells for v in _bits(cell)])
             if best is None or cand < best:
                 best = cand
             return
-        target = next(c for c in cells if len(c) > 1)
-        for v in target:
-            split = [2 * c for c in colors]
-            for w in target:
-                if w != v:
-                    split[w] += 1
-            recurse(split)
+        t = next(t for t, cell in enumerate(cells) if cell & cell - 1)
+        for v in _bits(cells[t]):
+            recurse(cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :])
 
-    recurse(colors)
+    recurse(cells)
     return best
 
 
 def _seed(seed_colors, out, inn=None):
-    """Ranks of seed_colors; by default the exact first refinement round."""
+    """Cells of seed_colors in color order; by default the exact first
+    refinement round."""
     if seed_colors is None:
         ins = inn or [0] * len(out)
         seed_colors = [(r.bit_count(), i.bit_count()) for r, i in zip(out, ins)]
-    rank = {c: i for i, c in enumerate(sorted(set(seed_colors)))}
-    return [rank[c] for c in seed_colors]
+    cells = {}
+    for v, c in enumerate(seed_colors):
+        cells[c] = cells.get(c, 0) | 1 << v
+    return [cells[c] for c in sorted(cells)]
 
 
 def graph_code(n, adj, seed_colors=None):
@@ -185,15 +183,13 @@ def automorphisms(n, adj, seed_colors=None):
     MAX_AUT_ORDER are found.
     """
     _check_size(n)
-    if n == 0:
-        return [()]
-    colors = _refine(n, adj, None, _seed(seed_colors, adj))
-    cells = _cells(n, colors)
-    cell_size = {}
-    for cell in cells:
-        for v in cell:
-            cell_size[v] = len(cell)
-    order = sorted(range(n), key=lambda v: (cell_size[v], colors[v], v))
+    cells = _refine(n, adj, None, _seed(seed_colors, adj))
+    cell = [0] * n
+    for c in cells:
+        for v in _bits(c):
+            cell[v] = c
+    # smallest cells first; the sort is stable, so ties keep color order
+    order = [v for c in sorted(cells, key=int.bit_count) for v in _bits(c)]
 
     image = [-1] * n
     used = [False] * n
@@ -209,8 +205,8 @@ def automorphisms(n, adj, seed_colors=None):
                 )
             return
         v = order[k]
-        for w in range(n):
-            if used[w] or colors[w] != colors[v]:
+        for w in _bits(cell[v]):
+            if used[w]:
                 continue
             ok = True
             for u in placed:

@@ -118,27 +118,6 @@ class _Search:
             | (fwd and bwd) << 2
         ]
 
-    def try_state(self, k, state):
-        """Assign state to edge k if consistent with decided arcs.
-
-        Only the arcs that state carries are checked, and the directions
-        it leaves out must not be demanded already.
-        """
-        u, v = self.edges[k]
-        out, inn = self.out, self.inn
-        if state & FWD:
-            if not self.arc_ok(u, v):
-                return False
-        elif out[u] & inn[v]:
-            return False
-        if state & BWD:
-            if not self.arc_ok(v, u):
-                return False
-        elif out[v] & inn[u]:
-            return False
-        self.apply(k, state)
-        return True
-
     def apply(self, k, state):
         """Set edge k to state, which the caller has found consistent."""
         u, v = self.edges[k]
@@ -190,24 +169,20 @@ def _walk(search, blocks):
 
     A block is (members, closure_flip) as _edge_orbits returns it.  Its
     first member is unflipped and branches over the states allowed to it;
-    every other member takes the same state, mirrored where flipped, and a
-    block whose orbit closes flipped only takes BOTH.  Explicit stacks
-    replace recursion: todo[i] holds the states block i has still to try,
-    placed[i] whether any of its members may be set.  watch[i] lists the
-    Gamma-partners of block i's members that lie in later blocks, so are
-    still undecided once block i is placed; a branch that leaves one of
-    them no allowed state has no leaf and is skipped.
+    every other member takes the same state, mirrored where flipped, if
+    that state is allowed to it, and a block whose orbit closes flipped
+    only takes BOTH.  Explicit stacks replace recursion: todo[i] holds the
+    states block i has still to try, placed[i] whether any of its members
+    may be set.  watch[i] lists the Gamma-partners of block i's members
+    that lie in later blocks, so are still undecided once block i is
+    placed; a branch that leaves one of them no allowed state has no leaf
+    and is skipped.
     """
     last = len(blocks)
     if not last:
         yield search.leaf_masks()
         return
-    allowed, try_state, apply, undo = (
-        search.allowed,
-        search.try_state,
-        search.apply,
-        search.undo,
-    )
+    allowed, apply, undo = search.allowed, search.apply, search.undo
     reps = [members[0][0] for members, _ in blocks]
     block_edges = [[k for k, _ in members] for members, _ in blocks]
     follow = [
@@ -221,6 +196,15 @@ def _walk(search, blocks):
         list(dict.fromkeys(j for k in ks for j in search.partners[k] if block_of[j] > i))
         for i, ks in enumerate(block_edges)
     ]
+
+    def follows(moves):
+        """Set each (edge, state) while the state is allowed; False at the
+        first that is not."""
+        for k, s in moves:
+            if s not in allowed(k):
+                return False
+            apply(k, s)
+        return True
 
     def options(i):
         states = allowed(reps[i])
@@ -245,7 +229,7 @@ def _walk(search, blocks):
             continue
         apply(reps[i], state)
         placed[i] = True
-        if follow[i] and not all(try_state(k, s) for k, s in follow[i][state]):
+        if follow[i] and not follows(follow[i][state]):
             continue  # the members set so far are undone at the loop top
         if watch[i] and not all(map(allowed, watch[i])):
             continue  # a later edge has no state left in any completion
@@ -256,9 +240,10 @@ def _walk(search, blocks):
             todo[i] = options(i)
 
 
-def _gen_masks(g, budget):
+def stream_masks(g, budget_edges=None):
+    """Raw out-mask tuples of the stream, in deterministic order."""
     # the identity's edge orbits are the single edges, unflipped
-    search = _Search(g, budget)
+    search = _Search(g, budget_edges)
     yield from _walk(search, _edge_orbits(search, range(g.n)))
 
 
@@ -268,7 +253,7 @@ def enumerate_transitive_digraphs(g, budget_edges=None):
     The stream is deterministic: depth-first over edge_order(g) with
     states tried forward < backward < both.
     """
-    for masks in _gen_masks(g, budget_edges):
+    for masks in stream_masks(g, budget_edges):
         yield Digraph(g.n, masks)
 
 
@@ -289,12 +274,7 @@ def fan_out(fn, tasks, workers):
 
 def tau(g, budget_edges=None):
     """Number of transitive digraphs whose underlying graph is g, by search."""
-    return sum(1 for _ in _gen_masks(g, budget_edges))
-
-
-def stream_masks(g, budget_edges=None):
-    """Raw out-mask tuples of the stream, in deterministic order."""
-    yield from _gen_masks(g, budget_edges)
+    return sum(1 for _ in stream_masks(g, budget_edges))
 
 
 def _edge_orbits(search, sigma):
@@ -369,30 +349,11 @@ def h_burnside(g, budget_edges=None):
     return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
 
 
-def transitive_digraph_classes(g, budget_edges=None):
-    """One representative per digraph-isomorphism class of the stream.
-
-    The representative is the lexicographically least member (by sorted
-    arc list), emitted in order of first appearance.
-    """
-    best = {}
-    order = []
-    for d in enumerate_transitive_digraphs(g, budget_edges):
-        code = canon.digraph_code(d.n, d.out)
-        key = tuple(d.arcs())
-        if code not in best:
-            best[code] = key
-            order.append(code)
-        elif key < best[code]:
-            best[code] = key
-    return [Digraph.from_arcs(g.n, best[code]) for code in order]
-
-
 def stream_counts(g, budget_edges=None):
     """(tau, h) from one pass over the stream.
 
     tau is the stream length and h the number of distinct canonical
-    digraph codes in it, as h_classes counts them.
+    digraph codes in it.
     """
     t = 0
     codes = set()
@@ -402,22 +363,17 @@ def stream_counts(g, budget_edges=None):
     return t, len(codes)
 
 
-def h_classes(g, budget_edges=None):
-    """Homeomorphism-class count by canonical digraph codes."""
-    return stream_counts(g, budget_edges)[1]
-
-
 def tau_sink(g, u, budget_edges=None):
     """Stream members in which u is a sink (no outgoing arcs)."""
     g._check_vertex(u)
-    return sum(1 for masks in _gen_masks(g, budget_edges) if not masks[u])
+    return sum(1 for masks in stream_masks(g, budget_edges) if not masks[u])
 
 
 def h_sink(g, u, budget_edges=None):
     """Orbits of the sink-at-u digraphs under automorphisms fixing u."""
     g._check_vertex(u)
     stab = [s for s in automorphism_group(g) if s[u] == u]
-    sinks = [masks for masks in _gen_masks(g, budget_edges) if not masks[u]]
+    sinks = [masks for masks in stream_masks(g, budget_edges) if not masks[u]]
     seen = set()
     orbits = 0
     for masks in sinks:

@@ -370,6 +370,12 @@ def is_reflexible(g):
 # line is read: files and expressions share one bound.
 
 
+def _is_count(text):
+    # str.isdigit alone admits digits such as "²", which int() rejects, and
+    # "١", which int() reads as 1
+    return text.isascii() and text.isdigit()
+
+
 def parse_edge_list(text):
     return parse_edge_lines(text.splitlines())
 
@@ -391,7 +397,7 @@ def parse_edge_lines(lines):
         if parts[0] == "n":
             if n is not None:
                 raise EdgeListFormatError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not _is_count(parts[1]):
                 raise EdgeListFormatError(f"line {lineno}: expected 'n <count>'")
             n = int(parts[1])
             if n > canon.MAX_VERTICES:
@@ -403,12 +409,9 @@ def parse_edge_lines(lines):
                 raise EdgeListFormatError(f"line {lineno}: edge before n line")
             if len(parts) != 3:
                 raise EdgeListFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise EdgeListFormatError(
-                    f"line {lineno}: non-integer endpoint"
-                ) from None
+            if not (_is_count(parts[1]) and _is_count(parts[2])):
+                raise EdgeListFormatError(f"line {lineno}: non-integer endpoint")
+            u, v = int(parts[1]), int(parts[2])
             if u == v:
                 raise EdgeListFormatError(f"line {lineno}: loop edge {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -427,8 +430,11 @@ def parse_edge_lines(lines):
 
 def load_edge_list(path):
     with open(path, encoding="utf-8") as fh:
-        # splitlines breaks a line where parse_edge_list would
-        return parse_edge_lines(part for raw in fh for part in raw.splitlines())
+        try:
+            # splitlines breaks a line where parse_edge_list would
+            return parse_edge_lines(part for raw in fh for part in raw.splitlines())
+        except UnicodeDecodeError as exc:
+            raise EdgeListFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def write_edge_list(g, fh):

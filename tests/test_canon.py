@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -308,14 +309,90 @@ def test_count_keys_sort_like_sorted_color_tuples():
             assert sorted(vectors, key=key) == sorted(vectors, key=colors)
 
 
+def _cells_of(colors):
+    """The color classes of colors as vertex masks, in color order."""
+    cells = {}
+    for v, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << v
+    return [cells[c] for c in sorted(cells)]
+
+
+def _colors_of(n, cells):
+    colors = [0] * n
+    for c, cell in enumerate(cells):
+        for v in range(n):
+            if cell >> v & 1:
+                colors[v] = c
+    return colors
+
+
+def _oracle_partition(n, out, inn, seed):
+    colors = sorted_signature_refine(n, out, inn, one_color_seed(seed, out, inn))
+    return _cells_of(colors)
+
+
 def _with_oracle(monkeypatch, fn, *args):
-    """fn(*args) under the sorted-signature refinement, from one color."""
-    monkeypatch.setattr(canon, "_refine", sorted_signature_refine)
-    monkeypatch.setattr(canon, "_seed", one_color_seed)
+    """fn(*args) under the sorted-signature refinement, from one color.
+
+    canon passes partitions as cell masks and the oracle works on color
+    lists, so the two patched functions convert at the boundary."""
+
+    def refine(n, out, inn, cells):
+        return _cells_of(sorted_signature_refine(n, out, inn, _colors_of(n, cells)))
+
+    def seed(seed_colors, out, inn=None):
+        return _cells_of(one_color_seed(seed_colors, out, inn))
+
+    monkeypatch.setattr(canon, "_refine", refine)
+    monkeypatch.setattr(canon, "_seed", seed)
     try:
         return fn(*args)
     finally:
         monkeypatch.undo()
+
+
+def _oracle_seeds(n):
+    seeds = [None, [v % 3 for v in range(n)]]
+    return seeds + [[v == root for v in range(n)] for root in range(n)]
+
+
+def test_partitions_match_the_sorted_signature_oracle():
+    # the partition itself, not only the codes built on it
+    checked = 0
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            adj = list(entry.graph.adj)
+            for seed in _oracle_seeds(n):
+                got = canon._refine(n, adj, None, canon._seed(seed, adj))
+                assert got == _oracle_partition(n, adj, None, seed), (adj, seed)
+                checked += 1
+            for masks in stream_masks(entry.graph):
+                out = list(masks)
+                inn = [sum(1 << u for u in range(n) if out[u] >> v & 1) for v in range(n)]
+                got = canon._refine(n, out, inn, canon._seed(None, out, inn))
+                assert got == _oracle_partition(n, out, inn, None), out
+                checked += 1
+    assert checked == sum(
+        (n + 2) * len(graphs_up_to_iso(n).entries) for n in range(1, 7)
+    ) + 8653  # the sum of tau over the classes with n <= 6
+
+
+def test_code_values_are_frozen():
+    # the oracle tests share canon's individualization, so they cannot
+    # see a change of code values that keeps codes canonical; class
+    # order, and so every aggregate byte, follows those values
+    codes = []
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            adj = list(entry.graph.adj)
+            codes += [graph_code(n, adj, seed) for seed in _oracle_seeds(n)]
+            if n <= 5:
+                codes += [digraph_code(n, list(m)) for m in stream_masks(entry.graph)]
+    digest = hashlib.sha256(repr(sorted(codes)).encode()).hexdigest()
+    assert (len(codes), digest) == (
+        2611,
+        "1d32c48ddaf0c83404f642ed50a06050ae46ef1cf252695a64889522ea2292f8",
+    )
 
 
 def test_graph_codes_and_groups_match_the_sorted_signature_oracle(monkeypatch):
@@ -323,9 +400,7 @@ def test_graph_codes_and_groups_match_the_sorted_signature_oracle(monkeypatch):
     for n in range(1, 7):
         for entry in graphs_up_to_iso(n).entries:
             adj = entry.graph.adj
-            seeds = [None, [v % 3 for v in range(n)]]
-            seeds += [[v == root for v in range(n)] for root in range(n)]
-            for seed in seeds:
+            for seed in _oracle_seeds(n):
                 for fn in (graph_code, canon.automorphisms):
                     want = _with_oracle(monkeypatch, fn, n, adj, seed)
                     assert fn(n, adj, seed) == want, (fn.__name__, adj, seed)

@@ -90,6 +90,28 @@ def test_count_input_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "source",
+    [
+        "K\u00b2",
+        "K\u0661",
+        b"n \xc2\xb2\n",  # n followed by a superscript two
+        b"n 3\ne 0 \xd9\xa1\n",  # an Arabic-Indic one as an endpoint
+        b"n 3\ne 0 1 # \xff\xfe\n",  # not UTF-8
+    ],
+)
+def test_hostile_digits_and_bytes_are_input_errors(capsys, tmp_path, source):
+    if isinstance(source, bytes):
+        path = tmp_path / "g.txt"
+        path.write_bytes(source)
+        argv = ("count", "--file", str(path))
+    else:
+        argv = ("count", source)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [("count", "K3000"), ("count", "box(K5,K5)"), ("enumerate", "N18")],
 )

@@ -41,7 +41,7 @@ def no_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the search ran")
 
-    for name in ("_Search", "_gen_masks", "_walk"):
+    for name in ("_Search", "stream_masks", "_walk"):
         monkeypatch.setattr(enumeration, name, refuse)
 
 

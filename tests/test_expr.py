@@ -139,3 +139,16 @@ def test_file_ref(tmp_path):
     path.write_text("n 3\ne 0 1\ne 1 2\n")
     g = build_graph(FileRef(str(path)))
     assert canonical_code(g) == canonical_code(build_graph(parse_graph_expr("P2")))
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [("K\u00b2", 1), ("K\u0661", 1), ("amalgam(K3@\u0660,K2@0)", 11)],
+)
+def test_integers_are_ascii_digits(text, offset):
+    # "\u00b2" (superscript two) passes str.isdigit but not int(), and
+    # int() reads "\u0661" (Arabic-Indic one) as 1
+    with pytest.raises(ExprError) as err:
+        parse_graph_expr(text)
+    assert err.value.code == "syntax-error"
+    assert err.value.offset == offset

@@ -271,3 +271,24 @@ def test_edge_list_file_is_read_line_by_line(tmp_path):
     want = parse_edge_list(path.read_text(encoding="utf-8"))
     assert load_edge_list(path) == want
     assert want.edges() == [(0, 1), (1, 2)]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "n \u00b2\n",  # superscript two: isdigit() is true, int() fails
+        "n \u0663\n",  # Arabic-Indic three: int() reads it as 3
+        "n 3\ne 0 \u0661\n",  # Arabic-Indic one
+        "n 3\ne 0 \u00b9\n",  # superscript one
+    ],
+)
+def test_edge_list_accepts_only_ascii_digits(text):
+    with pytest.raises(EdgeListFormatError):
+        parse_edge_list(text)
+
+
+def test_edge_list_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"n 3\ne 0 1 # \xff\xfe\n")
+    with pytest.raises(EdgeListFormatError, match="not UTF-8"):
+        load_edge_list(path)
