@@ -8,6 +8,7 @@ Machine-readable results go to stdout (a single JSON document under
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -35,12 +36,17 @@ def _dump(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def _int(text):
+    """An int option: ASCII decimal digits with an optional sign (int()
+    alone also reads other scripts' digits, underscores and spaces)."""
+    if not re.fullmatch(r"[-+]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _int_at_least(text, least=0):
     """An int option of at least `least` (0 for --budget-edges)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < least:
         raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
     return value
@@ -106,34 +112,43 @@ def _cmd_count(args):
     return 0
 
 
-def _dot_block(index, n, arcs):
-    lines = [f"digraph d{index} {{"]
-    for v in range(n):
-        lines.append(f"  {v};")
-    if arcs:
-        lines.append(arcs)
-    lines.append("}")
-    return "\n".join(lines)
+_BATCH = 512  # stream lines per sys.stdout.write
+
+
+class _RowText(dict):
+    """Out-mask -> the arcs out of vertex u as text, v ascending: the order
+    Digraph.arcs() sorts to.  Rows recur across leaves, so each is made once."""
+
+    def __init__(self, u, arc, sep):
+        self.u, self.arc, self.sep = u, arc, sep
+
+    def __missing__(self, mask):
+        arcs = (self.arc.format(self.u, v) for v in _bits(mask))
+        text = self[mask] = self.sep.join(arcs)
+        return text
 
 
 def _cmd_enumerate(args):
     g = _graph_from_args(args)
+    n = g.n
     # a bidirected pair renders as two arcs in either format
-    arc, sep = ("  {} -> {};", "\n") if args.dot else ("[{},{}]", ",")
-    rows = {}  # (u, out-mask) -> its arcs as text; rows recur across leaves
-    for index, masks in enumerate(stream_masks(g, args.budget_edges)):
-        parts = []
-        for u, mask in enumerate(masks):
-            if mask:
-                if (u, mask) not in rows:
-                    # u ascending, then v ascending: the order Digraph.arcs() sorts to
-                    rows[u, mask] = sep.join(arc.format(u, v) for v in _bits(mask))
-                parts.append(rows[u, mask])
-        arcs = sep.join(parts)
-        if args.dot:
-            print(_dot_block(index, g.n, arcs))
-        else:
-            print(f'{{"arcs":[{arcs}],"n":{g.n}}}')
+    arc, sep = ("  {} -> {};\n", "") if args.dot else ("[{},{}]", ",")
+    rows = [_RowText(u, arc, sep) for u in range(n)]
+    nodes = "".join(f"  {v};\n" for v in range(n))
+    batch = []
+    try:
+        for index, masks in enumerate(stream_masks(g, args.budget_edges)):
+            arcs = sep.join([row[mask] for row, mask in zip(rows, masks) if mask])
+            if args.dot:
+                batch.append(f"digraph d{index} {{\n{nodes}{arcs}}}\n")
+            else:
+                batch.append(f'{{"arcs":[{arcs}],"n":{n}}}\n')
+            if len(batch) == _BATCH:
+                text, batch = "".join(batch), []
+                sys.stdout.write(text)
+    finally:
+        # the lines before an error still reach stdout
+        sys.stdout.write("".join(batch))
     return 0
 
 
@@ -208,7 +223,7 @@ def _build_parser():
     enum.set_defaults(func=_cmd_enumerate)
 
     agg = sub.add_parser("aggregate", help="sum over all n-vertex graph classes")
-    agg.add_argument("-n", type=int, required=True)
+    agg.add_argument("-n", type=_int, required=True)
     agg.add_argument("--allow-large", action="store_true")
     common(agg)
     agg.set_defaults(func=_cmd_aggregate)

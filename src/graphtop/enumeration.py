@@ -54,15 +54,17 @@ def edge_order(g):
 
 
 class _Search:
-    """Mutable edge-state assignment with transitivity propagation.
+    """Edge-state assignment with transitivity propagation.
 
-    Three bitmask rows per vertex: out[v] and inn[v] hold the decided arcs
-    at v, and dec[v] the w whose edge {v, w} has a state.  They make the
-    consistency test of a new arc a fixed number of integer operations.
-    partners[k] lists the Gamma-partners of edge k = {u, v}: the edges
+    Two bitmask rows per vertex, out[v] and inn[v], hold the decided arcs
+    at v.  Every state carries an arc, so the w whose edge {v, w} has a
+    state are out[v] | inn[v].  The rows make the consistency test of an
+    edge a fixed number of integer operations; _walk places and removes
+    the states itself.  ends[k] is (u, v, 1 << u, 1 << v) for edge
+    k = {u, v}.  partners[k] lists the Gamma-partners of edge k: the edges
     {u, b} with b adjacent to u but not to v, and {v, b} with b adjacent
-    to v but not to u.  A graph with more edges than the budget is
-    refused before any work.
+    to v but not to u.  A graph with more edges than the budget is refused
+    before any work.
     """
 
     def __init__(self, g, budget=None):
@@ -77,6 +79,7 @@ class _Search:
         self.adj = g.adj
         self.edges = edge_order(g)
         self.eidx = {e: k for k, e in enumerate(self.edges)}
+        self.ends = [(u, v, 1 << u, 1 << v) for u, v in self.edges]
         self.partners = [
             [
                 self.eidx[(a, b) if a < b else (b, a)]
@@ -87,63 +90,27 @@ class _Search:
         ]
         self.out = [0] * g.n
         self.inn = [0] * g.n
-        self.dec = [0] * g.n
-        self.decided = [0] * len(self.edges)
-
-    def arc_ok(self, x, y):
-        """True iff a new arc x->y demands only arcs that may still exist.
-
-        w->x plus x->y demands w->y, and x->y plus y->z demands x->z: each
-        demanded arc must be an edge of the graph, and an edge already
-        decided must carry it.
-        """
-        w = self.inn[x] & ~(1 << y)
-        z = self.out[y] & ~(1 << x)
-        return not (
-            w & ~self.adj[y]
-            or w & self.dec[y] & ~self.inn[y]
-            or z & ~self.adj[x]
-            or z & self.dec[x] & ~self.out[x]
-        )
 
     def allowed(self, k):
-        """The states of edge k consistent with the decided arcs, in try order."""
-        u, v = self.edges[k]
-        fwd = self.arc_ok(u, v)
-        bwd = self.arc_ok(v, u)
-        # a direction the edge does not carry must not be demanded already
-        return _ALLOWED[
-            (fwd and not self.out[v] & self.inn[u])
-            | (bwd and not self.out[u] & self.inn[v]) << 1
-            | (fwd and bwd) << 2
-        ]
+        """The states of the undecided edge k = {u, v} consistent with the
+        decided arcs, in try order.
 
-    def apply(self, k, state):
-        """Set edge k to state, which the caller has found consistent."""
+        An arc u->v demands w->v for every w->u and u->z for every v->z.
+        Each demanded arc must be an edge of the graph, and an edge already
+        decided must carry it.  Every state carries an arc, so the decided
+        edges that could miss one are those with v->w->u, and they must
+        carry both w->v and u->w.  The arc v->u is the mirror image.  A
+        direction the edge does not carry must not be demanded already.
+        """
         u, v = self.edges[k]
-        if state & FWD:
-            self.out[u] |= 1 << v
-            self.inn[v] |= 1 << u
-        if state & BWD:
-            self.out[v] |= 1 << u
-            self.inn[u] |= 1 << v
-        self.dec[u] |= 1 << v
-        self.dec[v] |= 1 << u
-        self.decided[k] = state
-
-    def undo(self, k):
-        """Clear the state of edge k; nothing happens if it has none."""
-        u, v = self.edges[k]
-        state = self.decided[k]
-        if state & FWD:
-            self.out[u] &= ~(1 << v)
-            self.inn[v] &= ~(1 << u)
-        if state & BWD:
-            self.out[v] &= ~(1 << u)
-            self.inn[u] &= ~(1 << v)
-        self.dec[u] &= ~(1 << v)
-        self.dec[v] &= ~(1 << u)
-        self.decided[k] = 0
+        adj, out, inn = self.adj, self.out, self.inn
+        ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
+        vu = ov & iu  # v->w->u: demands v->u
+        uv = ou & iv  # u->w->v: demands u->v
+        # k is undecided, so neither end is in the other's rows
+        fwd = not (iu & ~adj[v] or ov & ~adj[u] or vu & ~uv)
+        bwd = not (iv & ~adj[u] or ou & ~adj[v] or uv & ~vu)
+        return _ALLOWED[(fwd and not vu) | (bwd and not uv) << 1 | (fwd and bwd) << 2]
 
     def leaf_masks(self):
         out = tuple(self.out)
@@ -163,6 +130,19 @@ _ALLOWED = [
 
 _FLIP = {FWD: BWD, BWD: FWD, BOTH: BOTH}
 
+# the states left of each _ALLOWED entry to a block that only takes BOTH
+_BOTH_ONLY = {states: states[-1:] if BOTH in states else () for states in _ALLOWED}
+
+
+def _move(search, k, state, flip):
+    """Edge k set to state, mirrored if flip: (k, its state, u, v) and the
+    bits it sets in out[u], out[v], inn[u] and inn[v].  Edge k is undecided
+    before, so XOR with the same bits both places the state and removes it."""
+    state = _FLIP[state] if flip else state
+    u, v, bu, bv = search.ends[k]
+    fwd, bwd = state & FWD, state & BWD
+    return k, state, u, v, fwd and bv, bwd and bu, bwd and bv, fwd and bu
+
 
 def _walk(search, blocks):
     """Leaves of the search, depth first over blocks, as out-mask tuples.
@@ -171,24 +151,26 @@ def _walk(search, blocks):
     first member is unflipped and branches over the states allowed to it;
     every other member takes the same state, mirrored where flipped, if
     that state is allowed to it, and a block whose orbit closes flipped
-    only takes BOTH.  Explicit stacks replace recursion: todo[i] holds the
-    states block i has still to try, placed[i] whether any of its members
-    may be set.  watch[i] lists the Gamma-partners of block i's members
-    that lie in later blocks, so are still undecided once block i is
-    placed; a branch that leaves one of them no allowed state has no leaf
-    and is skipped.
+    only takes BOTH.  search.allowed is the one consistency test, for the
+    branching member, the followers and the lookahead; the loop places
+    and removes the states inline.  Explicit stacks replace recursion:
+    todo[i] holds the states block i has still to try, and placed[i] the
+    moves of the members it set, which removal XORs out again.  watch[i]
+    lists the Gamma-partners of block i's members in later blocks, still
+    undecided once block i is placed; a branch that leaves one of them no
+    allowed state has no leaf and is skipped.
     """
     last = len(blocks)
     if not last:
         yield search.leaf_masks()
         return
-    allowed, apply, undo = search.allowed, search.apply, search.undo
-    reps = [members[0][0] for members, _ in blocks]
+    allowed, out, inn = search.allowed, search.out, search.inn
     block_edges = [[k for k, _ in members] for members, _ in blocks]
-    follow = [
-        {s: [(k, _FLIP[s] if flip else s) for k, flip in members[1:]] for s in _FLIP}
-        if len(members) > 1
-        else None
+    reps = [ks[0] for ks in block_edges]
+    only_both = [flip for _, flip in blocks]
+    # moves[i][s]: block i's members as they are set when it takes state s
+    moves = [
+        {s: tuple(_move(search, k, s, flip) for k, flip in members) for s in _FLIP}
         for members, _ in blocks
     ]
     block_of = {k: i for i, ks in enumerate(block_edges) for k in ks}
@@ -197,47 +179,50 @@ def _walk(search, blocks):
         for i, ks in enumerate(block_edges)
     ]
 
-    def follows(moves):
-        """Set each (edge, state) while the state is allowed; False at the
-        first that is not."""
-        for k, s in moves:
-            if s not in allowed(k):
-                return False
-            apply(k, s)
-        return True
-
-    def options(i):
-        states = allowed(reps[i])
-        if blocks[i][1]:
-            return iter((BOTH,) if BOTH in states else ())
-        return iter(states)
-
     todo = [None] * last
-    placed = [False] * last
+    placed = [()] * last
     i = 0
-    todo[i] = options(i)
+    states = allowed(reps[0])
+    todo[0] = iter(_BOTH_ONLY[states] if only_both[0] else states)
     while True:
-        if placed[i]:
-            for k in block_edges[i]:
-                undo(k)
-            placed[i] = False
+        for _, _, u, v, ou, ov, iu, iv in placed[i]:
+            out[u] ^= ou
+            out[v] ^= ov
+            inn[u] ^= iu
+            inn[v] ^= iv
         state = next(todo[i], 0)
         if not state:
             if i == 0:
                 return
             i -= 1
             continue
-        apply(reps[i], state)
-        placed[i] = True
-        if follow[i] and not follows(follow[i][state]):
-            continue  # the members set so far are undone at the loop top
-        if watch[i] and not all(map(allowed, watch[i])):
-            continue  # a later edge has no state left in any completion
-        if i + 1 == last:
-            yield search.leaf_masks()
+        placed[i] = block = moves[i][state]
+        _, _, u, v, ou, ov, iu, iv = block[0]
+        out[u] ^= ou
+        out[v] ^= ov
+        inn[u] ^= iu
+        inn[v] ^= iv
+        # a follower's state must be allowed to it, or the block has no
+        # such state
+        for j in range(1, len(block)):
+            k, s, u, v, ou, ov, iu, iv = block[j]
+            if s not in allowed(k):
+                placed[i] = block[:j]  # removed at the loop top
+                break
+            out[u] ^= ou
+            out[v] ^= ov
+            inn[u] ^= iu
+            inn[v] ^= iv
         else:
-            i += 1
-            todo[i] = options(i)
+            if watch[i] and not all(map(allowed, watch[i])):
+                continue  # a later edge has no state left in any completion
+            if i + 1 == last:
+                yield search.leaf_masks()
+            else:
+                i += 1
+                placed[i] = ()
+                states = allowed(reps[i])
+                todo[i] = iter(_BOTH_ONLY[states] if only_both[i] else states)
 
 
 def stream_masks(g, budget_edges=None):

@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -189,6 +191,39 @@ def test_enumerate_renders_the_library_stream(capsys, expr):
     )
 
 
+def test_enumerate_closed_stdout_is_one_error_line(capsys, monkeypatch):
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["enumerate", "K7"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def test_enumerate_error_keeps_the_lines_before_it(capsys, monkeypatch):
+    """A leaf that fails the transitivity check stops the stream with exit
+    2, and every line before it is on stdout."""
+    real = enumeration.transitive_masks
+    leaves = 0
+
+    def fail_at_leaf_600(n, out):
+        nonlocal leaves
+        leaves += 1
+        return leaves < 600 and real(n, out)
+
+    monkeypatch.setattr(enumeration, "transitive_masks", fail_at_leaf_600)
+    code, out, err = run_cli(capsys, "enumerate", "K7")
+    assert code == 2 and err.startswith("internal error:")
+    assert len(out.splitlines()) == 599
+    # the first 599 lines of the frozen enumerate K7 stream
+    want = "c9220f35805fbd2975d5f3379959734cd5f8f7aa0d55b418cfa5a9fa62a085a8"
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_aggregate_json(capsys):
     code, out, _ = run_cli(capsys, "aggregate", "-n", "3", "--json")
     assert code == 0
@@ -217,8 +252,9 @@ def test_aggregate_csv(capsys):
 
 def test_aggregate_guards(capsys):
     assert run_cli(capsys, "aggregate", "-n", "7")[0] == 1  # needs --allow-large
-    assert run_cli(capsys, "aggregate", "-n", "9", "--allow-large")[0] == 1
-    assert run_cli(capsys, "aggregate", "-n", "0")[0] == 1
+    for value in ("9", "0", "-1"):
+        code, out, err = run_cli(capsys, "aggregate", "-n", value, "--allow-large")
+        assert (code, out, err) == (1, "", "error: -n must be between 1 and 7\n")
 
 
 def test_verify_oracles_pass(capsys):
@@ -240,6 +276,24 @@ def test_workers_below_one_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "count", "K3", "--workers", value)
         assert code == 1 and out == ""
         assert "--workers" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aggregate", "-n", "\u0663"),  # Arabic-Indic three
+        ("aggregate", "-n", "\u00b3"),  # superscript three
+        ("aggregate", "-n", "1_0"),
+        ("count", "K3", "--workers", "\u0662"),
+        ("count", "K3", "--workers", " 2"),
+        ("count", "K3", "--budget-edges", "\u0662\u0660"),
+    ],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"argument {argv[-2]}:" in err
 
 
 @pytest.mark.parametrize(
