@@ -79,7 +79,7 @@ def class_counts(g, budget_edges=None):
 
     One walk of the modular-decomposition tree gives |Aut|, tau and h.
     One pass over the stream gives tau and h again, as its length and
-    its number of canonical digraph codes.  For disconnected graphs the
+    its number of Aut(g)-orbits.  For disconnected graphs the
     multiplicative component rule is checked as well.  Any disagreement
     raises, never resolves silently.
     """

@@ -226,10 +226,12 @@ def _walk(search, blocks):
 
 
 def stream_masks(g, budget_edges=None):
-    """Raw out-mask tuples of the stream, in deterministic order."""
+    """Raw out-mask tuples of the stream, in deterministic order.  The
+    edge budget is checked on the call, before the first leaf is asked
+    for."""
     # the identity's edge orbits are the single edges, unflipped
     search = _Search(g, budget_edges)
-    yield from _walk(search, _edge_orbits(search, range(g.n)))
+    return _walk(search, _edge_orbits(search, range(g.n)))
 
 
 def enumerate_transitive_digraphs(g, budget_edges=None):
@@ -334,18 +336,93 @@ def h_burnside(g, budget_edges=None):
     return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
 
 
+def _generators(group):
+    """A generating set of the listed group, picked greedily from it: each
+    element the set does not generate yet joins it.  Raises unless the set
+    generates exactly the listing.
+
+    The generated group grows by right cosets of the one before it
+    (Dimino's algorithm).  With (r*s)[v] = r[s[v]], the coset of rep r
+    times a generator s is the coset of r*s, so the cosets are closed
+    under the generators once every rep has met every generator.
+    """
+    identity = tuple(range(len(group[0])))
+    gens = []
+    span = {identity}
+    for sigma in group:
+        if sigma in span:
+            continue
+        gens.append(sigma)
+        before = list(span)
+        reps = [identity]
+        for r in reps:
+            for s in gens:
+                rs = tuple([r[v] for v in s])
+                if rs not in span:
+                    reps.append(rs)
+                    span.update(tuple([h[v] for v in rs]) for h in before)
+    if span != set(group):
+        raise InternalCheckError(
+            f"{len(gens)} generators give {len(span)} permutations, "
+            f"not the {len(group)} listed"
+        )
+    return gens
+
+
+class _RowImage(dict):
+    """Out-mask -> its image under sigma.  Rows recur across leaves, so
+    each is mapped once."""
+
+    def __init__(self, sigma):
+        self.sigma = sigma
+
+    def __missing__(self, mask):
+        image = self[mask] = sum(1 << self.sigma[v] for v in _bits(mask))
+        return image
+
+
 def stream_counts(g, budget_edges=None):
     """(tau, h) from one pass over the stream.
 
-    tau is the stream length and h the number of distinct canonical
-    digraph codes in it.
+    tau is the stream length.  An isomorphism between two transitive
+    digraphs over g is an automorphism of g, so h is the number of
+    Aut(g)-orbits on the stream.  A leaf that no earlier orbit holds
+    starts a new one, closed under a generating set of Aut(g); its other
+    members wait in a pending set until the stream reaches them.  The
+    stream is closed under Aut(g), so the pending set must end empty.
+    Aut(g) is listed, so this raises SizeBoundExceeded when |Aut(g)|
+    exceeds canon.MAX_AUT_ORDER, as burnside and h_burnside do.
     """
-    t = 0
-    codes = set()
-    for masks in stream_masks(g, budget_edges):
+    stream = stream_masks(g, budget_edges)  # the budget before the listing
+    maps = []
+    for sigma in _generators(automorphism_group(g)):
+        inverse = [0] * g.n
+        for u, v in enumerate(sigma):
+            inverse[v] = u
+        maps.append((_RowImage(sigma), inverse))
+    t = h = 0
+    pending = set()
+    for masks in stream:
         t += 1
-        codes.add(canon.digraph_code(g.n, masks))
-    return t, len(codes)
+        if masks in pending:
+            pending.remove(masks)
+            continue
+        h += 1
+        orbit = [masks]
+        members = {masks}
+        for d in orbit:
+            for row, inverse in maps:
+                image = tuple([row[d[u]] for u in inverse])
+                if image not in members:
+                    members.add(image)
+                    orbit.append(image)
+        members.remove(masks)
+        pending |= members
+    if pending:
+        raise InternalCheckError(
+            f"{len(pending)} images under Aut(g) are missing from the stream"
+        )
+    return t, h
 
 
 def tau_sink(g, u, budget_edges=None):

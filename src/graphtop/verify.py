@@ -11,12 +11,14 @@ import sys
 
 from . import formulas
 from .aggregate import aggregate_counts, graphs_up_to_iso
+from .canon import digraph_code
 from .decomposition import tree_counts
 from .enumeration import (
     burnside,
     counts_for,
     enumerate_transitive_digraphs,
     stream_counts,
+    stream_masks,
 )
 from .errors import InternalCheckError
 from .graphs import (
@@ -65,14 +67,18 @@ class _Report:
 
 
 def _engine_counts(report, name, g, budget=None):
-    """(tau, h) from the engine, with the two class counters compared
-    (Burnside over the listed group, each non-identity term from the
-    fix_count search, against canonical codes), and the tree's (|Aut|,
-    tau, h) compared with the listed group's order and both counters."""
-    t, by_codes = stream_counts(g, budget)
+    """(tau, h) from the engine, with the three class counters compared:
+    Burnside over the listed group, each non-identity term from the
+    fix_count search, against the distinct canonical digraph codes of
+    the stream, and those codes against stream_counts' Aut(g)-orbits.
+    The tree's (|Aut|, tau, h) is compared with the listed group's order,
+    the stream length and the code count."""
+    t, by_stream_orbits = stream_counts(g, budget)
+    by_codes = len({digraph_code(g.n, masks) for masks in stream_masks(g, budget)})
     auts = automorphism_group(g)
     by_orbits = burnside(g, auts, t, budget)
     report.check(f"{name}-orbit-agreement", by_orbits, by_codes)
+    report.check(f"{name}-code-agreement", by_codes, by_stream_orbits)
     report.check(f"{name}-tree-agreement", tree_counts(g), (len(auts), t, by_codes))
     return t, by_codes
 

@@ -2,6 +2,7 @@ import pytest
 
 from graphtop import (
     Digraph,
+    canon,
     enumeration,
     Graph,
     automorphism_group,
@@ -16,6 +17,7 @@ from graphtop import (
     h_burnside,
     h_sink,
     is_transitive,
+    null_graph,
     path_graph,
     stream_counts,
     tau,
@@ -30,6 +32,7 @@ from graphtop.errors import (
     BudgetExceeded,
     InternalCheckError,
     NotAnAutomorphism,
+    SizeBoundExceeded,
     VertexOutOfRange,
 )
 from graphtop.expr import build_graph, parse_graph_expr
@@ -199,7 +202,7 @@ def _small_classes_and_k6():
 
 
 def test_stream_counts_is_tau_and_h_classes():
-    for g in _small_classes_and_k6():
+    for g in (e.graph for n in range(7) for e in graphs_up_to_iso(n).entries):
         codes = {digraph_code(g.n, masks) for masks in stream_masks(g)}
         assert stream_counts(g) == (tau(g), len(codes)), g.edges()
 
@@ -220,6 +223,50 @@ def test_h_classes_values():
     assert stream_counts(complete_graph(4))[1] == 8
     assert stream_counts(wheel_graph(7))[1] == 2
     assert stream_counts(cycle_graph(6))[1] == 1
+
+
+def test_stream_counts_makes_no_digraph_code_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("digraph_code ran")
+
+    monkeypatch.setattr(canon, "digraph_code", refuse)
+    assert stream_counts(complete_graph(4)) == (75, 8)
+    assert stream_counts(wheel_graph(5)) == (6, 3)
+    assert stream_counts(complete_graph(6)) == (4683, 32)
+
+
+@pytest.mark.parametrize("dropped", [0, 40])
+def test_stream_counts_raises_on_a_leaf_missing_from_the_stream(monkeypatch, dropped):
+    """An orbit that the stream leaves incomplete is an error, not a
+    smaller h: the dropped K4 leaves lie in orbits of more than one
+    member."""
+    stream = list(stream_masks(complete_graph(4)))
+    kept = stream[:dropped] + stream[dropped + 1 :]
+    monkeypatch.setattr(enumeration, "stream_masks", lambda g, budget=None: iter(kept))
+    with pytest.raises(InternalCheckError, match="missing from the stream"):
+        stream_counts(complete_graph(4))
+
+
+def test_stream_counts_raises_on_generators_short_of_the_listing(monkeypatch):
+    """A listing that is not a group has no generating set that closes
+    to it."""
+    group = automorphism_group(complete_graph(4))
+    monkeypatch.setattr(enumeration, "automorphism_group", lambda g: group[:-1])
+    with pytest.raises(InternalCheckError, match="not the 23 listed"):
+        stream_counts(complete_graph(4))
+
+
+def test_stream_counts_lists_aut_under_its_bound(monkeypatch):
+    with pytest.raises(SizeBoundExceeded, match=r"\|Aut\| exceeds .* bound 362880"):
+        stream_counts(null_graph(10))
+
+    # the edge budget is checked before the group is listed
+    def refuse(g):
+        raise AssertionError("Aut(g) was listed")
+
+    monkeypatch.setattr(enumeration, "automorphism_group", refuse)
+    with pytest.raises(BudgetExceeded):
+        stream_counts(complete_graph(9))
 
 
 def test_sink_counts():
