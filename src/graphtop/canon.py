@@ -18,13 +18,15 @@ count keys sort exactly like the sorted neighbour colors of textbook
 refinement, so cells, codes and groups match it.
 """
 
+from math import prod
+
 from .errors import SizeBoundExceeded
 
 MAX_VERTICES = 16
 # automorphisms lists the group element by element, so |Aut| is bounded:
-# 9! admits every graph on up to 9 vertices and stops N16 (16!) early.
-# Counting lists no whole group; only the reference routes and the small
-# groups of prime quotients in the decomposition tree meet the bound
+# 9! admits every graph on up to 9 vertices and stops N16 (16!) before an
+# element is built.  Only the reference routes and the prime quotients of
+# the decomposition tree list a group; orbit counts use generators.
 MAX_AUT_ORDER = 362880
 
 
@@ -173,14 +175,18 @@ def decode_graph_code(code):
     return n, tuple(adj)
 
 
-def automorphisms(n, adj, seed_colors=None):
-    """All adjacency-preserving permutations of 0..n-1, sorted.
+def _chain(n, adj, seed_colors):
+    """(generators, orbits): a stabiliser chain of the automorphisms of
+    adj, colour-preserving with seed_colors as in graph_code.
 
-    Vertices are matched within refinement cells only, most-constrained
-    cells first, with incremental adjacency checks pruning the search.
-    With seed_colors, only color-preserving permutations are listed, as
-    in graph_code.  Raises SizeBoundExceeded as soon as more than
-    MAX_AUT_ORDER are found.
+    The base is every vertex, refinement cells smallest first.  Levels are
+    filled deepest first, so at level k every generator found so far
+    fixes base[:k] pointwise.  The orbit of base[k] under them is closed,
+    and each point of base[k]'s cell that it misses is searched for once:
+    the first automorphism that fixes base[:k] and carries base[k] there
+    joins the generators.  Each orbit maps its points to one element that
+    carries base[k] there; the orbits come deepest level first, and the
+    product of their sizes is |Aut|.
     """
     _check_size(n)
     cells = _refine(n, adj, None, _seed(seed_colors, adj))
@@ -189,43 +195,69 @@ def automorphisms(n, adj, seed_colors=None):
         for v in _bits(c):
             cell[v] = c
     # smallest cells first; the sort is stable, so ties keep color order
-    order = [v for c in sorted(cells, key=int.bit_count) for v in _bits(c)]
+    base = [v for c in sorted(cells, key=int.bit_count) for v in _bits(c)]
+    identity = tuple(range(n))
+    image = list(identity)
 
-    image = [-1] * n
-    used = [False] * n
-    placed = []
-    found = []
-
-    def place(k):
+    def extend(k, placed, used, only):
+        """Complete image on base[:k] (placed, onto used) to an
+        automorphism with image[base[k]] in only; True at the first."""
         if k == n:
-            found.append(tuple(image))
-            if len(found) > MAX_AUT_ORDER:
-                raise SizeBoundExceeded(
-                    f"|Aut| exceeds the supported bound {MAX_AUT_ORDER}"
-                )
-            return
-        v = order[k]
-        for w in _bits(cell[v]):
-            if used[w]:
-                continue
-            ok = True
-            for u in placed:
-                if (adj[v] >> u & 1) != (adj[w] >> image[u] & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            image[v] = w
-            used[w] = True
-            placed.append(v)
-            place(k + 1)
-            placed.pop()
-            used[w] = False
-            image[v] = -1
+            return True
+        v = base[k]
+        want = 0
+        for u in _bits(adj[v] & placed):
+            want |= 1 << image[u]
+        for w in _bits(cell[v] & only & ~used):
+            if adj[w] & used == want:
+                image[v] = w
+                if extend(k + 1, placed | 1 << v, used | 1 << w, -1):
+                    return True
+        return False
 
-    place(0)
-    found.sort()
-    return found
+    gens = []
+    orbits = []
+    for k in reversed(range(n)):
+        b = base[k]
+        fixed = sum(1 << u for u in base[:k])
+        orbit = {b: identity}
+        for w in _bits(cell[b]):
+            if w in orbit or not extend(k, fixed, fixed, 1 << w):
+                continue
+            gens.append(tuple(image))
+            todo = list(orbit)
+            for p in todo:
+                for s in gens:
+                    if s[p] not in orbit:
+                        orbit[s[p]] = tuple([s[x] for x in orbit[p]])
+                        todo.append(s[p])
+        orbits.append(orbit)
+    return gens, orbits
+
+
+def generators(n, adj, seed_colors=None):
+    """A generating set of the automorphisms of adj, colour-preserving
+    with seed_colors; empty for the trivial group.  No group is listed."""
+    return _chain(n, adj, seed_colors)[0]
+
+
+def automorphisms(n, adj, seed_colors=None):
+    """All adjacency-preserving permutations of 0..n-1, sorted.
+
+    The listing is the product of the stabiliser chain's orbits.  With
+    seed_colors, only color-preserving permutations are listed, as in
+    graph_code.  Raises SizeBoundExceeded, before any element is built,
+    when |Aut| exceeds MAX_AUT_ORDER.
+    """
+    orbits = _chain(n, adj, seed_colors)[1]
+    if prod(map(len, orbits)) > MAX_AUT_ORDER:
+        raise SizeBoundExceeded(f"|Aut| exceeds the supported bound {MAX_AUT_ORDER}")
+    group = [tuple(range(n))]
+    for orbit in orbits:
+        if len(orbit) > 1:
+            group = [tuple([t[x] for x in h]) for t in orbit.values() for h in group]
+    group.sort()
+    return group
 
 
 def conjugacy_classes(group):

@@ -336,39 +336,6 @@ def h_burnside(g, budget_edges=None):
     return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
 
 
-def _generators(group):
-    """A generating set of the listed group, picked greedily from it: each
-    element the set does not generate yet joins it.  Raises unless the set
-    generates exactly the listing.
-
-    The generated group grows by right cosets of the one before it
-    (Dimino's algorithm).  With (r*s)[v] = r[s[v]], the coset of rep r
-    times a generator s is the coset of r*s, so the cosets are closed
-    under the generators once every rep has met every generator.
-    """
-    identity = tuple(range(len(group[0])))
-    gens = []
-    span = {identity}
-    for sigma in group:
-        if sigma in span:
-            continue
-        gens.append(sigma)
-        before = list(span)
-        reps = [identity]
-        for r in reps:
-            for s in gens:
-                rs = tuple([r[v] for v in s])
-                if rs not in span:
-                    reps.append(rs)
-                    span.update(tuple([h[v] for v in rs]) for h in before)
-    if span != set(group):
-        raise InternalCheckError(
-            f"{len(gens)} generators give {len(span)} permutations, "
-            f"not the {len(group)} listed"
-        )
-    return gens
-
-
 class _RowImage(dict):
     """Out-mask -> its image under sigma.  Rows recur across leaves, so
     each is mapped once."""
@@ -381,22 +348,18 @@ class _RowImage(dict):
         return image
 
 
-def stream_counts(g, budget_edges=None):
-    """(tau, h) from one pass over the stream.
+def _orbit_count(n, stream, gens):
+    """(length, orbits) of a stream of out-mask tuples on n vertices that
+    is closed under the group generated by gens.
 
-    tau is the stream length.  An isomorphism between two transitive
-    digraphs over g is an automorphism of g, so h is the number of
-    Aut(g)-orbits on the stream.  A leaf that no earlier orbit holds
-    starts a new one, closed under a generating set of Aut(g); its other
-    members wait in a pending set until the stream reaches them.  The
-    stream is closed under Aut(g), so the pending set must end empty.
-    Aut(g) is listed, so this raises SizeBoundExceeded when |Aut(g)|
-    exceeds canon.MAX_AUT_ORDER, as burnside and h_burnside do.
+    A member that no earlier orbit holds starts a new one, closed under
+    gens; its other members wait in a pending set until the stream
+    reaches them.  The stream is closed under the group, so the pending
+    set must end empty.
     """
-    stream = stream_masks(g, budget_edges)  # the budget before the listing
     maps = []
-    for sigma in _generators(automorphism_group(g)):
-        inverse = [0] * g.n
+    for sigma in gens:
+        inverse = [0] * n
         for u, v in enumerate(sigma):
             inverse[v] = u
         maps.append((_RowImage(sigma), inverse))
@@ -420,9 +383,21 @@ def stream_counts(g, budget_edges=None):
         pending |= members
     if pending:
         raise InternalCheckError(
-            f"{len(pending)} images under Aut(g) are missing from the stream"
+            f"{len(pending)} images under the group are missing from the stream"
         )
     return t, h
+
+
+def stream_counts(g, budget_edges=None):
+    """(tau, h) from one pass over the stream.
+
+    tau is the stream length.  An isomorphism between two transitive
+    digraphs over g is an automorphism of g, so h is the number of
+    Aut(g)-orbits on the stream, closed under canon's generators of
+    Aut(g).  No group is listed, so no bound on |Aut(g)| applies.
+    """
+    stream = stream_masks(g, budget_edges)  # the budget before the generators
+    return _orbit_count(g.n, stream, canon.generators(g.n, g.adj))
 
 
 def tau_sink(g, u, budget_edges=None):
@@ -432,20 +407,12 @@ def tau_sink(g, u, budget_edges=None):
 
 
 def h_sink(g, u, budget_edges=None):
-    """Orbits of the sink-at-u digraphs under automorphisms fixing u."""
+    """Orbits of the sink-at-u digraphs under automorphisms fixing u: the
+    automorphisms that keep u as its own colour."""
     g._check_vertex(u)
-    stab = [s for s in automorphism_group(g) if s[u] == u]
-    sinks = [masks for masks in stream_masks(g, budget_edges) if not masks[u]]
-    seen = set()
-    orbits = 0
-    for masks in sinks:
-        if masks in seen:
-            continue
-        orbits += 1
-        d = Digraph(g.n, masks)
-        for s in stab:
-            seen.add(d.relabel(s).out)
-    return orbits
+    sinks = (masks for masks in stream_masks(g, budget_edges) if not masks[u])
+    stab = canon.generators(g.n, g.adj, [v == u for v in range(g.n)])
+    return _orbit_count(g.n, sinks, stab)[1]
 
 
 @dataclass

@@ -70,7 +70,8 @@ def _engine_counts(report, name, g, budget=None):
     """(tau, h) from the engine, with the three class counters compared:
     Burnside over the listed group, each non-identity term from the
     fix_count search, against the distinct canonical digraph codes of
-    the stream, and those codes against stream_counts' Aut(g)-orbits.
+    the stream, and those codes against stream_counts' Aut(g)-orbits
+    under canon's generators.  Aut(g) is listed once, for Burnside.
     The tree's (|Aut|, tau, h) is compared with the listed group's order,
     the stream length and the code count."""
     t, by_stream_orbits = stream_counts(g, budget)

@@ -76,6 +76,32 @@ def brute_automorphisms(g):
     return auts
 
 
+def dimino_closure(gens, n):
+    """The set of permutations of range(n) that gens generate.
+
+    The generated group grows by right cosets of the one before it
+    (Dimino's algorithm).  With (r*s)[v] = r[s[v]], the coset of rep r
+    times a generator s is the coset of r*s, so the cosets are closed
+    under the generators once every rep has met every generator.
+    """
+    identity = tuple(range(n))
+    span = {identity}
+    used = []
+    for sigma in gens:
+        if sigma in span:
+            continue
+        used.append(sigma)
+        before = list(span)
+        reps = [identity]
+        for r in reps:
+            for s in used:
+                rs = tuple([r[v] for v in s])
+                if rs not in span:
+                    reps.append(rs)
+                    span.update(tuple([h[v] for v in rs]) for h in before)
+    return span
+
+
 def conjugate(sigma, t):
     """t o sigma o t^-1, built from an explicit inverse of t."""
     inverse = [0] * len(t)

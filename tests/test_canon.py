@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from math import prod
 
 import pytest
 
@@ -30,6 +31,7 @@ from conftest import (
     brute_automorphisms,
     brute_digraph_isomorphic,
     conjugate,
+    dimino_closure,
     one_color_seed,
     paw,
     random_graph,
@@ -61,6 +63,30 @@ def test_automorphism_orders():
 )
 def test_automorphisms_match_brute_force(g):
     assert automorphism_group(g) == sorted(brute_automorphisms(g))
+
+
+def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
+    """On every class with n <= 6, unseeded and with each vertex as its
+    own colour: the listing is the brute-force group, or the stabiliser
+    of the seeded vertex in it; the generators close to exactly the
+    listing; and the chain's orbit sizes multiply to its length."""
+    checked = 0
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            brute = sorted(brute_automorphisms(g))
+            for root in [None, *range(n)]:
+                seed = None if root is None else [v == root for v in range(n)]
+                group = canon.automorphisms(n, g.adj, seed)
+                assert group == [s for s in brute if root is None or s[root] == root]
+                gens, orbits = canon._chain(n, g.adj, seed)
+                assert canon.generators(n, g.adj, seed) == gens
+                assert dimino_closure(gens, n) == set(group)
+                assert prod(map(len, orbits)) == len(group)
+                checked += 1
+    assert checked == sum(
+        (n + 1) * len(graphs_up_to_iso(n).entries) for n in range(1, 7)
+    )
 
 
 def test_automorphism_group_axioms():

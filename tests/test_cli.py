@@ -373,6 +373,18 @@ def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):
     assert run_cli(capsys, "count", "K4")[0] == 0
 
 
+@pytest.mark.parametrize("k", [6, 8])
+def test_count_on_a_large_complete_bipartite_graph(capsys, tmp_path, k):
+    """K6,6 and K8,8: |Aut| = 2 (k!)^2 is past canon.MAX_AUT_ORDER, and the
+    bipartite closed form asks canon's generators whether the parts swap."""
+    path = tmp_path / "kkk.txt"
+    edges = "".join(f"e {u} {v}\n" for u in range(k) for v in range(k, 2 * k))
+    path.write_text(f"n {2 * k}\n{edges}")
+    code, out, err = run_cli(capsys, "count", "--file", str(path))
+    assert code == 0, err
+    assert out.rstrip().endswith("tau=2 h=1 (closed form: bipartite)")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()

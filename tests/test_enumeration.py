@@ -36,6 +36,8 @@ from graphtop.errors import (
     VertexOutOfRange,
 )
 from graphtop.expr import build_graph, parse_graph_expr
+from graphtop.formulas import cut_vertex_counts
+from graphtop.graphs import is_reflexible
 
 from conftest import (
     bowtie,
@@ -247,24 +249,25 @@ def test_stream_counts_raises_on_a_leaf_missing_from_the_stream(monkeypatch, dro
         stream_counts(complete_graph(4))
 
 
-def test_stream_counts_raises_on_generators_short_of_the_listing(monkeypatch):
-    """A listing that is not a group has no generating set that closes
-    to it."""
-    group = automorphism_group(complete_graph(4))
-    monkeypatch.setattr(enumeration, "automorphism_group", lambda g: group[:-1])
-    with pytest.raises(InternalCheckError, match="not the 23 listed"):
-        stream_counts(complete_graph(4))
-
-
-def test_stream_counts_lists_aut_under_its_bound(monkeypatch):
+def test_stream_counts_h_sink_and_is_reflexible_list_no_group(monkeypatch):
+    """Orbits close under canon's generators, so |Aut| has no bound
+    here: 10! and 16! are past canon.MAX_AUT_ORDER."""
     with pytest.raises(SizeBoundExceeded, match=r"\|Aut\| exceeds .* bound 362880"):
-        stream_counts(null_graph(10))
+        automorphism_group(null_graph(10))
 
-    # the edge budget is checked before the group is listed
-    def refuse(g):
-        raise AssertionError("Aut(g) was listed")
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was listed")
 
-    monkeypatch.setattr(enumeration, "automorphism_group", refuse)
+    monkeypatch.setattr(canon, "automorphisms", refuse)
+    assert stream_counts(null_graph(10)) == (1, 1)
+    assert stream_counts(null_graph(16)) == (1, 1)
+    result = cut_vertex_counts(star(10), 0)  # the stabiliser of the hub is S10
+    assert (result.tau, result.h) == (2, 2)
+    k88 = Graph.from_edges(16, [(u, v) for u in range(8) for v in range(8, 16)])
+    assert is_reflexible(k88) and not is_reflexible(star(10))
+
+    # the edge budget is checked before the generators are asked for
+    monkeypatch.setattr(canon, "generators", refuse)
     with pytest.raises(BudgetExceeded):
         stream_counts(complete_graph(9))
 
