@@ -16,11 +16,10 @@ from .enumeration import (
     enumerate_transitive_digraphs,
     fix_count,
     h_burnside,
-    h_sink,
     is_transitive,
+    sink_counts,
     stream_counts,
     tau,
-    tau_sink,
 )
 from .expr import build_graph, expr_to_text, parse_graph_expr
 from .formulas import (

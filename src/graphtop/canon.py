@@ -2,13 +2,13 @@
 
 Everything here works on raw per-vertex neighbor masks so the same
 machinery serves simple graphs (symmetric masks) and digraphs (out
-masks).  Codes are produced by iterated color refinement plus vertex
-individualization: refinement partitions the vertices into cells that
-any isomorphism must respect, and the code is the lexicographically
-least adjacency encoding over all cell-respecting vertex orders.  When
-refinement gets stuck, one vertex of the first non-singleton cell is
-split off (every choice is tried), which keeps the number of explored
-orders tiny for the sizes this package handles.
+masks).  One individualization-refinement walk, after nauty and Traces
+(McKay and Piperno 2014), gives the code, generators of the automorphisms
+and a base.  Refinement partitions the vertices into cells that any
+isomorphism must respect; when it gets stuck, each vertex of the first
+non-singleton cell is split off in turn.  The code is the least
+adjacency encoding over the leaves' vertex orders, and leaves with equal
+codes give the automorphisms that prune the walk.
 
 A partition is a list of vertex masks, one per cell in color order, from
 the seed to the leaves; individualizing v puts the cell {v} just before
@@ -28,11 +28,6 @@ MAX_VERTICES = 16
 # element is built.  Only the reference routes and the prime quotients of
 # the decomposition tree list a group; orbit counts use generators.
 MAX_AUT_ORDER = 362880
-
-
-def _check_size(n):
-    if n > MAX_VERTICES:
-        raise SizeBoundExceeded(f"n={n} exceeds the supported bound {MAX_VERTICES}")
 
 
 def _bits(mask):
@@ -107,23 +102,66 @@ def _encode_directed(n, out, order):
     return code
 
 
-def _canonical_bits(n, out, inn, cells, encode):
-    best = None
+def _search(n, out, inn, seed_colors, encode):
+    """(code, generators, base, leaf) from one walk, colour-preserving
+    with seed_colors.  A leaf with the first leaf's code gives the map
+    from the first leaf's order to its own, and the walk backs up to the
+    first path.  A child in the orbit of one tried, under the generators
+    fixing the path, is skipped.  The base is the first path, (fixed
+    vertices, first child) per level; leaf is the first leaf's (cells,
+    path)."""
+    if n > MAX_VERTICES:
+        raise SizeBoundExceeded(f"n={n} exceeds the supported bound {MAX_VERTICES}")
+    gens = []
+    base = []
+    first = best = None
 
-    def recurse(cells):
-        nonlocal best
+    def walk(cells, path, on_first):
+        """True when a leaf below, off the first path, gave an automorphism."""
+        nonlocal first, best
         cells = _refine(n, out, inn, cells)
         if len(cells) == n or _homogeneous(cells, out):
-            cand = encode(n, out, [v for cell in cells for v in _bits(cell)])
-            if best is None or cand < best:
-                best = cand
-            return
+            order = [v for cell in cells for v in _bits(cell)]
+            code = encode(n, out, order)
+            if first is None:
+                first, best = (order, code, cells, path), code
+            elif code == first[1]:
+                image = dict(zip(first[0], order))
+                gens.append(tuple([image[u] for u in range(n)]))
+                return True
+            elif code < best:
+                best = code
+            return False
         t = next(t for t, cell in enumerate(cells) if cell & cell - 1)
-        for v in _bits(cells[t]):
-            recurse(cells[:t] + [1 << v, cells[t] ^ 1 << v] + cells[t + 1 :])
+        cell = cells[t]
+        if on_first:
+            base.append((path, (cell & -cell).bit_length() - 1))
+        # a generator fixes the path down to where its leaf left the first path:
+        # on that path all fix this node's; off it, a new one backs the walk up
+        stab = gens
+        if not on_first:
+            stab = [s for s in gens if all(s[u] == u for u in _bits(path))]
+        seen = 0
+        for v in _bits(cell):
+            if seen >> v & 1:
+                continue
+            child = cells[:t] + [1 << v, cell ^ 1 << v] + cells[t + 1 :]
+            if walk(child, path | 1 << v, on_first and not seen) and not on_first:
+                return True
+            seen |= 1 << v
+            if not stab:
+                continue
+            todo = list(_bits(seen))  # closed anew: stab may have grown
+            for p in todo:
+                for s in stab:
+                    if not seen >> s[p] & 1:
+                        seen |= 1 << s[p]
+                        todo.append(s[p])
+        return False
 
-    recurse(cells)
-    return best
+    walk(_seed(seed_colors, out, inn), 0, True)
+    del walk  # walk refers to itself; dropping it frees its state at once
+    return best, gens, base, first[2:]
 
 
 def _seed(seed_colors, out, inn=None):
@@ -144,20 +182,16 @@ def graph_code(n, adj, seed_colors=None):
     With seed_colors, isomorphisms are restricted to color-preserving
     ones, which gives rooted/colored canonical forms.
     """
-    _check_size(n)
-    bits = _canonical_bits(n, adj, None, _seed(seed_colors, adj), _encode_undirected)
-    return (n, bits if bits is not None else 0)
+    return (n, _search(n, adj, None, seed_colors, _encode_undirected)[0])
 
 
 def digraph_code(n, out, seed_colors=None):
     """Canonical code (n, bits) of a loop-free digraph."""
-    _check_size(n)
     inn = [0] * n
     for u in range(n):
         for v in _bits(out[u]):
             inn[v] |= 1 << u
-    bits = _canonical_bits(n, out, inn, _seed(seed_colors, out, inn), _encode_directed)
-    return (n, bits if bits is not None else 0)
+    return (n, _search(n, out, inn, seed_colors, _encode_directed)[0])
 
 
 def decode_graph_code(code):
@@ -175,87 +209,65 @@ def decode_graph_code(code):
     return n, tuple(adj)
 
 
-def _chain(n, adj, seed_colors):
-    """(generators, orbits): a stabiliser chain of the automorphisms of
-    adj, colour-preserving with seed_colors as in graph_code.
+def _group(n, adj, seed):
+    """(generators, base) of the automorphisms of adj, colour-preserving
+    with seed.  The first leaf's cells are homogeneous: their points extend
+    the base, and their consecutive transpositions join the generators."""
+    _, gens, base, (cells, path) = _search(n, adj, None, seed, _encode_undirected)
+    for cell in cells:
+        points = list(_bits(cell))
+        for a, b in zip(points, points[1:]):
+            base.append((path, a))
+            path |= 1 << a
+            swap = list(range(n))
+            swap[a], swap[b] = b, a
+            gens.append(tuple(swap))
+    return gens, base
 
-    The base is every vertex, refinement cells smallest first.  Levels are
-    filled deepest first, so at level k every generator found so far
-    fixes base[:k] pointwise.  The orbit of base[k] under them is closed,
-    and each point of base[k]'s cell that it misses is searched for once:
-    the first automorphism that fixes base[:k] and carries base[k] there
-    joins the generators.  Each orbit maps its points to one element that
-    carries base[k] there; the orbits come deepest level first, and the
-    product of their sizes is |Aut|.
-    """
-    _check_size(n)
-    cells = _refine(n, adj, None, _seed(seed_colors, adj))
-    cell = [0] * n
-    for c in cells:
-        for v in _bits(c):
-            cell[v] = c
-    # smallest cells first; the sort is stable, so ties keep color order
-    base = [v for c in sorted(cells, key=int.bit_count) for v in _bits(c)]
-    identity = tuple(range(n))
-    image = list(identity)
 
-    def extend(k, placed, used, only):
-        """Complete image on base[:k] (placed, onto used) to an
-        automorphism with image[base[k]] in only; True at the first."""
-        if k == n:
-            return True
-        v = base[k]
-        want = 0
-        for u in _bits(adj[v] & placed):
-            want |= 1 << image[u]
-        for w in _bits(cell[v] & only & ~used):
-            if adj[w] & used == want:
-                image[v] = w
-                if extend(k + 1, placed | 1 << v, used | 1 << w, -1):
-                    return True
-        return False
-
-    gens = []
+def _orbits(gens, base):
+    """Each base point's orbit under the generators fixing its level's
+    vertices, as a Schreier vector: a point maps to the (point, generator)
+    that first reached it, the base point to None.  Sizes multiply to |Aut|."""
     orbits = []
-    for k in reversed(range(n)):
-        b = base[k]
-        fixed = sum(1 << u for u in base[:k])
-        orbit = {b: identity}
-        for w in _bits(cell[b]):
-            if w in orbit or not extend(k, fixed, fixed, 1 << w):
-                continue
-            gens.append(tuple(image))
-            todo = list(orbit)
-            for p in todo:
-                for s in gens:
-                    if s[p] not in orbit:
-                        orbit[s[p]] = tuple([s[x] for x in orbit[p]])
-                        todo.append(s[p])
+    for fixed, b in base:
+        stab = [s for s in gens if all(s[u] == u for u in _bits(fixed))]
+        orbit = {b: None}
+        todo = [b]
+        for p in todo:
+            for s in stab:
+                if s[p] not in orbit:
+                    orbit[s[p]] = (p, s)
+                    todo.append(s[p])
         orbits.append(orbit)
-    return gens, orbits
+    return orbits
 
 
 def generators(n, adj, seed_colors=None):
     """A generating set of the automorphisms of adj, colour-preserving
     with seed_colors; empty for the trivial group.  No group is listed."""
-    return _chain(n, adj, seed_colors)[0]
+    return _group(n, adj, seed_colors)[0]
 
 
 def automorphisms(n, adj, seed_colors=None):
     """All adjacency-preserving permutations of 0..n-1, sorted.
 
-    The listing is the product of the stabiliser chain's orbits.  With
-    seed_colors, only color-preserving permutations are listed, as in
-    graph_code.  Raises SizeBoundExceeded, before any element is built,
-    when |Aut| exceeds MAX_AUT_ORDER.
+    The listing is built coset by coset along the base, deepest level
+    first.  With seed_colors, only color-preserving permutations are
+    listed, as in graph_code.  Raises SizeBoundExceeded, before any
+    element is built, when |Aut| exceeds MAX_AUT_ORDER.
     """
-    orbits = _chain(n, adj, seed_colors)[1]
+    orbits = _orbits(*_group(n, adj, seed_colors))
     if prod(map(len, orbits)) > MAX_AUT_ORDER:
         raise SizeBoundExceeded(f"|Aut| exceeds the supported bound {MAX_AUT_ORDER}")
     group = [tuple(range(n))]
-    for orbit in orbits:
-        if len(orbit) > 1:
-            group = [tuple([t[x] for x in h]) for t in orbit.values() for h in group]
+    for orbit in reversed(orbits):
+        cosets = dict.fromkeys(orbit, group)  # the base point's: the level below
+        for q, step in orbit.items():  # each point after the one it came from
+            if step:
+                p, s = step
+                cosets[q] = [tuple([s[x] for x in h]) for h in cosets[p]]
+        group = [h for coset in cosets.values() for h in coset]
     group.sort()
     return group
 

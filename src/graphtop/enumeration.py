@@ -400,19 +400,14 @@ def stream_counts(g, budget_edges=None):
     return _orbit_count(g.n, stream, canon.generators(g.n, g.adj))
 
 
-def tau_sink(g, u, budget_edges=None):
-    """Stream members in which u is a sink (no outgoing arcs)."""
-    g._check_vertex(u)
-    return sum(1 for masks in stream_masks(g, budget_edges) if not masks[u])
-
-
-def h_sink(g, u, budget_edges=None):
-    """Orbits of the sink-at-u digraphs under automorphisms fixing u: the
-    automorphisms that keep u as its own colour."""
+def sink_counts(g, u, budget_edges=None):
+    """(tau_sink, h_sink) from one pass over the stream: the members in
+    which u is a sink (no outgoing arcs), and their orbits under the
+    automorphisms fixing u, the ones that keep u as its own colour."""
     g._check_vertex(u)
     sinks = (masks for masks in stream_masks(g, budget_edges) if not masks[u])
     stab = canon.generators(g.n, g.adj, [v == u for v in range(g.n)])
-    return _orbit_count(g.n, sinks, stab)[1]
+    return _orbit_count(g.n, sinks, stab)
 
 
 @dataclass

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .decomposition import stirling2
-from .enumeration import counts_for, h_sink, tau_sink
+from .enumeration import counts_for, sink_counts
 from .errors import NotConnected
 from .graphs import (
     canonical_code,
@@ -161,16 +161,17 @@ def amalgam_counts(g, u, h, v, budget_edges=None):
     """
     if not is_connected(g) or not is_connected(h):
         raise NotConnected("amalgam parts must be connected")
-    t = 2 * tau_sink(g, u, budget_edges) * tau_sink(h, v, budget_edges)
+    ts_g, hs_g = sink_counts(g, u, budget_edges)
+    ts_h, hs_h = sink_counts(h, v, budget_edges)
+    t = 2 * ts_g * ts_h
     if any(is_cut_vertex(g, w) for w in range(g.n)) or any(
         is_cut_vertex(h, w) for w in range(h.n)
     ):
         return FormulaResult(t, None, "amalgamation")
-    hs_g = h_sink(g, u, budget_edges)
     if rooted_code(g, u) == rooted_code(h, v):
         hh = (hs_g + 1) * hs_g
     else:
-        hh = 2 * hs_g * h_sink(h, v, budget_edges)
+        hh = 2 * hs_g * hs_h
     return FormulaResult(t, hh, "amalgamation")
 
 
@@ -213,7 +214,7 @@ def cut_vertex_counts(g, v, budget_edges=None):
     """
     if not is_cut_vertex(g, v):
         raise ValueError(f"vertex {v} is not a cut vertex")
-    t = 2 * tau_sink(g, v, budget_edges)
+    ts, hs = sink_counts(g, v, budget_edges)
     unique = all(w == v or not is_cut_vertex(g, w) for w in range(g.n))
-    hh = 2 * h_sink(g, v, budget_edges) if unique else None
-    return FormulaResult(t, hh, "cut-vertex")
+    hh = 2 * hs if unique else None
+    return FormulaResult(2 * ts, hh, "cut-vertex")

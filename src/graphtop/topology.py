@@ -70,10 +70,6 @@ class Preorder:
     def full(cls, n):
         return cls(n, [(1 << n) - 1] * n)
 
-    def up_set(self, x):
-        """R(x) as a bitmask."""
-        return self.rel[x]
-
     def pairs(self):
         return sorted((x, y) for x in range(self.n) for y in _bits(self.rel[x]))
 
@@ -177,10 +173,6 @@ class Digraph:
 
     def arcs(self):
         return sorted((u, v) for u in range(self.n) for v in _bits(self.out[u]))
-
-    @property
-    def arc_count(self):
-        return sum(row.bit_count() for row in self.out)
 
     def reverse(self):
         rev = [0] * self.n

@@ -11,13 +11,13 @@ import sys
 
 from . import formulas
 from .aggregate import aggregate_counts, graphs_up_to_iso
-from .canon import digraph_code
+from .canon import digraph_code, generators
 from .decomposition import tree_counts
 from .enumeration import (
+    _orbit_count,
     burnside,
     counts_for,
     enumerate_transitive_digraphs,
-    stream_counts,
     stream_masks,
 )
 from .errors import InternalCheckError
@@ -70,12 +70,13 @@ def _engine_counts(report, name, g, budget=None):
     """(tau, h) from the engine, with the three class counters compared:
     Burnside over the listed group, each non-identity term from the
     fix_count search, against the distinct canonical digraph codes of
-    the stream, and those codes against stream_counts' Aut(g)-orbits
-    under canon's generators.  Aut(g) is listed once, for Burnside.
+    the stream, and those codes against the stream's Aut(g)-orbits under
+    canon's generators.  The stream is walked and Aut(g) is listed once.
     The tree's (|Aut|, tau, h) is compared with the listed group's order,
     the stream length and the code count."""
-    t, by_stream_orbits = stream_counts(g, budget)
-    by_codes = len({digraph_code(g.n, masks) for masks in stream_masks(g, budget)})
+    stream = list(stream_masks(g, budget))
+    by_codes = len({digraph_code(g.n, masks) for masks in stream})
+    t, by_stream_orbits = _orbit_count(g.n, stream, generators(g.n, g.adj))
     auts = automorphism_group(g)
     by_orbits = burnside(g, auts, t, budget)
     report.check(f"{name}-orbit-agreement", by_orbits, by_codes)

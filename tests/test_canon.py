@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import random
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -13,6 +13,7 @@ from graphtop import (
     canonical_code_digraph,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     graphs_up_to_iso,
     path_graph,
 )
@@ -69,7 +70,8 @@ def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
     """On every class with n <= 6, unseeded and with each vertex as its
     own colour: the listing is the brute-force group, or the stabiliser
     of the seeded vertex in it; the generators close to exactly the
-    listing; and the chain's orbit sizes multiply to its length."""
+    listing; and the orbit sizes along the search's base multiply to its
+    length."""
     checked = 0
     for n in range(1, 7):
         for entry in graphs_up_to_iso(n).entries:
@@ -79,10 +81,10 @@ def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
                 seed = None if root is None else [v == root for v in range(n)]
                 group = canon.automorphisms(n, g.adj, seed)
                 assert group == [s for s in brute if root is None or s[root] == root]
-                gens, orbits = canon._chain(n, g.adj, seed)
+                gens, base = canon._group(n, g.adj, seed)
                 assert canon.generators(n, g.adj, seed) == gens
                 assert dimino_closure(gens, n) == set(group)
-                assert prod(map(len, orbits)) == len(group)
+                assert prod(map(len, canon._orbits(gens, base))) == len(group)
                 checked += 1
     assert checked == sum(
         (n + 1) * len(graphs_up_to_iso(n).entries) for n in range(1, 7)
@@ -211,6 +213,72 @@ def test_size_bound():
         canonical_code(Graph(17, [0] * 17))
     with pytest.raises(SizeBoundExceeded):
         automorphism_group(Graph(17, [0] * 17))
+
+
+def _copies(g, k):
+    union = g
+    for _ in range(k - 1):
+        union = disjoint_union(union, g)
+    return union
+
+
+def _complement(g):
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    return Graph.from_edges(g.n, [(u, v) for u, v in pairs if not g.has_edge(u, v)])
+
+
+def _unions():
+    """(graph, |Aut|): k copies of a connected H have |Aut(H)|^k k!
+    automorphisms, and a complement has the same group."""
+    for k in (6, 7, 8):
+        g = _copies(complete_graph(2), k)
+        yield pytest.param(g, 2**k * factorial(k), id=f"{k}K2")
+        yield pytest.param(_complement(g), 2**k * factorial(k), id=f"co-{k}K2")
+    yield pytest.param(_copies(cycle_graph(4), 4), 8**4 * factorial(4), id="4C4")
+    yield pytest.param(_copies(cycle_graph(3), 5), 6**5 * factorial(5), id="5C3")
+
+
+@pytest.mark.parametrize("g, order", _unions())
+def test_symmetric_unions_take_few_leaves(monkeypatch, g, order):
+    """The walk prunes by the automorphisms it finds, so it visits at most
+    n leaves here; without pruning it visits about |Aut| of them (23,040
+    on six copies of K2).  The code is canonical, the generators are
+    automorphisms, and |Aut| is the product of the orbits along the base."""
+    leaves = 0
+    encode = canon._encode_undirected
+
+    def counted(*args):
+        nonlocal leaves
+        leaves += 1
+        return encode(*args)
+
+    monkeypatch.setattr(canon, "_encode_undirected", counted)
+    code = graph_code(g.n, g.adj)
+    assert leaves <= g.n
+    monkeypatch.undo()
+    rng = random.Random(g.n)
+    for _ in range(3):
+        assert graph_code(g.n, _relabel_masks(g.adj, _shuffled(rng, g.n))) == code
+    gens, base = canon._group(g.n, g.adj, None)
+    assert all(_relabel_masks(g.adj, s) == list(g.adj) for s in gens)
+    assert prod(map(len, canon._orbits(gens, base))) == order
+
+
+def test_automorphisms_refuses_eight_copies_of_k2_before_building_an_element(
+    monkeypatch,
+):
+    """|Aut| = 2^8 8! is past MAX_AUT_ORDER, and the orbit sizes show it:
+    no transversal is read, so no element is built."""
+
+    class Unread(dict):
+        def items(self):
+            raise AssertionError("an element was built")
+
+    orbits = canon._orbits
+    monkeypatch.setattr(canon, "_orbits", lambda *a: list(map(Unread, orbits(*a))))
+    g = _copies(complete_graph(2), 8)
+    with pytest.raises(SizeBoundExceeded, match=r"\|Aut\| exceeds"):
+        canon.automorphisms(g.n, g.adj)
 
 
 # Randomized relabeling at n = 7..16.  Random graphs are mostly rigid, so

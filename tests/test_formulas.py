@@ -218,9 +218,9 @@ def test_amalgam_counts():
     assert (pw.tau, pw.h) == (6, 4)
 
     # symmetric-case equivalence: (hs + 1) * hs == 2 * C(hs + 1, 2)
-    from graphtop import h_sink
+    from graphtop import sink_counts
 
-    hs = h_sink(k3, 0)
+    hs = sink_counts(k3, 0)[1]
     assert bt.h == 2 * comb(hs + 1, 2)
 
     with pytest.raises(NotConnected):
