@@ -111,12 +111,12 @@ def union_counts(parts, budget_edges=None, cache=None):
     """Counts for a disjoint union of connected parts with multiplicities.
 
     parts is a list of (graph, multiplicity) with pairwise non-isomorphic
-    connected graphs.  Per-part counts come from counts_for, memoized in
-    cache if one is given.
+    connected graphs.  A part's counts come from cache, else connected_counts,
+    else counts_for within the budget: none walks tree_counts' tree.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
-    codes = set()
+    codes = []
     for g, mult in parts:
         if mult < 1:
             raise ValueError("part multiplicity must be >= 1")
@@ -125,11 +125,16 @@ def union_counts(parts, budget_edges=None, cache=None):
         code = canonical_code(g)
         if code in codes:
             raise ValueError("union parts must be pairwise non-isomorphic")
-        codes.add(code)
+        codes.append(code)
     tau_total = 1
     h_total = 1
-    for g, mult in parts:
-        t, h = counts_for(g, budget_edges, cache)
+    for (g, mult), code in zip(parts, codes):
+        if cache is not None and code in cache:
+            t, h = cache[code]
+        elif (closed := connected_counts(g)) is not None:
+            t, h = closed.tau, closed.h
+        else:
+            t, h = counts_for(g, budget_edges, cache)
         tau_total *= t**mult
         h_total *= comb(h + mult - 1, mult)
     return FormulaResult(tau_total, h_total, "disjoint-union")
@@ -175,12 +180,9 @@ def amalgam_counts(g, u, h, v, budget_edges=None):
     return FormulaResult(t, hh, "amalgamation")
 
 
-def formula_for_graph(g, budget_edges=None):
-    """The first closed form whose hypotheses cover g, or None.
+def connected_counts(g):
+    """Complete, cycle, wheel or triangle-free counts for connected g, or None.
 
-    Tried in order: disjoint-union decomposition for disconnected
-    graphs, then complete/cycle/wheel recognition, then the connected
-    triangle-free rule.  Used by the CLI to cross-check enumeration.
     The named graphs are told apart by degrees alone: a connected graph
     is K_n iff it has n(n-1)/2 edges, C_n iff it is 2-regular, and W_n
     iff one vertex has degree n-1 and deleting it leaves a connected
@@ -188,10 +190,6 @@ def formula_for_graph(g, budget_edges=None):
     caught as complete).
     """
     n = g.n
-    if n == 0:
-        return None
-    if not is_connected(g):
-        return union_counts(component_parts(g), budget_edges)
     deg = [row.bit_count() for row in g.adj]
     if n <= 20 and sum(deg) == n * (n - 1):
         return complete_counts(n)
@@ -204,6 +202,18 @@ def formula_for_graph(g, budget_edges=None):
     if n >= 2 and not has_triangle(g):
         return bipartite_counts(g)
     return None
+
+
+def formula_for_graph(g, budget_edges=None):
+    """The first closed form whose hypotheses cover g, or None.
+
+    The union rule if g is disconnected, else connected_counts.
+    """
+    if g.n == 0:
+        return None
+    if not is_connected(g):
+        return union_counts(component_parts(g), budget_edges)
+    return connected_counts(g)
 
 
 def cut_vertex_counts(g, v, budget_edges=None):

@@ -147,6 +147,8 @@ def _suite_formulas(report, budget):
         ("union-2k3", [(complete_graph(3), 2)]),
         ("union-k3-k2", [(complete_graph(3), 1), (complete_graph(2), 1)]),
         ("union-c4-k3", [(cycle_graph(4), 1), (complete_graph(3), 1)]),
+        ("union-paw-k2", [(paw(), 1), (complete_graph(2), 1)]),
+        ("union-2paw", [(paw(), 2)]),
     ]
     for name, parts in unions:
         built = None

@@ -82,10 +82,13 @@ def test_count_input_errors(capsys):
     code, _, err = run_cli(capsys, "count", "C2")
     assert code == 1 and "invalid-family-size" in err
     # count runs no search on a connected graph, so the edge budget is
-    # not in its way; the union rule still searches each component
+    # not in its way; the union rule still searches each component that
+    # no closed form covers, such as the paw
     assert run_cli(capsys, "count", "box(C4,C4)")[0] == 0
     assert run_cli(capsys, "count", "box(C4,C4)", "--budget-edges", "32")[0] == 0
-    code, out, err = run_cli(capsys, "count", "union(K3,K2)", "--budget-edges", "2")
+    code, out, err = run_cli(
+        capsys, "count", "union(amalgam(K3@0,P1@0),K2)", "--budget-edges", "2"
+    )
     assert code == 1 and out == ""
     assert "budget of 2" in err
     assert run_cli(capsys, "count", "--file", "/nonexistent/path")[0] == 1

@@ -12,11 +12,13 @@ from graphtop import (
     cartesian_product,
     complete_counts,
     complete_graph,
+    counts_for,
     cut_vertex_counts,
     cycle_counts,
     cycle_graph,
     disjoint_union,
     formula_for_graph,
+    formulas,
     graphs_up_to_iso,
     h_burnside,
     null_graph,
@@ -30,7 +32,8 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.errors import NotConnected
-from graphtop.graphs import canonical_code, is_bipartite, is_connected
+from graphtop.cli import main
+from graphtop.graphs import canonical_code, component_parts, is_bipartite, is_connected
 from graphtop.verify import count_compositions, count_ordered_partitions
 
 from conftest import bowtie, paw, relabel_graph, star
@@ -178,6 +181,53 @@ def test_union_counts():
     mixed = union_counts([(k3, 2), (k2, 1)])
     assert mixed.tau == 13**2 * 3
     assert mixed.h == comb(4 + 1, 2) * 2
+
+
+def test_union_closed_forms_agree_with_search_on_each_component():
+    for n in range(2, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            if is_connected(g):
+                continue
+            parts = component_parts(g)
+            by_search = [1, 1]
+            for part, mult in parts:
+                t, h = counts_for(part)
+                by_search[0] *= t**mult
+                by_search[1] *= comb(h + mult - 1, mult)
+            result = union_counts(parts)
+            assert (result.tau, result.h) == stream_counts(g) == tuple(by_search)
+
+
+def test_union_counts_takes_closed_forms_without_searching(monkeypatch, capsys):
+    class Searched(Exception):
+        pass
+
+    def no_search(*args):
+        raise Searched
+
+    monkeypatch.setattr(formulas, "counts_for", no_search)
+    k1, k2, c4 = null_graph(1), complete_graph(2), cycle_graph(4)
+    for parts, want in [
+        ([(complete_graph(8), 1), (k1, 1)], (545835, 128)),
+        ([(complete_graph(6), 1), (k1, 1)], (4683, 32)),
+        ([(complete_graph(5), 1), (k2, 1)], (1623, 32)),
+        ([(c4, 3)], (8, 1)),
+    ]:
+        result = union_counts(parts)
+        assert (result.tau, result.h) == want
+    with pytest.raises(Searched):
+        union_counts([(paw(), 1), (k2, 1)])  # no closed form: the search runs
+    assert main(["count", "union(K8,K1)"]) == 0
+    assert "tau=545835 h=128" in capsys.readouterr().out
+
+
+def test_union_counts_memo_wins_over_closed_form():
+    k3 = complete_graph(3)
+    memo = {canonical_code(k3): (12, 4)}
+    result = union_counts([(k3, 2)], cache=memo)
+    assert (result.tau, result.h) == (12**2, comb(4 + 1, 2))
+    assert (union_counts([(k3, 2)]).tau, union_counts([(k3, 2)]).h) == (13**2, 10)
 
 
 def test_product_counts():
