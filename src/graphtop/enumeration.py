@@ -17,7 +17,8 @@ still have an allowed state.  The allowed states of an edge only shrink
 as more arcs are decided, so a partner with none now has none in any
 completion, and skipping the branch drops only subtrees without leaves;
 the leaves and their order stay the same.  A graph with no induced P3 (a
-union of cliques) has no partners, and its search is unchanged.
+union of cliques) has no partners, and its search is unchanged.  Every
+leaf is still checked for transitivity, a batch at a time.
 """
 
 from dataclasses import dataclass
@@ -27,11 +28,12 @@ from . import canon
 from .canon import _bits
 from .errors import BudgetExceeded, InternalCheckError
 from .graphs import _check_automorphism, automorphism_group, canonical_code
-from .topology import Digraph, transitive_masks
+from .topology import Digraph, first_intransitive, transitive_masks
 
 DEFAULT_EDGE_BUDGET = 24
 
 FWD, BWD, BOTH = 1, 2, 3  # arc sets {u->v}, {v->u}, {u->v, v->u}
+_BATCH = 512  # leaves per transitivity check
 
 
 def is_transitive(d):
@@ -112,13 +114,6 @@ class _Search:
         bwd = not (iv & ~adj[u] or ou & ~adj[v] or uv & ~vu)
         return _ALLOWED[(fwd and not vu) | (bwd and not uv) << 1 | (fwd and bwd) << 2]
 
-    def leaf_masks(self):
-        out = tuple(self.out)
-        # propagation should make leaves transitive by construction
-        if not transitive_masks(self.n, out):
-            raise InternalCheckError("non-transitive leaf escaped propagation")
-        return out
-
 
 # the allowed states, in try order, at index fwd_ok | bwd_ok << 1 | both_ok << 2
 _ALLOWED = [
@@ -144,26 +139,31 @@ def _move(search, k, state, flip):
     return k, state, u, v, fwd and bv, bwd and bu, bwd and bv, fwd and bu
 
 
+def _checked(n, batch):
+    """The leaves of batch up to its first non-transitive one, which raises."""
+    bad = first_intransitive(n, batch)
+    yield from batch[:bad]
+    if bad is not None:  # propagation should make every leaf transitive
+        raise InternalCheckError("non-transitive leaf escaped propagation")
+
+
 def _walk(search, blocks):
     """Leaves of the search, depth first over blocks, as out-mask tuples.
 
     A block is (members, closure_flip) as _edge_orbits returns it.  Its
-    first member is unflipped and branches over the states allowed to it;
-    every other member takes the same state, mirrored where flipped, if
-    that state is allowed to it, and a block whose orbit closes flipped
-    only takes BOTH.  search.allowed is the one consistency test, for the
-    branching member, the followers and the lookahead; the loop places
-    and removes the states inline.  Explicit stacks replace recursion:
-    todo[i] holds the states block i has still to try, and placed[i] the
-    moves of the members it set, which removal XORs out again.  watch[i]
-    lists the Gamma-partners of block i's members in later blocks, still
-    undecided once block i is placed; a branch that leaves one of them no
-    allowed state has no leaf and is skipped.
+    first member is unflipped and takes a state allowed to it; every other
+    member takes the same state, mirrored where flipped, if that state is
+    allowed to it, and a block whose orbit closes flipped only takes BOTH.
+    search.allowed is the one consistency test, for the first member, the
+    followers and the lookahead.  A stack frame (block, states left, moves
+    placed since) exists only where a block has two or more states; a
+    block with one state joins the innermost frame's moves, so one
+    backtrack XORs a forced chain out.  watch[i] lists the Gamma-partners
+    of block i's members in later blocks, still undecided once block i is
+    placed; a branch that leaves one of them no allowed state has no leaf
+    and is skipped.  Leaves are checked for transitivity _BATCH at a time.
     """
-    last = len(blocks)
-    if not last:
-        yield search.leaf_masks()
-        return
+    n, last = search.n, len(blocks)
     allowed, out, inn = search.allowed, search.out, search.inn
     block_edges = [[k for k, _ in members] for members, _ in blocks]
     reps = [ks[0] for ks in block_edges]
@@ -179,50 +179,55 @@ def _walk(search, blocks):
         for i, ks in enumerate(block_edges)
     ]
 
-    todo = [None] * last
-    placed = [()] * last
-    i = 0
-    states = allowed(reps[0])
-    todo[0] = iter(_BOTH_ONLY[states] if only_both[0] else states)
+    i, batch, frames, placed = 0, [], [], []  # i: the next block to place
     while True:
-        for _, _, u, v, ou, ov, iu, iv in placed[i]:
-            out[u] ^= ou
-            out[v] ^= ov
-            inn[u] ^= iu
-            inn[v] ^= iv
-        state = next(todo[i], 0)
-        if not state:
-            if i == 0:
-                return
-            i -= 1
-            continue
-        placed[i] = block = moves[i][state]
-        _, _, u, v, ou, ov, iu, iv = block[0]
-        out[u] ^= ou
-        out[v] ^= ov
-        inn[u] ^= iu
-        inn[v] ^= iv
-        # a follower's state must be allowed to it, or the block has no
-        # such state
-        for j in range(1, len(block)):
-            k, s, u, v, ou, ov, iu, iv = block[j]
-            if s not in allowed(k):
-                placed[i] = block[:j]  # removed at the loop top
-                break
-            out[u] ^= ou
-            out[v] ^= ov
-            inn[u] ^= iu
-            inn[v] ^= iv
+        state = 0
+        if i == last:
+            batch.append(tuple(out))
+            if len(batch) == _BATCH:
+                yield from _checked(n, batch)
+                batch = []
         else:
-            if watch[i] and not all(map(allowed, watch[i])):
-                continue  # a later edge has no state left in any completion
-            if i + 1 == last:
-                yield search.leaf_masks()
+            states = allowed(reps[i])
+            if only_both[i]:
+                states = _BOTH_ONLY[states]
+            if len(states) == 1:
+                state = states[0]
+            elif states:
+                frames.append((i, iter(states), []))
+        while True:
+            while not state:  # back to the innermost frame with a state left
+                if not frames:
+                    yield from _checked(n, batch)
+                    return
+                i, todo, placed = frames[-1]
+                for _, _, u, v, ou, ov, iu, iv in placed:
+                    out[u] ^= ou
+                    out[v] ^= ov
+                    inn[u] ^= iu
+                    inn[v] ^= iv
+                placed.clear()
+                state = next(todo, 0)
+                if not state:
+                    frames.pop()
+            block = moves[i][state]
+            # each follower's state must be allowed to it, or the block has none
+            for j, (k, s, u, v, ou, ov, iu, iv) in enumerate(block):
+                if j and s not in allowed(k):
+                    placed += block[:j]
+                    state = 0
+                    break
+                out[u] ^= ou
+                out[v] ^= ov
+                inn[u] ^= iu
+                inn[v] ^= iv
             else:
-                i += 1
-                placed[i] = ()
-                states = allowed(reps[i])
-                todo[i] = iter(_BOTH_ONLY[states] if only_both[i] else states)
+                placed += block
+                # a later edge with no state left has none in any completion
+                if not watch[i] or all(map(allowed, watch[i])):
+                    break
+                state = 0
+        i += 1
 
 
 def stream_masks(g, budget_edges=None):

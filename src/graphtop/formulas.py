@@ -112,11 +112,13 @@ def union_counts(parts, budget_edges=None, cache=None):
 
     parts is a list of (graph, multiplicity) with pairwise non-isomorphic
     connected graphs.  A part's counts come from cache, else connected_counts,
-    else counts_for within the budget: none walks tree_counts' tree.
+    else counts_for within the budget, unless a part with tau = 0 settles the
+    union first: none walks tree_counts' tree.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
     codes = []
+    known = []
     for g, mult in parts:
         if mult < 1:
             raise ValueError("part multiplicity must be >= 1")
@@ -126,15 +128,16 @@ def union_counts(parts, budget_edges=None, cache=None):
         if code in codes:
             raise ValueError("union parts must be pairwise non-isomorphic")
         codes.append(code)
-    tau_total = 1
-    h_total = 1
-    for (g, mult), code in zip(parts, codes):
         if cache is not None and code in cache:
-            t, h = cache[code]
-        elif (closed := connected_counts(g)) is not None:
-            t, h = closed.tau, closed.h
+            known.append(cache[code])
         else:
-            t, h = counts_for(g, budget_edges, cache)
+            closed = connected_counts(g)
+            known.append(closed and (closed.tau, closed.h))
+    if any(counts and not counts[0] for counts in known):
+        return FormulaResult(0, 0, "disjoint-union")
+    tau_total = h_total = 1
+    for (g, mult), counts in zip(parts, known):
+        t, h = counts or counts_for(g, budget_edges, cache)
         tau_total *= t**mult
         h_total *= comb(h + mult - 1, mult)
     return FormulaResult(tau_total, h_total, "disjoint-union")

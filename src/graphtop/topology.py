@@ -204,19 +204,31 @@ class Digraph:
 
 def transitive_masks(n, out):
     """True iff arcs a->b, b->c (a != c) always come with a->c."""
-    for a in range(n):
-        row = out[a]
-        reach = 0
-        m = row
-        # everything two arcs away from a; the loop is inline, not _bits,
-        # because this runs on every leaf of the search
-        while m:
-            b = m & -m
-            reach |= out[b.bit_length() - 1]
-            m ^= b
-        if reach & ~row & ~(1 << a):
-            return False
-    return True
+    return first_intransitive(n, (out,)) is None
+
+
+def first_intransitive(n, leaves):
+    """Index of the first non-transitive out-mask tuple in leaves, or None.
+
+    Row a of leaf j fills field j*n + a of one integer, w bits wide (n
+    rounded up to whole bytes).  For each b, row b of each leaf is copied
+    into the fields of its leaf whose row a has a->b; a bit there that row
+    a lacks, other than a itself, is a->b->c without a->c.
+    """
+    if not n:
+        return None  # zero-width rows: the one digraph on no vertices
+    size = -(-n // 8)  # bytes per row
+    rows = itertools.chain.from_iterable(leaves)
+    packed = bytes(rows) if size == 1 else b"".join(r.to_bytes(size, "little") for r in rows)
+    x, w = int.from_bytes(packed, "little"), 8 * size
+    field, leaf, span = (1 << w) - 1, (1 << n * w) - 1, (1 << len(leaves) * n * w) - 1
+    ones, spread = span // field, leaf // field  # the low bit of each field
+    first = span // leaf * field  # the first field of every leaf
+    missing = 0
+    for b in range(n):
+        missing |= (x >> b * w & first) * spread & (x >> b & ones) * field
+    missing &= ~(x | first // field * sum(1 << a * (w + 1) for a in range(n)))
+    return ((missing & -missing).bit_length() - 1) // (n * w) if missing else None
 
 
 # ---------------------------------------------------------------------------

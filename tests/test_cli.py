@@ -210,15 +210,16 @@ def test_enumerate_closed_stdout_is_one_error_line(capsys, monkeypatch):
 def test_enumerate_error_keeps_the_lines_before_it(capsys, monkeypatch):
     """A leaf that fails the transitivity check stops the stream with exit
     2, and every line before it is on stdout."""
-    real = enumeration.transitive_masks
+    real = enumeration.first_intransitive
     leaves = 0
 
-    def fail_at_leaf_600(n, out):
+    def fail_at_leaf_600(n, batch):
         nonlocal leaves
-        leaves += 1
-        return leaves < 600 and real(n, out)
+        start, leaves = leaves, leaves + len(batch)
+        # leaf 600 is index 599 of the stream, in the second batch
+        return 599 - start if start <= 599 < leaves else real(n, batch)
 
-    monkeypatch.setattr(enumeration, "transitive_masks", fail_at_leaf_600)
+    monkeypatch.setattr(enumeration, "first_intransitive", fail_at_leaf_600)
     code, out, err = run_cli(capsys, "enumerate", "K7")
     assert code == 2 and err.startswith("internal error:")
     assert len(out.splitlines()) == 599

@@ -327,6 +327,41 @@ def test_empty_graph_has_one_digraph():
     assert tau(null_graph(3)) == 1
     assert h_burnside(null_graph(3)) == 1
     assert [d.arcs() for d in enumerate_transitive_digraphs(null_graph(2))] == [[]]
+    assert list(stream_masks(Graph(0, []))) == [()]
+
+
+@pytest.mark.parametrize("bad", [512, 47292])
+def test_a_leaf_failing_the_check_stops_the_stream(monkeypatch, bad):
+    """The batch check sees every leaf.  One reported non-transitive, the
+    first of the second batch or the last of K7's stream, stops the
+    stream with InternalCheckError after exactly the leaves before it,
+    and tau raises too."""
+    k7 = complete_graph(7)
+    stream = list(stream_masks(k7))
+    real = enumeration.first_intransitive
+    seen = 0
+
+    def flag(n, batch):
+        nonlocal seen
+        start, seen = seen, seen + len(batch)
+        return bad - start if start <= bad < seen else real(n, batch)
+
+    monkeypatch.setattr(enumeration, "first_intransitive", flag)
+    got = []
+    with pytest.raises(InternalCheckError, match="non-transitive leaf"):
+        for masks in stream_masks(k7):
+            got.append(masks)
+    assert got == stream[:bad]
+    seen = 0
+    with pytest.raises(InternalCheckError, match="non-transitive leaf"):
+        tau(k7)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_the_edgeless_leaf_goes_through_the_check(monkeypatch, n):
+    monkeypatch.setattr(enumeration, "first_intransitive", lambda n, batch: 0)
+    with pytest.raises(InternalCheckError, match="non-transitive leaf"):
+        tau(Graph(n, [0] * n))
 
 
 def test_counts_for_memoizes():

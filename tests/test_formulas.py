@@ -222,6 +222,27 @@ def test_union_counts_takes_closed_forms_without_searching(monkeypatch, capsys):
     assert "tau=545835 h=128" in capsys.readouterr().out
 
 
+def test_union_with_a_zero_part_searches_no_part(monkeypatch, capsys):
+    """A part whose closed form gives tau = 0 makes the union (0, 0) before
+    any part without a closed form is searched: C5 settles a union with a
+    30-edge amalgam, over the default budget of 24 edges."""
+
+    def no_search(*args):
+        raise AssertionError("a part was searched")
+
+    monkeypatch.setattr(formulas, "counts_for", no_search)
+    k6, c5 = complete_graph(6), cycle_graph(5)
+    for parts in [
+        [(amalgamate(k6, 0, k6, 0), 1), (c5, 1)],
+        [(paw(), 2), (c5, 3)],
+        [(paw(), 1), (cycle_graph(7), 1), (complete_graph(3), 2)],
+    ]:
+        result = union_counts(parts)
+        assert (result.tau, result.h) == (0, 0)
+    assert main(["count", "union(amalgam(K6@0,K6@0),C5)"]) == 0
+    assert "tau=0 h=0" in capsys.readouterr().out
+
+
 def test_union_counts_memo_wins_over_closed_form():
     k3 = complete_graph(3)
     memo = {canonical_code(k3): (12, 4)}

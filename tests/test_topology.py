@@ -31,7 +31,7 @@ from graphtop.errors import (
     NotTransitive,
     VertexOutOfRange,
 )
-from graphtop.topology import transitive_masks
+from graphtop.topology import first_intransitive, transitive_masks
 
 from conftest import naive_transitive
 
@@ -260,3 +260,66 @@ def test_transitive_masks_matches_naive_oracle():
         assert transitive_masks(n, out) == want, out
         outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _random_transitive(rng, n):
+    """The transitive closure of a sparse random loop-free digraph."""
+    out = [sum(1 << b for b in range(n) if b != a and rng.random() < 1.5 / n) for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            if out[a] >> k & 1:
+                out[a] |= out[k]
+    return tuple(row & ~(1 << a) for a, row in enumerate(out))
+
+
+def _near_miss(rng, n):
+    """A transitive digraph short of one arc a->c that a->b->c demands."""
+    while True:
+        out = list(_random_transitive(rng, n))
+        paths = [
+            (a, c)
+            for a in range(n)
+            for b in range(n)
+            if out[a] >> b & 1
+            for c in range(n)
+            if out[b] >> c & 1 and c != a
+        ]
+        if paths:
+            a, c = rng.choice(paths)
+            out[a] &= ~(1 << c)
+            return tuple(out)
+
+
+@pytest.mark.parametrize("n", range(17))
+def test_first_intransitive_matches_naive_oracle(n):
+    """The batch check against the triple loop on every row width: n = 8
+    fills the 8-bit rows, n = 9 starts the 16-bit rows, n = 16 fills
+    them.  The first bad leaf sits in the first, a middle and the last
+    slot of batches of 1 and 512 leaves; after it, anything may follow."""
+    rng = random.Random(1900 + n)
+    verdict = {}
+
+    def oracle(batch):
+        for j, out in enumerate(batch):
+            if out not in verdict:
+                arcs = [(a, b) for a in range(n) for b in range(n) if out[a] >> b & 1]
+                verdict[out] = naive_transitive(arcs)
+            if not verdict[out]:
+                return j
+        return None
+
+    good = [_random_transitive(rng, n) for _ in range(6)]
+    # a loop-free digraph on two points or fewer is transitive
+    bad = [_near_miss(rng, n) for _ in range(6)] if n >= 3 else []
+    noise = good + bad + [tuple(_random_loop_free_masks(rng, n)) for _ in range(6)]
+    assert first_intransitive(n, []) is None
+    for length in (1, 512):
+        batch = [rng.choice(good) for _ in range(length)]
+        assert first_intransitive(n, batch) is None
+        assert oracle(batch) is None
+        for slot in sorted({0, length // 2, length - 1}) if bad else ():
+            batch = [rng.choice(good) for _ in range(slot)] + [rng.choice(bad)]
+            batch += [rng.choice(noise) for _ in range(length - slot - 1)]
+            assert first_intransitive(n, batch) == oracle(batch) == slot
+        batch = [rng.choice(noise) for _ in range(length)]
+        assert first_intransitive(n, batch) == oracle(batch)
