@@ -1,9 +1,11 @@
 """All isomorphism classes of n-vertex graphs and the counting sums.
 
-Classes are generated by vertex extension: every n-vertex graph contains
-an (n-1)-vertex induced subgraph, so attaching a new vertex with every
-possible neighborhood to each (n-1)-class representative reaches every
-class, and canonical codes deduplicate.  The labeled-count identity
+Classes are generated by vertex extension, after McKay's isomorph-free
+generation (J. Algorithms 26, 1998): deleting a vertex of minimum degree
+from an n-vertex graph leaves an (n-1)-class, so each (n-1)-class
+representative gets a new vertex of minimum degree, one neighbourhood
+per orbit of its automorphism group, and canonical codes deduplicate
+what is left.  The labeled-count identity
 sum over classes of n!/|Aut| = 2^C(n,2) is checked in the test suite and
 guards the generation end to end.
 """
@@ -12,17 +14,11 @@ import time
 from dataclasses import dataclass
 from math import factorial
 
-from . import formulas
+from . import canon, formulas
 from .decomposition import tree_counts
-from .enumeration import fan_out, stream_counts
+from .enumeration import _RowImage, fan_out, stream_counts
 from .errors import InternalCheckError, SizeBoundExceeded
-from .graphs import (
-    Graph,
-    canonical_code,
-    canonical_graph,
-    component_parts,
-    is_connected,
-)
+from .graphs import Graph, component_parts, is_connected
 
 MAX_CLASS_VERTICES = 7
 
@@ -47,9 +43,19 @@ class IsoClassTable:
 def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
     """One canonical representative per isomorphism class, sorted by code.
 
-    With keep, generation is restricted to graphs satisfying it; the
-    predicate must be hereditary (closed under deleting a vertex), e.g.
-    bipartiteness, or classes will be missed.
+    Each (k-1)-class representative, the base, gets a new vertex joined
+    to a neighbourhood mask.  Masks in one orbit of Aut(base) give
+    isomorphic graphs, so only the first mask of each orbit is tried,
+    and only when the new vertex has minimum degree in the result: any
+    k-vertex graph minus a vertex of minimum degree is isomorphic to a
+    base, and that isomorphism carries the graph to a candidate whose
+    new vertex keeps its degree.  Candidates are canonized as plain
+    adjacency lists and deduplicated by code.
+
+    With keep, generation is restricted to graphs satisfying it.  The
+    predicate is applied to one candidate per orbit, so it must be
+    isomorphism-invariant and hereditary (closed under deleting a
+    vertex), as bipartiteness is, or classes will be missed.
     """
     if n > max_vertices:
         raise SizeBoundExceeded(
@@ -59,19 +65,36 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
         raise ValueError("vertex count must be non-negative")
     if n == 0:
         return IsoClassTable(0, [ClassEntry(Graph(0, ()))])
-    reps = [Graph(1, (0,))]
+    reps = [(0,)]
     for k in range(2, n + 1):
         codes = set()
         for base in reps:
+            deg = [row.bit_count() for row in base]
+            # a new vertex of degree d has minimum degree iff d <= min(deg) + 1
+            # and it is joined to every base vertex of degree below d
+            below = [sum(1 << u for u, e in enumerate(deg) if e < d) for d in range(k)]
+            top = min(deg) + 1
+            images = [_RowImage(sigma) for sigma in canon.generators(k - 1, base)]
+            seen = bytearray(1 << (k - 1))
             for mask in range(1 << (k - 1)):
-                adj = [row | ((mask >> u & 1) << (k - 1)) for u, row in enumerate(base.adj)]
+                d = mask.bit_count()
+                if seen[mask] or d > top or below[d] & ~mask:
+                    continue  # a tried orbit's mask, or one whose whole orbit fails
+                seen[mask] = 1
+                orbit = [mask]
+                for m in orbit:
+                    for image in images:
+                        m2 = image[m]
+                        if not seen[m2]:
+                            seen[m2] = 1
+                            orbit.append(m2)
+                adj = [row | (mask >> u & 1) << (k - 1) for u, row in enumerate(base)]
                 adj.append(mask)
-                cand = Graph(k, adj)
-                if keep is not None and not keep(cand):
+                if keep is not None and not keep(Graph(k, adj)):
                     continue
-                codes.add(canonical_code(cand))
-        reps = [canonical_graph(code) for code in sorted(codes)]
-    return IsoClassTable(n, [ClassEntry(g) for g in reps])
+                codes.add(canon.graph_code(k, adj))
+        reps = [canon.decode_graph_code(code)[1] for code in sorted(codes)]
+    return IsoClassTable(n, [ClassEntry(Graph(n, adj)) for adj in reps])
 
 
 def class_counts(g, budget_edges=None):

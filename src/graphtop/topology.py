@@ -7,6 +7,8 @@ digraph.  Vertex subsets and relation rows are int bitmasks throughout.
 """
 
 import itertools
+import sys
+from array import array
 
 from . import canon
 from .canon import _bits
@@ -219,7 +221,14 @@ def first_intransitive(n, leaves):
         return None  # zero-width rows: the one digraph on no vertices
     size = -(-n // 8)  # bytes per row
     rows = itertools.chain.from_iterable(leaves)
-    packed = bytes(rows) if size == 1 else b"".join(r.to_bytes(size, "little") for r in rows)
+    if size == 1:
+        packed = bytes(rows)
+    elif size == 2:
+        packed = array("H", rows)
+        if sys.byteorder == "big":
+            packed.byteswap()
+    else:
+        packed = b"".join(r.to_bytes(size, "little") for r in rows)
     x, w = int.from_bytes(packed, "little"), 8 * size
     field, leaf, span = (1 << w) - 1, (1 << n * w) - 1, (1 << len(leaves) * n * w) - 1
     ones, spread = span // field, leaf // field  # the low bit of each field

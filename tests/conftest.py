@@ -3,18 +3,22 @@
 The oracles here deliberately avoid the package's search engine and
 canonical-form machinery: digraphs are generated by iterating all 3^m
 edge states, transitivity is the naive triple loop, and isomorphism is
-checked by trying every permutation.  Small n only.
+checked by trying every permutation.  Small n only.  The one exception
+is all_masks_classes, which dedups by canonical code: it checks the
+class generator's orbit and degree rules, not canon.
 """
 
 import itertools
 
 from graphtop import (
     Graph,
+    canonical_code,
     cartesian_product,
     complete_graph,
     cycle_graph,
     wheel_graph,
 )
+from graphtop.graphs import canonical_graph
 # the named example graphs are verify's own, shared with the tests
 from graphtop.verify import bowtie, paw, star
 
@@ -42,6 +46,27 @@ def brute_transitive_digraphs(g):
         if naive_transitive(arcs):
             found.append(frozenset(arcs))
     return found
+
+
+def all_masks_classes(n, keep=None):
+    """Class representatives, sorted by code, the exhaustive way: every
+    (k-1)-class representative gets a new vertex with each of the 2^(k-1)
+    neighbourhoods, and each result is built into a Graph and canonized."""
+    if n == 0:
+        return [Graph(0, ())]
+    reps = [Graph(1, (0,))]
+    for k in range(2, n + 1):
+        codes = set()
+        for base in reps:
+            for mask in range(1 << (k - 1)):
+                adj = [row | ((mask >> u & 1) << (k - 1)) for u, row in enumerate(base.adj)]
+                adj.append(mask)
+                cand = Graph(k, adj)
+                if keep is not None and not keep(cand):
+                    continue
+                codes.add(canonical_code(cand))
+        reps = [canonical_graph(code) for code in sorted(codes)]
+    return reps
 
 
 def brute_digraph_isomorphic(n, arcs1, arcs2):

@@ -21,7 +21,10 @@ from graphtop import (
 )
 from graphtop.aggregate import class_counts, labeled_copies
 from graphtop.errors import SizeBoundExceeded
+from graphtop.graphs import is_bipartite
 from graphtop.topology import all_preorders, preorder_to_digraph
+
+from conftest import all_masks_classes
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -29,6 +32,22 @@ KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 def test_class_counts_match_known_table():
     for n, want in KNOWN_CLASS_COUNTS.items():
         assert len(graphs_up_to_iso(n).entries) == want
+
+
+def test_classes_match_the_all_masks_oracle():
+    """One mask per Aut(base)-orbit, where the new vertex has minimum
+    degree, gives the same Graphs in the same order as all masks."""
+    for n in range(7):
+        assert [e.graph for e in graphs_up_to_iso(n).entries] == all_masks_classes(n)
+        bipartite = graphs_up_to_iso(n, keep=is_bipartite).entries
+        assert [e.graph for e in bipartite] == all_masks_classes(n, keep=is_bipartite)
+
+
+def test_bipartite_class_counts():
+    """keep is applied to orbit representatives only: the bipartite
+    classes still number OEIS A033995 for n = 1..7."""
+    counts = [len(graphs_up_to_iso(n, keep=is_bipartite).entries) for n in range(1, 8)]
+    assert counts == [1, 2, 3, 7, 13, 35, 88]
 
 
 def test_bound():

@@ -323,3 +323,28 @@ def test_first_intransitive_matches_naive_oracle(n):
             assert first_intransitive(n, batch) == oracle(batch) == slot
         batch = [rng.choice(noise) for _ in range(length)]
         assert first_intransitive(n, batch) == oracle(batch)
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_first_intransitive_agrees_with_transitive_masks_on_wide_rows(n):
+    """The 16-bit rows, leaf by leaf: on every suffix of a random batch
+    the batch check names the first leaf that transitive_masks rejects,
+    and one planted non-transitive leaf comes back at its own index, the
+    batch's last leaf included."""
+    rng = random.Random(2100 + n)
+    good = [_random_transitive(rng, n) for _ in range(8)]
+    bad = [_near_miss(rng, n) for _ in range(8)]
+    noise = [tuple(_random_loop_free_masks(rng, n)) for _ in range(4)]
+    batch = [rng.choice(good) for _ in range(512)]
+    for slot in rng.sample(range(512), 12):
+        batch[slot] = rng.choice(bad + noise)
+    verdicts = [transitive_masks(n, out) for out in batch]
+    assert verdicts.count(False) >= 8
+    for start in range(len(batch) + 1):
+        want = next((j for j in range(start, len(batch)) if not verdicts[j]), None)
+        got = first_intransitive(n, batch[start:])
+        assert (None if got is None else start + got) == want
+    for slot in (0, rng.randrange(1, 511), 511):
+        planted = [rng.choice(good) for _ in range(512)]
+        planted[slot] = rng.choice(bad)
+        assert first_intransitive(n, planted) == slot
