@@ -12,7 +12,6 @@ from .aggregate import IsoClassTable, aggregate_counts, graphs_up_to_iso
 from .enumeration import (
     CountReport,
     burnside,
-    counts_for,
     enumerate_transitive_digraphs,
     fix_count,
     h_burnside,

@@ -5,9 +5,9 @@ generation (J. Algorithms 26, 1998): deleting a vertex of minimum degree
 from an n-vertex graph leaves an (n-1)-class, so each (n-1)-class
 representative gets a new vertex of minimum degree, one neighbourhood
 per orbit of its automorphism group, and canonical codes deduplicate
-what is left.  The labeled-count identity
-sum over classes of n!/|Aut| = 2^C(n,2) is checked in the test suite and
-guards the generation end to end.
+what is left.  aggregate_counts checks the labeled-count identity
+sum over classes of n!/|Aut| = 2^C(n,2) on every run, which guards the
+generation end to end: a missed or repeated class raises.
 """
 
 import time
@@ -133,9 +133,10 @@ def _class_task(args):
 def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
     """(tau_n, h_n, table) summed over all isomorphism classes.
 
-    tau_n weights each class by its number of labelings n!/|Aut|; h_n is
-    the plain sum of class counts.  With timing, per-class wall times are
-    appended to it as (index, seconds), in class order.
+    tau_n weights each class by its number of labelings n!/|Aut|, which
+    must sum to 2^C(n,2); h_n is the plain sum of class counts.  With
+    timing, per-class wall times are appended to it as (index, seconds),
+    in class order.
     """
     if n < 1:
         raise ValueError("aggregate_counts needs n >= 1")
@@ -152,8 +153,13 @@ def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
         seconds[idx] = secs
     if timing is not None:
         timing.extend(enumerate(seconds))
-    nfact = factorial(n)
-    tau_n = sum(nfact // e.aut_order * e.tau for e in table.entries)
+    copies = [labeled_copies(n, e.aut_order) for e in table.entries]
+    if sum(copies) != 2 ** (n * (n - 1) // 2):
+        raise InternalCheckError(
+            f"labeled copies of the {len(table)} classes sum to {sum(copies)}, "
+            f"not 2^C({n},2)"
+        )
+    tau_n = sum(c * e.tau for c, e in zip(copies, table.entries))
     h_n = sum(e.h for e in table.entries)
     return tau_n, h_n, table
 

@@ -190,11 +190,7 @@ def _cmd_aggregate(args):
 
 
 def _cmd_verify(args):
-    return run_verify(
-        suite=args.suite,
-        budget_edges=args.budget_edges,
-        corrupt_memo=args.corrupt_memo,
-    )
+    return run_verify(suite=args.suite, budget_edges=args.budget_edges)
 
 
 def _build_parser():
@@ -233,7 +229,6 @@ def _build_parser():
         "--suite", choices=("all", "formulas", "oracles"), default="all"
     )
     ver.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
-    ver.add_argument("--corrupt-memo", action="store_true", help=argparse.SUPPRESS)
     ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -27,7 +27,7 @@ from multiprocessing import Pool
 from . import canon
 from .canon import _bits
 from .errors import BudgetExceeded, InternalCheckError
-from .graphs import _check_automorphism, automorphism_group, canonical_code
+from .graphs import _check_automorphism, automorphism_group
 from .topology import Digraph, first_intransitive, transitive_masks
 
 DEFAULT_EDGE_BUDGET = 24
@@ -429,13 +429,3 @@ class CountReport:
         if self.tau < self.h or (self.h == 0) != (self.tau == 0):
             raise InternalCheckError(f"inconsistent report: tau={self.tau} h={self.h}")
 
-
-def counts_for(g, budget_edges=None, cache=None):
-    """(tau, h) for a graph; memoized by canonical code in cache, if given."""
-    if cache is None:
-        cache = {}
-    code = canonical_code(g)
-    if code not in cache:
-        t = tau(g, budget_edges)
-        cache[code] = (t, burnside(g, automorphism_group(g), t, budget_edges))
-    return cache[code]

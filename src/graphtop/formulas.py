@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .decomposition import stirling2
-from .enumeration import counts_for, sink_counts
+from .enumeration import sink_counts, stream_counts
 from .errors import NotConnected
 from .graphs import (
     canonical_code,
@@ -107,13 +107,13 @@ def bipartite_counts(g):
     return FormulaResult(2, 1 if is_reflexible(g) else 2, "bipartite")
 
 
-def union_counts(parts, budget_edges=None, cache=None):
+def union_counts(parts, budget_edges=None):
     """Counts for a disjoint union of connected parts with multiplicities.
 
     parts is a list of (graph, multiplicity) with pairwise non-isomorphic
-    connected graphs.  A part's counts come from cache, else connected_counts,
-    else counts_for within the budget, unless a part with tau = 0 settles the
-    union first: none walks tree_counts' tree.
+    connected graphs.  A part's counts come from connected_counts, else
+    stream_counts within the budget, unless a part with tau = 0 settles the
+    union first: none lists a group or walks tree_counts' tree.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
@@ -128,16 +128,13 @@ def union_counts(parts, budget_edges=None, cache=None):
         if code in codes:
             raise ValueError("union parts must be pairwise non-isomorphic")
         codes.append(code)
-        if cache is not None and code in cache:
-            known.append(cache[code])
-        else:
-            closed = connected_counts(g)
-            known.append(closed and (closed.tau, closed.h))
+        closed = connected_counts(g)
+        known.append(closed and (closed.tau, closed.h))
     if any(counts and not counts[0] for counts in known):
         return FormulaResult(0, 0, "disjoint-union")
     tau_total = h_total = 1
     for (g, mult), counts in zip(parts, known):
-        t, h = counts or counts_for(g, budget_edges, cache)
+        t, h = counts or stream_counts(g, budget_edges)
         tau_total *= t**mult
         h_total *= comb(h + mult - 1, mult)
     return FormulaResult(tau_total, h_total, "disjoint-union")

@@ -16,9 +16,9 @@ from .decomposition import tree_counts
 from .enumeration import (
     _orbit_count,
     burnside,
-    counts_for,
     enumerate_transitive_digraphs,
     stream_masks,
+    tau,
 )
 from .errors import InternalCheckError
 from .graphs import (
@@ -185,7 +185,7 @@ def _suite_formulas(report, budget):
         _check_formula(report, name, g, formulas.cut_vertex_counts(g, v, budget))
 
 
-def _suite_oracles(report, budget, corrupt_memo):
+def _suite_oracles(report, budget):
     expected_preorders = {1: 1, 2: 4, 3: 29}
     for n, want in expected_preorders.items():
         preorders = all_preorders(n)
@@ -284,27 +284,26 @@ def _suite_oracles(report, budget, corrupt_memo):
             bad_reversal += 1
     report.check("reversal-closure", bad_reversal, 0)
 
-    cache = {}
+    taus = {}  # the search's tau, by canonical code
+
+    def search_tau(g):
+        code = canonical_code(g)
+        if code not in taus:
+            taus[code] = tau(g, budget)
+        return taus[code]
+
     for n in range(1, 7):
         bad = 0
         for entry in graphs_up_to_iso(n).entries:
             g = entry.graph
-            t = counts_for(g, budget, cache)[0]
             vanish = [
-                counts_for(induced_subgraph(g, s), budget, cache)[0] == 0
+                search_tau(induced_subgraph(g, s)) == 0
                 for k in range(1, g.n + 1)
                 for s in itertools.combinations(range(g.n), k)
             ]
-            if any(vanish) != (t == 0):
+            if any(vanish) != (search_tau(g) == 0):
                 bad += 1
         report.check(f"hereditary-vanishing-{n}", bad, 0)
-
-    memo = {}
-    if corrupt_memo:
-        memo[canonical_code(complete_graph(3))] = (12, 4)
-    via_memo = formulas.union_counts([(complete_graph(3), 1)], budget, cache=memo)
-    direct = _engine_counts(report, "memo-integrity", complete_graph(3), budget)
-    report.check("memo-integrity", (via_memo.tau, via_memo.h), direct)
 
 
 def count_ordered_partitions(n):
@@ -334,7 +333,7 @@ def count_compositions(n):
     return go(n)
 
 
-def run_verify(suite="all", budget_edges=None, corrupt_memo=False, out=None):
+def run_verify(suite="all", budget_edges=None, out=None):
     """Run the requested suite(s); returns 0 when every check passed, 2 otherwise."""
     report = _Report(out)
     if suite not in ("all", "formulas", "oracles"):
@@ -342,7 +341,7 @@ def run_verify(suite="all", budget_edges=None, corrupt_memo=False, out=None):
     if suite in ("all", "formulas"):
         _suite_formulas(report, budget_edges)
     if suite in ("all", "oracles"):
-        _suite_oracles(report, budget_edges, corrupt_memo)
+        _suite_oracles(report, budget_edges)
     stream = report.out
     status = "ok" if report.failures == 0 else "FAILED"
     print(f"{report.count} checks, {report.failures} failures: {status}", file=stream)

@@ -5,6 +5,7 @@ import pytest
 
 from graphtop import (
     Graph,
+    aggregate,
     aggregate_counts,
     automorphism_group,
     canon,
@@ -13,6 +14,7 @@ from graphtop import (
     cartesian_product,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     enumeration,
     graphs_up_to_iso,
     stream_counts,
@@ -20,11 +22,11 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.aggregate import class_counts, labeled_copies
-from graphtop.errors import SizeBoundExceeded
-from graphtop.graphs import is_bipartite
+from graphtop.errors import InternalCheckError, SizeBoundExceeded
+from graphtop.graphs import is_bipartite, is_connected
 from graphtop.topology import all_preorders, preorder_to_digraph
 
-from conftest import all_masks_classes
+from conftest import all_masks_classes, paw
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -179,15 +181,33 @@ def _count_calls(monkeypatch, calls, module, name):
         complete_graph(4),
         wheel_graph(5),
         cartesian_product(complete_graph(2), cycle_graph(4)),
+        disjoint_union(paw(), complete_graph(2)),
     ],
 )
 def test_class_counts_makes_one_pass(monkeypatch, g):
     """One plain search, no fix_count search, and no split of Aut(g) into
-    conjugacy classes: |Aut|, tau and h come from the tree."""
+    conjugacy classes: |Aut|, tau and h come from the tree.  The union
+    rule's check adds one pass over the paw, which no closed form covers,
+    and lists no group for it either."""
     want = (len(automorphism_group(g)), tau(g), stream_counts(g)[1])
     calls = {}
     _count_calls(monkeypatch, calls, enumeration, "stream_masks")
     _count_calls(monkeypatch, calls, enumeration, "fix_count")
     _count_calls(monkeypatch, calls, canon, "conjugacy_classes")
     assert class_counts(g) == want
-    assert calls == {"stream_masks": 1, "fix_count": 0, "conjugacy_classes": 0}
+    passes = 1 if is_connected(g) else 2
+    assert calls == {"stream_masks": passes, "fix_count": 0, "conjugacy_classes": 0}
+
+
+def test_aggregate_checks_the_labeled_count_identity(monkeypatch):
+    """A class missing from generation breaks sum n!/|Aut| = 2^C(n,2),
+    which aggregate_counts checks itself."""
+
+    def one_class_short(n):
+        table = graphs_up_to_iso(n)
+        del table.entries[1]
+        return table
+
+    monkeypatch.setattr(aggregate, "graphs_up_to_iso", one_class_short)
+    with pytest.raises(InternalCheckError, match=r"not 2\^C\(4,2\)"):
+        aggregate_counts(4)

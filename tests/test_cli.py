@@ -15,6 +15,7 @@ from graphtop import (
     enumeration,
     null_graph,
     parse_graph_expr,
+    verify,
 )
 from graphtop.cli import _build_parser, main
 from graphtop.errors import SizeBoundExceeded
@@ -70,6 +71,21 @@ def test_count_from_file(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "count", "--file", str(path), "--json")
     assert code == 0
     assert json.loads(out)["tau"] == 3
+
+
+def test_count_file_with_a_component_past_the_listing_bound(capsys, tmp_path):
+    """K2 joined to nine isolated vertices, plus K1: no closed form covers
+    the 11-vertex component and its |Aut| = 2 * 9! is past
+    canon.MAX_AUT_ORDER, so the union rule takes it from the stream and
+    its orbits under canon's generators, listing no group."""
+    path = tmp_path / "g.txt"
+    edges = [(0, 1)] + [(a, v) for a in (0, 1) for v in range(2, 11)]
+    path.write_text("n 12\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    code, out, err = run_cli(capsys, "count", "--file", str(path), "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert (doc["n"], doc["edges"], doc["tau"], doc["h"]) == (12, 19, 8, 5)
+    assert doc["formula"] == {"tau": 8, "h": 5, "theorem": "disjoint-union"}
 
 
 def test_count_argument_validation(capsys):
@@ -269,10 +285,14 @@ def test_verify_oracles_pass(capsys):
     assert "0 failures" in lines[-1]
 
 
-def test_verify_corrupt_memo_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "oracles", "--corrupt-memo")
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    def one_failure(report, budget):
+        report.check("planted", 1, 2)
+
+    monkeypatch.setattr(verify, "_suite_oracles", one_failure)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "oracles")
     assert code == 2
-    assert any(l.startswith("FAIL memo-integrity") for l in out.splitlines())
+    assert out.splitlines() == ["FAIL planted: 1 != 2", "1 checks, 1 failures: FAILED"]
 
 
 def test_workers_below_one_is_a_usage_error(capsys):

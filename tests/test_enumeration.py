@@ -26,7 +26,7 @@ from graphtop import (
 )
 from graphtop.canon import conjugacy_classes, digraph_code
 from graphtop.decomposition import tree_counts
-from graphtop.enumeration import CountReport, counts_for, edge_order, stream_masks
+from graphtop.enumeration import CountReport, edge_order, stream_masks
 from graphtop.errors import (
     BudgetExceeded,
     InternalCheckError,
@@ -362,30 +362,6 @@ def test_the_edgeless_leaf_goes_through_the_check(monkeypatch, n):
     monkeypatch.setattr(enumeration, "first_intransitive", lambda n, batch: 0)
     with pytest.raises(InternalCheckError, match="non-transitive leaf"):
         tau(Graph(n, [0] * n))
-
-
-def test_counts_for_memoizes():
-    cache = {}
-    first = counts_for(complete_graph(3), cache=cache)
-    assert first == (13, 4)
-    assert len(cache) == 1
-    (code, value), = cache.items()
-    cache[code] = (99, 4)
-    assert counts_for(complete_graph(3), cache=cache) == (99, 4)  # hit, not recomputed
-
-
-def test_counts_for_without_a_cache_keeps_no_memo(monkeypatch):
-    searches = []
-    gen_masks = enumeration.stream_masks
-
-    def counted(*args, **kwargs):
-        searches.append(args[0])
-        return gen_masks(*args, **kwargs)
-
-    monkeypatch.setattr(enumeration, "stream_masks", counted)
-    assert counts_for(complete_graph(3)) == (13, 4)
-    assert counts_for(complete_graph(3)) == (13, 4)
-    assert len(searches) == 2
 
 
 def test_count_report_invariant():
