@@ -62,11 +62,10 @@ class _Search:
     at v.  Every state carries an arc, so the w whose edge {v, w} has a
     state are out[v] | inn[v].  The rows make the consistency test of an
     edge a fixed number of integer operations; _walk places and removes
-    the states itself.  ends[k] is (u, v, 1 << u, 1 << v) for edge
-    k = {u, v}.  partners[k] lists the Gamma-partners of edge k: the edges
-    {u, b} with b adjacent to u but not to v, and {v, b} with b adjacent
-    to v but not to u.  A graph with more edges than the budget is refused
-    before any work.
+    the states itself.  partners[k] lists the Gamma-partners of edge
+    k = {u, v}: the edges {u, b} with b adjacent to u but not to v, and
+    {v, b} with b adjacent to v but not to u.  A graph with more edges
+    than the budget is refused before any work.
     """
 
     def __init__(self, g, budget=None):
@@ -80,11 +79,10 @@ class _Search:
         self.n = g.n
         self.adj = g.adj
         self.edges = edge_order(g)
-        self.eidx = {e: k for k, e in enumerate(self.edges)}
-        self.ends = [(u, v, 1 << u, 1 << v) for u, v in self.edges]
+        eidx = {e: k for k, e in enumerate(self.edges)}
         self.partners = [
             [
-                self.eidx[(a, b) if a < b else (b, a)]
+                eidx[(a, b) if a < b else (b, a)]
                 for a, far in ((u, v), (v, u))
                 for b in _bits(g.adj[a] & ~g.adj[far] & ~(1 << far))
             ]
@@ -123,21 +121,6 @@ _ALLOWED = [
     for f in (0, 1)
 ]
 
-_FLIP = {FWD: BWD, BWD: FWD, BOTH: BOTH}
-
-# the states left of each _ALLOWED entry to a block that only takes BOTH
-_BOTH_ONLY = {states: states[-1:] if BOTH in states else () for states in _ALLOWED}
-
-
-def _move(search, k, state, flip):
-    """Edge k set to state, mirrored if flip: (k, its state, u, v) and the
-    bits it sets in out[u], out[v], inn[u] and inn[v].  Edge k is undecided
-    before, so XOR with the same bits both places the state and removes it."""
-    state = _FLIP[state] if flip else state
-    u, v, bu, bv = search.ends[k]
-    fwd, bwd = state & FWD, state & BWD
-    return k, state, u, v, fwd and bv, bwd and bu, bwd and bv, fwd and bu
-
 
 def _checked(n, batch):
     """The leaves of batch up to its first non-transitive one, which raises."""
@@ -147,61 +130,55 @@ def _checked(n, batch):
         raise InternalCheckError("non-transitive leaf escaped propagation")
 
 
-def _walk(search, blocks):
-    """Leaves of the search, depth first over blocks, as out-mask tuples.
+def _walk(search):
+    """Leaves of the search, depth first over search.edges, as out-mask
+    tuples.
 
-    A block is (members, closure_flip) as _edge_orbits returns it.  Its
-    first member is unflipped and takes a state allowed to it; every other
-    member takes the same state, mirrored where flipped, if that state is
-    allowed to it, and a block whose orbit closes flipped only takes BOTH.
-    search.allowed is the one consistency test, for the first member, the
-    followers and the lookahead.  A stack frame (block, states left, moves
-    placed since) exists only where a block has two or more states; a
-    block with one state joins the innermost frame's moves, so one
-    backtrack XORs a forced chain out.  watch[i] lists the Gamma-partners
-    of block i's members in later blocks, still undecided once block i is
-    placed; a branch that leaves one of them no allowed state has no leaf
-    and is skipped.  Leaves are checked for transitivity _BATCH at a time.
+    search.allowed is the one consistency test, for each edge and for the
+    lookahead.  A stack frame (edge, states left, moves placed since)
+    exists only where an edge has two or more states; an edge with one
+    state joins the innermost frame's moves, so one backtrack XORs a
+    forced chain out.  watch[k] lists the Gamma-partners of edge k that
+    come after it, still undecided once k is placed; a branch that leaves
+    one of them no allowed state has no leaf and is skipped.  Leaves are
+    checked for transitivity _BATCH at a time.
     """
-    n, last = search.n, len(blocks)
+    n, last = search.n, len(search.edges)
     allowed, out, inn = search.allowed, search.out, search.inn
-    block_edges = [[k for k, _ in members] for members, _ in blocks]
-    reps = [ks[0] for ks in block_edges]
-    only_both = [flip for _, flip in blocks]
-    # moves[i][s]: block i's members as they are set when it takes state s
+    # moves[k][s]: u, v and the bits edge k = {u, v} in state s sets in
+    # out[u], out[v], inn[u] and inn[v].  Edge k is undecided before, so
+    # XOR with the same bits both places the state and removes it.
     moves = [
-        {s: tuple(_move(search, k, s, flip) for k, flip in members) for s in _FLIP}
-        for members, _ in blocks
+        {
+            s: (u, v, s & FWD and 1 << v, s & BWD and 1 << u,
+                s & BWD and 1 << v, s & FWD and 1 << u)
+            for s in (FWD, BWD, BOTH)
+        }
+        for u, v in search.edges
     ]
-    block_of = {k: i for i, ks in enumerate(block_edges) for k in ks}
-    watch = [
-        list(dict.fromkeys(j for k in ks for j in search.partners[k] if block_of[j] > i))
-        for i, ks in enumerate(block_edges)
-    ]
+    watch = [[j for j in js if j > k] for k, js in enumerate(search.partners)]
 
-    i, batch, frames, placed = 0, [], [], []  # i: the next block to place
+    k, batch, frames, placed = 0, [], [], []  # k: the next edge to place
     while True:
         state = 0
-        if i == last:
+        if k == last:
             batch.append(tuple(out))
             if len(batch) == _BATCH:
                 yield from _checked(n, batch)
                 batch = []
         else:
-            states = allowed(reps[i])
-            if only_both[i]:
-                states = _BOTH_ONLY[states]
+            states = allowed(k)
             if len(states) == 1:
                 state = states[0]
             elif states:
-                frames.append((i, iter(states), []))
+                frames.append((k, iter(states), []))
         while True:
             while not state:  # back to the innermost frame with a state left
                 if not frames:
                     yield from _checked(n, batch)
                     return
-                i, todo, placed = frames[-1]
-                for _, _, u, v, ou, ov, iu, iv in placed:
+                k, todo, placed = frames[-1]
+                for u, v, ou, ov, iu, iv in placed:
                     out[u] ^= ou
                     out[v] ^= ov
                     inn[u] ^= iu
@@ -210,33 +187,24 @@ def _walk(search, blocks):
                 state = next(todo, 0)
                 if not state:
                     frames.pop()
-            block = moves[i][state]
-            # each follower's state must be allowed to it, or the block has none
-            for j, (k, s, u, v, ou, ov, iu, iv) in enumerate(block):
-                if j and s not in allowed(k):
-                    placed += block[:j]
-                    state = 0
-                    break
-                out[u] ^= ou
-                out[v] ^= ov
-                inn[u] ^= iu
-                inn[v] ^= iv
-            else:
-                placed += block
-                # a later edge with no state left has none in any completion
-                if not watch[i] or all(map(allowed, watch[i])):
-                    break
-                state = 0
-        i += 1
+            move = u, v, ou, ov, iu, iv = moves[k][state]
+            out[u] ^= ou
+            out[v] ^= ov
+            inn[u] ^= iu
+            inn[v] ^= iv
+            placed.append(move)
+            # a later edge with no state left has none in any completion
+            if not watch[k] or all(map(allowed, watch[k])):
+                break
+            state = 0
+        k += 1
 
 
 def stream_masks(g, budget_edges=None):
     """Raw out-mask tuples of the stream, in deterministic order.  The
     edge budget is checked on the call, before the first leaf is asked
     for."""
-    # the identity's edge orbits are the single edges, unflipped
-    search = _Search(g, budget_edges)
-    return _walk(search, _edge_orbits(search, range(g.n)))
+    return _walk(_Search(g, budget_edges))
 
 
 def enumerate_transitive_digraphs(g, budget_edges=None):
@@ -269,65 +237,31 @@ def tau(g, budget_edges=None):
     return sum(1 for _ in stream_masks(g, budget_edges))
 
 
-def _edge_orbits(search, sigma):
-    """Orbits of sigma on edges, as (edge index, flip) chains.
-
-    flip records whether the member's forward direction is the image of
-    the representative's forward or backward direction; an orbit whose
-    closure comes back flipped only supports the `both` state.
-    """
-    orbits = []
-    seen = set()
-    for k, (u, v) in enumerate(search.edges):
-        if k in seen:
-            continue
-        members = []
-        x, y = u, v
-        while True:
-            idx = search.eidx[(x, y) if x < y else (y, x)]
-            members.append((idx, 0 if x < y else 1))
-            seen.add(idx)
-            x, y = sigma[x], sigma[y]
-            if (x, y) == (u, v) or (x, y) == (v, u):
-                closure_flip = 0 if (x, y) == (u, v) else 1
-                break
-        orbits.append((members, closure_flip))
-    return orbits
-
-
 def fix_count(g, sigma, budget_edges=None):
-    """Number of transitive digraphs D over g with sigma(D) = D.
-
-    Counted by a search constrained to sigma-invariant assignments: the
-    state of every edge in a sigma-orbit is determined by the orbit
-    representative, so only representatives branch.
-    """
+    """Number of transitive digraphs D over g with sigma(D) = D, counted
+    over the stream."""
     sigma = _check_automorphism(g, sigma)
-    search = _Search(g, budget_edges)
-    return sum(1 for _ in _walk(search, _edge_orbits(search, sigma)))
+    return _fixed(stream_masks(g, budget_edges), [sigma])[0]
 
 
-def burnside(g, auts, t, budget_edges=None):
+def burnside(g, auts, stream):
     """Orbits of the stream of g under the listed group auts, by Burnside.
 
     Fix(sigma) is constant on each conjugacy class of auts: D -> tau(D)
     maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
     ones.  So one term per class, weighted by the class size, gives the
-    sum over the whole group.  The identity fixes every digraph, so its
-    term is t, the stream length tau(g); every other class takes its term
-    from the fix_count search.  This is the reference route that
-    decomposition.tree_counts is checked against.
+    sum over the whole group.  stream is g's stream as stream_masks gives
+    it; one pass over it counts the fixed members of every class
+    representative, the identity's being the stream length.  This is the
+    reference route that decomposition.tree_counts is checked against.
     """
     conj = canon.conjugacy_classes(auts)
     if sum(size for _, size in conj) != len(auts):
         raise InternalCheckError(
             f"conjugacy class sizes do not sum to |Aut| = {len(auts)}"
         )
-    identity = tuple(range(g.n))
-    total = sum(
-        size * (t if rep == identity else fix_count(g, rep, budget_edges))
-        for rep, size in conj
-    )
+    fixed = _fixed(stream, [rep for rep, _ in conj])
+    total = sum(size * f for (_, size), f in zip(conj, fixed))
     classes, rem = divmod(total, len(auts))
     if rem:
         raise InternalCheckError(
@@ -337,8 +271,9 @@ def burnside(g, auts, t, budget_edges=None):
 
 
 def h_burnside(g, budget_edges=None):
-    """Homeomorphism-class count by averaging fixed digraphs over Aut(g)."""
-    return burnside(g, automorphism_group(g), tau(g, budget_edges), budget_edges)
+    """Homeomorphism-class count by averaging fixed digraphs over Aut(g).
+    The group is listed before the edge budget is checked."""
+    return burnside(g, automorphism_group(g), stream_masks(g, budget_edges))
 
 
 class _RowImage(dict):
@@ -351,6 +286,25 @@ class _RowImage(dict):
     def __missing__(self, mask):
         image = self[mask] = sum(1 << self.sigma[v] for v in _bits(mask))
         return image
+
+
+def _fixed(stream, sigmas):
+    """For each sigma, the number of stream members D with sigma(D) = D:
+    those whose row at sigma[u] is the image of row u, for every u.  The
+    u that sigma moves go first, as their test fails soonest."""
+    tests = [
+        (_RowImage(sigma), sorted(enumerate(sigma), key=lambda uv: uv[0] == uv[1]))
+        for sigma in sigmas
+    ]
+    counts = [0] * len(tests)
+    for masks in stream:
+        for i, (row, pairs) in enumerate(tests):
+            for u, v in pairs:
+                if row[masks[u]] != masks[v]:
+                    break
+            else:
+                counts[i] += 1
+    return counts
 
 
 def _orbit_count(n, stream, gens):

@@ -68,17 +68,17 @@ class _Report:
 
 def _engine_counts(report, name, g, budget=None):
     """(tau, h) from the engine, with the three class counters compared:
-    Burnside over the listed group, each non-identity term from the
-    fix_count search, against the distinct canonical digraph codes of
-    the stream, and those codes against the stream's Aut(g)-orbits under
-    canon's generators.  The stream is walked and Aut(g) is listed once.
+    Burnside over the listed group, every term counted over the listed
+    stream, against the distinct canonical digraph codes of the stream,
+    and those codes against the stream's Aut(g)-orbits under canon's
+    generators.  The stream is walked and Aut(g) is listed once.
     The tree's (|Aut|, tau, h) is compared with the listed group's order,
     the stream length and the code count."""
     stream = list(stream_masks(g, budget))
     by_codes = len({digraph_code(g.n, masks) for masks in stream})
     t, by_stream_orbits = _orbit_count(g.n, stream, generators(g.n, g.adj))
     auts = automorphism_group(g)
-    by_orbits = burnside(g, auts, t, budget)
+    by_orbits = burnside(g, auts, stream)
     report.check(f"{name}-orbit-agreement", by_orbits, by_codes)
     report.check(f"{name}-code-agreement", by_codes, by_stream_orbits)
     report.check(f"{name}-tree-agreement", tree_counts(g), (len(auts), t, by_codes))

@@ -185,7 +185,7 @@ def _count_calls(monkeypatch, calls, module, name):
     ],
 )
 def test_class_counts_makes_one_pass(monkeypatch, g):
-    """One plain search, no fix_count search, and no split of Aut(g) into
+    """One plain search, no fix_count, and no split of Aut(g) into
     conjugacy classes: |Aut|, tau and h come from the tree.  The union
     rule's check adds one pass over the paw, which no closed form covers,
     and lists no group for it either."""

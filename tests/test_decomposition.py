@@ -29,6 +29,7 @@ from graphtop import (
 from graphtop.aggregate import class_counts
 from graphtop.cli import main
 from graphtop.decomposition import tree_counts
+from graphtop.enumeration import stream_masks
 from graphtop.errors import InternalCheckError
 
 from conftest import paw, random_graph, twin_blow_up
@@ -68,10 +69,9 @@ def tree_tau(g):
 
 def _reference_counts(g):
     """(|Aut|, tau, h) by listing Aut(g), the plain search and Burnside
-    with every non-identity term from the fix_count search."""
+    with every term counted over the stream."""
     auts = automorphism_group(g)
-    t = tau(g)
-    return len(auts), t, burnside(g, auts, t)
+    return len(auts), tau(g), burnside(g, auts, stream_masks(g))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -195,7 +195,7 @@ def test_fix_tree_hand_cases(no_search):
 
 def test_burnside_runs_no_search(no_search):
     """h by Burnside over the tree's node groups, with no listed group and
-    no fix_count search."""
+    no pass over the stream."""
     cases = [
         (complete_graph(5), complete_counts(5)),
         (wheel_graph(6), wheel_counts(6)),

@@ -185,21 +185,33 @@ def test_fix_count_is_a_class_function(g):
 
 
 def _full_group_average(g):
+    """The average of Fix(sigma) over every sigma of the listed group,
+    each counted over the listed stream: D is fixed when the image of row
+    u is row sigma[u], for every u, and the members are filtered one u at
+    a time."""
     auts = automorphism_group(g)
-    return sum(fix_count(g, sigma) for sigma in auts) // len(auts)
+    stream = list(stream_masks(g))
+    rows = {row for masks in stream for row in masks}
+    total = 0
+    for sigma in auts:
+        image = {
+            row: sum(1 << sigma[v] for v in range(g.n) if row >> v & 1) for row in rows
+        }
+        fixed = stream
+        for u, v in enumerate(sigma):
+            fixed = [masks for masks in fixed if image[masks[u]] == masks[v]]
+        total += len(fixed)
+    return total // len(auts)
 
 
 def test_h_burnside_equals_full_group_average():
+    """burnside over the conjugacy classes, weighted by their sizes,
+    against the average over the whole group, on every class with at
+    most 5 vertices and on K6 (|Aut| = 720, 4,683 digraphs)."""
     graphs = [e.graph for n in range(6) for e in graphs_up_to_iso(n).entries]
     graphs.append(complete_graph(6))
     for g in graphs:
-        assert h_burnside(g) == _full_group_average(g)
-
-
-def _small_classes_and_k6():
-    graphs = [e.graph for n in range(6) for e in graphs_up_to_iso(n).entries]
-    graphs.append(complete_graph(6))
-    return graphs
+        assert h_burnside(g) == _full_group_average(g), g.edges()
 
 
 def test_stream_counts_is_tau_and_h_classes():
@@ -208,10 +220,31 @@ def test_stream_counts_is_tau_and_h_classes():
         assert stream_counts(g) == (tau(g), len(codes)), g.edges()
 
 
-def test_burnside_with_tau_as_identity_term():
-    for g in _small_classes_and_k6():
-        got = burnside(g, automorphism_group(g), tau(g))
-        assert got == _full_group_average(g), g.edges()
+def test_burnside_raises_on_a_stream_missing_a_member():
+    """K3's stream without the transitive tournament 0->1, 0->2, 1->2,
+    whose stabilizer is trivial: the fixed counts sum to 23, not 24, over
+    the 6 automorphisms, and the average is no integer."""
+    k3 = complete_graph(3)
+    auts = automorphism_group(k3)
+    stream = list(stream_masks(k3))
+    kept = [masks for masks in stream if masks != (0b110, 0b100, 0)]
+    assert len(kept) == len(stream) - 1 and burnside(k3, auts, stream) == 4
+    with pytest.raises(InternalCheckError, match="not an integer: 23/6"):
+        burnside(k3, auts, kept)
+
+
+def test_burnside_runs_no_search_of_its_own(monkeypatch):
+    """burnside takes one pass over the stream it is given and starts no
+    search: an iterator over the listed stream is enough."""
+    graphs = [complete_graph(4), cycle_graph(6), wheel_graph(5)]
+    streams = [list(stream_masks(g)) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(enumeration, "_Search", refuse)
+    got = [burnside(g, automorphism_group(g), iter(s)) for g, s in zip(graphs, streams)]
+    assert got == [8, 1, 3]
 
 
 def test_h_burnside_values():
@@ -416,9 +449,9 @@ def test_stream_order_on_amalgams(text):
 def test_fix_count_counts_the_fixed_stream_members(n):
     """Every class on n <= 6 vertices, and each conjugacy-class
     representative sigma of its listed group: fix_count(g, sigma) is the
-    number of stream members that sigma maps to themselves.  This reaches
-    the followers and the flipped orbits of K6 and C6, which the
-    brute-force test (m <= 8) does not."""
+    number of stream members that sigma maps to themselves, by
+    Digraph.relabel.  This reaches the classes with more than 8 edges,
+    such as K6, which the brute-force test does not."""
     for entry in graphs_up_to_iso(n).entries:
         g = entry.graph
         stream = [Digraph(g.n, masks) for masks in stream_masks(g)]
@@ -451,7 +484,7 @@ def test_gamma_lookahead_prunes(monkeypatch):
     once, and only undecided partners are looked at.  K7 has no induced
     P3, so no partners, and its search is as it was without the lookahead.
     allowed is the search's one consistency test, so its calls count the
-    nodes entered, the followers tried and the partners looked at."""
+    nodes entered and the partners looked at."""
     calls = 0
     real = enumeration._Search.allowed
 
