@@ -220,6 +220,20 @@ def test_stream_counts_is_tau_and_h_classes():
         assert stream_counts(g) == (tau(g), len(codes)), g.edges()
 
 
+def test_burnside_with_tau_as_identity_term():
+    """The identity's term in burnside is the stream length, tau(g), and
+    burnside on the listed stream agrees with the full-group average, on
+    every class with at most 5 vertices and on K6."""
+    graphs = [e.graph for n in range(6) for e in graphs_up_to_iso(n).entries]
+    graphs.append(complete_graph(6))
+    for g in graphs:
+        stream = list(stream_masks(g))
+        identity = tuple(range(g.n))
+        assert enumeration._fixed(stream, [identity]) == [tau(g)], g.edges()
+        got = burnside(g, automorphism_group(g), stream)
+        assert got == _full_group_average(g), g.edges()
+
+
 def test_burnside_raises_on_a_stream_missing_a_member():
     """K3's stream without the transitive tournament 0->1, 0->2, 1->2,
     whose stabilizer is trivial: the fixed counts sum to 23, not 24, over
