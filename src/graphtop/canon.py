@@ -210,19 +210,36 @@ def decode_graph_code(code):
 
 
 def _group(n, adj, seed):
-    """(generators, base) of the automorphisms of adj, colour-preserving
-    with seed.  The first leaf's cells are homogeneous: their points extend
-    the base, and their consecutive transpositions join the generators."""
-    _, gens, base, (cells, path) = _search(n, adj, None, seed, _encode_undirected)
+    """(code, generators, strong, base) of adj from one walk, colour-preserving
+    with seed.  The first leaf's cells are homogeneous, so each is acted on
+    by its full symmetric group, and their points extend the base.  Both
+    generating sets start with the walk's own.  generators adds, per cell,
+    the transposition of its first two points and, past two points, a
+    cycle through all of them; strong adds its consecutive transpositions,
+    a strong generating set relative to the base, as _orbits needs."""
+    code, gens, base, (cells, path) = _search(n, adj, None, seed, _encode_undirected)
+    strong = list(gens)
     for cell in cells:
+        if not cell & cell - 1:
+            continue
         points = list(_bits(cell))
         for a, b in zip(points, points[1:]):
             base.append((path, a))
             path |= 1 << a
-            swap = list(range(n))
-            swap[a], swap[b] = b, a
-            gens.append(tuple(swap))
-    return gens, base
+            strong.append(_cycle(n, (a, b)))
+        gens.append(strong[1 - len(points)])  # the first two points' transposition
+        if len(points) > 2:
+            gens.append(_cycle(n, points))
+    return (n, code), gens, strong, base
+
+
+def _cycle(n, points):
+    """The permutation of 0..n-1 taking each of points to the next, the
+    last to the first."""
+    sigma = list(range(n))
+    for a, b in zip(points, points[1:] + points[:1]):
+        sigma[a] = b
+    return tuple(sigma)
 
 
 def _orbits(gens, base):
@@ -246,18 +263,28 @@ def _orbits(gens, base):
 def generators(n, adj, seed_colors=None):
     """A generating set of the automorphisms of adj, colour-preserving
     with seed_colors; empty for the trivial group.  No group is listed."""
-    return _group(n, adj, seed_colors)[0]
+    return _group(n, adj, seed_colors)[1]
 
 
 def automorphisms(n, adj, seed_colors=None):
     """All adjacency-preserving permutations of 0..n-1, sorted.
 
-    The listing is built coset by coset along the base, deepest level
-    first.  With seed_colors, only color-preserving permutations are
-    listed, as in graph_code.  Raises SizeBoundExceeded, before any
-    element is built, when |Aut| exceeds MAX_AUT_ORDER.
+    With seed_colors, only color-preserving permutations are listed, as
+    in graph_code.  Raises SizeBoundExceeded, before any element is
+    built, when |Aut| exceeds MAX_AUT_ORDER.
     """
-    orbits = _orbits(*_group(n, adj, seed_colors))
+    return coded_automorphisms(n, adj, seed_colors)[1]
+
+
+def coded_automorphisms(n, adj, seed_colors=None):
+    """(graph_code(n, adj, seed_colors), automorphisms(n, adj, seed_colors))
+    from one walk.
+
+    The listing is built coset by coset along the base, deepest level
+    first, once the orbit sizes show |Aut| within MAX_AUT_ORDER.
+    """
+    code, _, strong, base = _group(n, adj, seed_colors)
+    orbits = _orbits(strong, base)
     if prod(map(len, orbits)) > MAX_AUT_ORDER:
         raise SizeBoundExceeded(f"|Aut| exceeds the supported bound {MAX_AUT_ORDER}")
     group = [tuple(range(n))]
@@ -269,7 +296,7 @@ def automorphisms(n, adj, seed_colors=None):
                 cosets[q] = [tuple([s[x] for x in h]) for h in cosets[p]]
         group = [h for coset in cosets.values() for h in coset]
     group.sort()
-    return group
+    return code, group
 
 
 def conjugacy_classes(group):

@@ -30,6 +30,7 @@ post-order walk gives each node's (type, |Aut|, tau, h):
   (a + k)! / k! counts the weak orders with the twins unlabelled (a!
   when s = 0);
 - prime: H is the type-preserving automorphism group of the quotient,
+  listed by the same canon walk that gives the quotient's code,
   |Aut| gains |H|, tau gains 2 (or becomes 0 if the quotient has no
   transitive orientation), and h = (1/|H|) sum 2 prod h(Y_C) over the pi
   in H that keep the orientation, the product running over the cycles C
@@ -210,8 +211,8 @@ def _node(adj, co, s):
         h = _exact(w * prod(kid[3] for kid in kids), sym)
     else:
         q = _quotient(adj, parts)
-        node_type += (canon.graph_code(len(q), q, types),)
-        group = canon.automorphisms(len(q), q, types)
+        code, group = canon.coded_automorphisms(len(q), q, types)
+        node_type += (code,)
         aut *= len(group)
         orient = _prime_orientations(q)
         if orient is None:

@@ -23,6 +23,7 @@ leaf is still checked for transitivity, a batch at a time.
 
 from dataclasses import dataclass
 from multiprocessing import Pool
+from operator import itemgetter
 
 from . import canon
 from .canon import _bits
@@ -321,7 +322,9 @@ def _orbit_count(n, stream, gens):
         inverse = [0] * n
         for u, v in enumerate(sigma):
             inverse[v] = u
-        maps.append((_RowImage(sigma), inverse))
+        # row v of an image is the image of row inverse[v]; a generator moves
+        # two points or more, so n > 1 and the getter gives an exact-size tuple
+        maps.append((_RowImage(sigma).__getitem__, itemgetter(*inverse)))
     t = h = 0
     pending = set()
     for masks in stream:
@@ -333,8 +336,8 @@ def _orbit_count(n, stream, gens):
         orbit = [masks]
         members = {masks}
         for d in orbit:
-            for row, inverse in maps:
-                image = tuple([row[d[u]] for u in inverse])
+            for row_image, reorder in maps:
+                image = reorder(list(map(row_image, d)))
                 if image not in members:
                     members.add(image)
                     orbit.append(image)

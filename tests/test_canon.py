@@ -15,6 +15,7 @@ from graphtop import (
     cycle_graph,
     disjoint_union,
     graphs_up_to_iso,
+    null_graph,
     path_graph,
 )
 from graphtop.canon import (
@@ -69,9 +70,11 @@ def test_automorphisms_match_brute_force(g):
 def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
     """On every class with n <= 6, unseeded and with each vertex as its
     own colour: the listing is the brute-force group, or the stabiliser
-    of the seeded vertex in it; the generators close to exactly the
-    listing; and the orbit sizes along the search's base multiply to its
-    length."""
+    of the seeded vertex in it; the generators and the strong generating
+    set each close to exactly the listing; the generators add at most two
+    to the walk's per homogeneous cell of the first leaf; and the orbit
+    sizes along the base multiply to the listing's length.  K_n and N_n,
+    one homogeneous cell, take a transposition and an n-cycle."""
     checked = 0
     for n in range(1, 7):
         for entry in graphs_up_to_iso(n).entries:
@@ -81,14 +84,26 @@ def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
                 seed = None if root is None else [v == root for v in range(n)]
                 group = canon.automorphisms(n, g.adj, seed)
                 assert group == [s for s in brute if root is None or s[root] == root]
-                gens, base = canon._group(n, g.adj, seed)
-                assert canon.generators(n, g.adj, seed) == gens
+                gens = canon.generators(n, g.adj, seed)
+                _, walk, _, (cells, _) = canon._search(
+                    n, g.adj, None, seed, canon._encode_undirected
+                )
+                homogeneous = [cell for cell in cells if cell & cell - 1]
+                assert len(gens) <= len(walk) + 2 * len(homogeneous)
                 assert dimino_closure(gens, n) == set(group)
-                assert prod(map(len, canon._orbits(gens, base))) == len(group)
+                _, _, strong, base = canon._group(n, g.adj, seed)
+                assert dimino_closure(strong, n) == set(group)
+                assert prod(map(len, canon._orbits(strong, base))) == len(group)
                 checked += 1
     assert checked == sum(
         (n + 1) * len(graphs_up_to_iso(n).entries) for n in range(1, 7)
     )
+    for n in range(3, 9):
+        for g in (complete_graph(n), null_graph(n)):
+            gens = canon.generators(n, g.adj)
+            assert sorted(sum(s[v] != v for v in range(n)) for s in gens) == [2, n]
+            _, _, strong, base = canon._group(n, g.adj, None)
+            assert prod(map(len, canon._orbits(strong, base))) == factorial(n)
 
 
 def test_automorphism_group_axioms():
@@ -259,9 +274,9 @@ def test_symmetric_unions_take_few_leaves(monkeypatch, g, order):
     rng = random.Random(g.n)
     for _ in range(3):
         assert graph_code(g.n, _relabel_masks(g.adj, _shuffled(rng, g.n))) == code
-    gens, base = canon._group(g.n, g.adj, None)
-    assert all(_relabel_masks(g.adj, s) == list(g.adj) for s in gens)
-    assert prod(map(len, canon._orbits(gens, base))) == order
+    _, gens, strong, base = canon._group(g.n, g.adj, None)
+    assert all(_relabel_masks(g.adj, s) == list(g.adj) for s in gens + strong)
+    assert prod(map(len, canon._orbits(strong, base))) == order
 
 
 def test_automorphisms_refuses_eight_copies_of_k2_before_building_an_element(

@@ -12,10 +12,12 @@ from graphtop import (
     Graph,
     automorphism_group,
     burnside,
+    canon,
     complete_counts,
     complete_graph,
     cycle_counts,
     cycle_graph,
+    decomposition,
     disjoint_union,
     enumeration,
     graphs_up_to_iso,
@@ -214,3 +216,45 @@ def test_tree_counts_hand_cases(no_search):
     for k in range(1, 9):
         assert tree_counts(g) == (2**k * factorial(k), 3**k, k + 1)
         g = disjoint_union(g, complete_graph(2))
+
+
+def _p4_with_vertex_1_replaced(edges, size):
+    """P4 0-1-2-3 with vertex 1 replaced by a module on 1 and the size - 1
+    vertices from 4, joined inside by edges."""
+    module = [1, *range(4, 3 + size)]
+    outer = [(0, x) for x in module] + [(x, 2) for x in module] + [(2, 3)]
+    return Graph.from_edges(3 + size, outer + edges)
+
+
+@pytest.mark.parametrize(
+    "g, primes",
+    [
+        (path_graph(3), 1),
+        (cycle_graph(5), 1),
+        (Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4)]), 1),  # the bull
+        (_p4_with_vertex_1_replaced([(1, 4)], 2), 1),  # a K2 child under the P4
+        (_p4_with_vertex_1_replaced([(1, 4), (4, 5), (5, 6)], 4), 2),  # a P4 in a P4
+    ],
+    ids=["P4", "C5", "bull", "P4[K2]", "P4[P4]"],
+)
+def test_one_canon_walk_per_prime_node(monkeypatch, g, primes):
+    """Each prime quotient's code and listed group come from one walk."""
+    calls = {"walks": 0, "primes": 0}
+
+    def counted(name, f):
+        def inner(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return inner
+
+    monkeypatch.setattr(canon, "_search", counted("walks", canon._search))
+    monkeypatch.setattr(
+        decomposition,
+        "_prime_orientations",
+        counted("primes", decomposition._prime_orientations),
+    )
+    got = tree_counts(g)
+    assert calls == {"walks": primes, "primes": primes}
+    monkeypatch.undo()
+    assert got == _reference_counts(g)
