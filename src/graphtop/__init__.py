@@ -10,12 +10,9 @@ aggregates over all isomorphism classes of n-vertex graphs.
 
 from .aggregate import IsoClassTable, aggregate_counts, graphs_up_to_iso
 from .enumeration import (
-    CountReport,
     burnside,
     enumerate_transitive_digraphs,
-    fix_count,
     h_burnside,
-    is_transitive,
     sink_counts,
     stream_counts,
     tau,
@@ -65,14 +62,12 @@ from .topology import (
     all_preorders,
     are_homeomorphic,
     canonical_code_digraph,
-    component_count,
     digraph_to_preorder,
     dual_topology,
     is_continuous,
-    minimal_basis,
+    is_transitive,
     preorder_from_topology,
     preorder_to_digraph,
-    reverse_digraph,
     topology_from_preorder,
     underlying_graph,
     validate_topology,

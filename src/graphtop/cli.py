@@ -15,7 +15,7 @@ import time
 from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
 from .canon import _bits
 from .decomposition import tree_counts
-from .enumeration import CountReport, stream_masks
+from .enumeration import stream_masks
 from .errors import GraphTopError, InternalCheckError
 from .expr import FileRef, build_graph, parse_graph_expr
 from .formulas import formula_for_graph
@@ -75,9 +75,9 @@ def _cmd_count(args):
     t0 = time.perf_counter()
     _, t, h = tree_counts(g)
     elapsed = time.perf_counter() - t0
-    report = CountReport(
-        graph=canonical_code(g), tau=t, h=h, method="enumeration", elapsed=elapsed
-    )
+    if t < h or (h == 0) != (t == 0):
+        raise InternalCheckError(f"inconsistent report: tau={t} h={h}")
+    code = _code_str(canonical_code(g))
     formula = formula_for_graph(g, args.budget_edges)
     if (
         formula is not None
@@ -91,21 +91,18 @@ def _cmd_count(args):
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if args.json:
         doc = {
-            "graph": _code_str(report.graph),
+            "graph": code,
             "n": g.n,
             "edges": g.edge_count,
-            "tau": report.tau,
-            "h": report.h,
-            "method": report.method,
+            "tau": t,
+            "h": h,
+            "method": "enumeration",
         }
         if formula is not None:
             doc["formula"] = formula.as_json_dict()
         print(_dump(doc))
     else:
-        line = (
-            f"graph {_code_str(report.graph)} n={g.n} edges={g.edge_count} "
-            f"tau={report.tau} h={report.h}"
-        )
+        line = f"graph {code} n={g.n} edges={g.edge_count} tau={t} h={h}"
         if formula is not None:
             line += f" (closed form: {formula.theorem})"
         print(line)

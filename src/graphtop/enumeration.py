@@ -21,25 +21,19 @@ union of cliques) has no partners, and its search is unchanged.  Every
 leaf is still checked for transitivity, a batch at a time.
 """
 
-from dataclasses import dataclass
 from multiprocessing import Pool
 from operator import itemgetter
 
 from . import canon
 from .canon import _bits
 from .errors import BudgetExceeded, InternalCheckError
-from .graphs import _check_automorphism, automorphism_group
-from .topology import Digraph, first_intransitive, transitive_masks
+from .graphs import automorphism_group
+from .topology import Digraph, first_intransitive
 
 DEFAULT_EDGE_BUDGET = 24
 
 FWD, BWD, BOTH = 1, 2, 3  # arc sets {u->v}, {v->u}, {u->v, v->u}
 _BATCH = 512  # leaves per transitivity check
-
-
-def is_transitive(d):
-    """True iff arcs a->b and b->c (a != c) always come with a->c."""
-    return transitive_masks(d.n, d.out)
 
 
 def edge_order(g):
@@ -238,13 +232,6 @@ def tau(g, budget_edges=None):
     return sum(1 for _ in stream_masks(g, budget_edges))
 
 
-def fix_count(g, sigma, budget_edges=None):
-    """Number of transitive digraphs D over g with sigma(D) = D, counted
-    over the stream."""
-    sigma = _check_automorphism(g, sigma)
-    return _fixed(stream_masks(g, budget_edges), [sigma])[0]
-
-
 def burnside(g, auts, stream):
     """Orbits of the stream of g under the listed group auts, by Burnside.
 
@@ -370,19 +357,4 @@ def sink_counts(g, u, budget_edges=None):
     sinks = (masks for masks in stream_masks(g, budget_edges) if not masks[u])
     stab = canon.generators(g.n, g.adj, [v == u for v in range(g.n)])
     return _orbit_count(g.n, sinks, stab)
-
-
-@dataclass
-class CountReport:
-    """Result of one counting run, serializable by the CLI."""
-
-    graph: tuple
-    tau: int
-    h: int
-    method: str
-    elapsed: float
-
-    def __post_init__(self):
-        if self.tau < self.h or (self.h == 0) != (self.tau == 0):
-            raise InternalCheckError(f"inconsistent report: tau={self.tau} h={self.h}")
 

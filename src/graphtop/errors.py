@@ -52,10 +52,6 @@ class GroundSetMismatch(GraphTopError, ValueError):
     """A point map does not fit the ground sets of the given spaces."""
 
 
-class NotAnAutomorphism(GraphTopError, ValueError):
-    """Permutation does not preserve the graph's adjacency."""
-
-
 class NotBipartite(GraphTopError, ValueError):
     """Operation requires a bipartite graph."""
 

@@ -9,7 +9,6 @@ from .canon import _bits
 from .errors import (
     EdgeListFormatError,
     InvalidFamilySize,
-    NotAnAutomorphism,
     NotBipartite,
     NotConnected,
     SizeBoundExceeded,
@@ -157,8 +156,6 @@ def build_named(family, size):
         builder = _FAMILIES[family]
     except KeyError:
         raise InvalidFamilySize(f"unknown family {family!r}") from None
-    if size < 1:
-        raise InvalidFamilySize(f"{family} needs size >= 1")
     return builder(size)
 
 
@@ -236,8 +233,8 @@ def is_connected(g):
 def is_cut_vertex(g, v):
     """True iff deleting v increases the component count."""
     g._check_vertex(v)
-    rest = [u for u in range(g.n) if u != v]
-    return len(components(induced_subgraph(g, rest))) > len(components(g))
+    full = (1 << g.n) - 1
+    return len(components_of(g.adj, full & ~(1 << v))) > len(components_of(g.adj, full))
 
 
 def induced_subgraph(g, vertices):
@@ -305,19 +302,6 @@ def automorphism_group(g):
     return canon.automorphisms(g.n, g.adj)
 
 
-def _check_automorphism(g, sigma):
-    sigma = tuple(sigma)
-    if sorted(sigma) != list(range(g.n)):
-        raise NotAnAutomorphism("not a permutation of the vertex set")
-    for u in range(g.n):
-        image = 0
-        for v in _bits(g.adj[u]):
-            image |= 1 << sigma[v]
-        if image != g.adj[sigma[u]]:
-            raise NotAnAutomorphism("permutation does not preserve adjacency")
-    return sigma
-
-
 def canonical_code(g):
     """Total order on graphs; equal codes iff isomorphic. Bound: n <= 16."""
     return canon.graph_code(g.n, g.adj)
@@ -332,12 +316,6 @@ def rooted_code(g, root):
     g._check_vertex(root)
     seed = [1 if u == root else 0 for u in range(g.n)]
     return canon.graph_code(g.n, g.adj, seed_colors=seed)
-
-
-def canonical_graph(code):
-    """Reconstruct the canonical representative graph from its code."""
-    n, masks = canon.decode_graph_code(code)
-    return Graph(n, masks)
 
 
 def is_reflexible(g):

@@ -21,7 +21,7 @@ from .errors import (
     SizeBoundExceeded,
     VertexOutOfRange,
 )
-from .graphs import Graph, components
+from .graphs import Graph
 
 # Families of arbitrary subsets are only accepted up to this ground-set
 # size; everything built from enumerated preorders stays far below it.
@@ -204,9 +204,9 @@ class Digraph:
         return f"Digraph({self.n}, arcs={self.arcs()})"
 
 
-def transitive_masks(n, out):
-    """True iff arcs a->b, b->c (a != c) always come with a->c."""
-    return first_intransitive(n, (out,)) is None
+def is_transitive(d):
+    """True iff arcs a->b and b->c (a != c) always come with a->c."""
+    return first_intransitive(d.n, (d.out,)) is None
 
 
 def first_intransitive(n, leaves):
@@ -279,7 +279,7 @@ def preorder_to_digraph(r):
 
 
 def digraph_to_preorder(d):
-    if not transitive_masks(d.n, d.out):
+    if not is_transitive(d):
         raise NotTransitive("digraph is not transitive")
     return Preorder(d.n, [d.out[x] | 1 << x for x in range(d.n)])
 
@@ -333,11 +333,6 @@ def _validate_masks(n, opens):
             raise NotATopology(
                 "not-closed-under-intersection", (list(_bits(a)), list(_bits(b)))
             )
-
-
-def minimal_basis(r):
-    """The up-sets {R(x)}; every open set is a union of these."""
-    return frozenset(r.rel)
 
 
 def is_continuous(point_map, tx, ty):
@@ -394,19 +389,10 @@ def are_homeomorphic(t1, t2):
     return canonical_code_digraph(d1) == canonical_code_digraph(d2)
 
 
-def component_count(t):
-    """Number of components of the underlying graph (= of the space)."""
-    return len(components(underlying_graph(t)))
-
-
 def dual_topology(t):
     """The topology whose opens are exactly t's closed sets."""
     full = (1 << t.n) - 1
     return Topology(t.n, (full & ~m for m in t.opens))
-
-
-def reverse_digraph(d):
-    return d.reverse()
 
 
 def all_preorders(n):

@@ -45,7 +45,6 @@ from .topology import (
     is_continuous,
     preorder_from_topology,
     preorder_to_digraph,
-    reverse_digraph,
     topology_from_preorder,
 )
 
@@ -257,10 +256,10 @@ def _suite_oracles(report, budget):
             if dual_topology(dual_topology(t)) != t:
                 bad_dual += 1
             d = preorder_to_digraph(r)
-            if reverse_digraph(reverse_digraph(d)) != d:
+            if d.reverse().reverse() != d:
                 bad_dual += 1
             # closed sets of t = opens of the arc-reversed relation
-            reversed_preorder = digraph_to_preorder(reverse_digraph(d))
+            reversed_preorder = digraph_to_preorder(d.reverse())
             if dual_topology(t) != topology_from_preorder(reversed_preorder):
                 bad_dual += 1
     report.check("duality-involution", bad_dual, 0)
@@ -279,7 +278,7 @@ def _suite_oracles(report, budget):
         reversed_stream = set()
         for d in enumerate_transitive_digraphs(g, budget):
             stream.add(d.out)
-            reversed_stream.add(reverse_digraph(d).out)
+            reversed_stream.add(d.reverse().out)
         if stream != reversed_stream:
             bad_reversal += 1
     report.check("reversal-closure", bad_reversal, 0)

@@ -18,7 +18,7 @@ from graphtop import (
     cycle_graph,
     wheel_graph,
 )
-from graphtop.graphs import canonical_graph
+from graphtop.canon import decode_graph_code
 # the named example graphs are verify's own, shared with the tests
 from graphtop.verify import bowtie, paw, star
 
@@ -65,7 +65,7 @@ def all_masks_classes(n, keep=None):
                 if keep is not None and not keep(cand):
                     continue
                 codes.add(canonical_code(cand))
-        reps = [canonical_graph(code) for code in sorted(codes)]
+        reps = [Graph(*decode_graph_code(code)) for code in sorted(codes)]
     return reps
 
 

@@ -49,7 +49,6 @@ from graphtop.topology import (
     dual_topology,
     preorder_from_topology,
     preorder_to_digraph,
-    reverse_digraph,
     topology_from_preorder,
 )
 
@@ -270,11 +269,11 @@ def test_criterion_7_property_suites():
             t = topology_from_preorder(r)
             assert dual_topology(dual_topology(t)) == t
             d = preorder_to_digraph(r)
-            assert reverse_digraph(reverse_digraph(d)) == d
+            assert d.reverse().reverse() == d
 
     for g in (cycle_graph(3), c4, complete_graph(4), wheel_graph(5), paw(), bowtie()):
         stream = {d.out for d in enumerate_transitive_digraphs(g)}
-        assert {reverse_digraph(d).out for d in enumerate_transitive_digraphs(g)} == stream
+        assert {d.reverse().out for d in enumerate_transitive_digraphs(g)} == stream
 
     taus = {}  # the search's tau, by canonical code
 

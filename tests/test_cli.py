@@ -12,6 +12,7 @@ from graphtop import (
     automorphism_group,
     build_graph,
     canon,
+    cli,
     enumeration,
     null_graph,
     parse_graph_expr,
@@ -51,7 +52,7 @@ def test_count_runs_no_search_on_a_connected_graph(capsys, monkeypatch, expr):
 
         return record
 
-    for name in ("_Search", "fix_count"):
+    for name in ("_Search", "_fixed"):
         monkeypatch.setattr(enumeration, name, refuse(name))
     monkeypatch.setattr(canon, "conjugacy_classes", refuse("conjugacy_classes"))
     code, out, _ = run_cli(capsys, "count", expr, "--json")
@@ -86,6 +87,17 @@ def test_count_file_with_a_component_past_the_listing_bound(capsys, tmp_path):
     doc = json.loads(out)
     assert (doc["n"], doc["edges"], doc["tau"], doc["h"]) == (12, 19, 8, 5)
     assert doc["formula"] == {"tau": 8, "h": 5, "theorem": "disjoint-union"}
+
+
+def test_count_reports_inconsistent_counts(capsys, monkeypatch):
+    """tau below h, or h = 0 with tau > 0, is an internal error: exit 2,
+    the counts on stderr and nothing on stdout."""
+    for counts in ((1, 1, 2), (1, 3, 0)):
+        monkeypatch.setattr(cli, "tree_counts", lambda g: counts)
+        code, out, err = run_cli(capsys, "count", "K2", "--json")
+        _, t, h = counts
+        assert code == 2 and out == ""
+        assert f"inconsistent report: tau={t} h={h}" in err
 
 
 def test_count_argument_validation(capsys):

@@ -13,6 +13,7 @@ from graphtop import (
     components,
     cycle_graph,
     disjoint_union,
+    graphs_up_to_iso,
     induced_subgraph,
     is_bipartite,
     is_connected,
@@ -59,10 +60,25 @@ def test_named_families():
 
 @pytest.mark.parametrize(
     "family,size",
-    [("C", 2), ("C", 1), ("W", 3), ("K", 0), ("P", 0), ("N", 0), ("X", 3)],
+    [
+        ("C", 2),
+        ("C", 1),
+        ("C", 0),
+        ("W", 3),
+        ("W", 0),
+        ("K", 0),
+        ("P", 0),
+        ("N", 0),
+        ("X", 3),
+    ],
 )
 def test_named_family_size_errors(family, size):
-    with pytest.raises(InvalidFamilySize):
+    """Each family's error names its own minimum size."""
+    if family == "X":
+        match = "unknown family"
+    else:
+        match = f"{family} needs size >= {dict(C=3, W=4).get(family, 1)}$"
+    with pytest.raises(InvalidFamilySize, match=match):
         build_named(family, size)
 
 
@@ -155,6 +171,18 @@ def test_components_and_cut_vertices():
     prism = cartesian_product(complete_graph(2), cycle_graph(3))
     triangle = induced_subgraph(prism, [0, 1, 2])  # one K2-copy of the C3 factor
     assert canonical_code(triangle) == canonical_code(cycle_graph(3))
+
+
+def test_cut_vertices_match_the_induced_subgraph_definition():
+    """On every vertex of every class with n <= 6: v is a cut vertex iff
+    the subgraph induced on the other vertices has more components."""
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            for v in range(n):
+                rest = induced_subgraph(g, [u for u in range(n) if u != v])
+                want = len(components(rest)) > len(components(g))
+                assert is_cut_vertex(g, v) == want, (g.edges(), v)
 
 
 def test_induced_subgraph_relabeling():

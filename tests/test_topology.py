@@ -11,15 +11,14 @@ from graphtop import (
     are_homeomorphic,
     canonical_code,
     complete_graph,
-    component_count,
+    components,
     digraph_to_preorder,
     dual_topology,
     is_continuous,
-    minimal_basis,
+    is_transitive,
     null_graph,
     preorder_from_topology,
     preorder_to_digraph,
-    reverse_digraph,
     topology_from_preorder,
     underlying_graph,
     validate_topology,
@@ -31,7 +30,7 @@ from graphtop.errors import (
     NotTransitive,
     VertexOutOfRange,
 )
-from graphtop.topology import first_intransitive, transitive_masks
+from graphtop.topology import first_intransitive
 
 from conftest import naive_transitive
 
@@ -109,9 +108,10 @@ def test_validate_topology():
 
 
 def test_minimal_basis():
-    assert minimal_basis(GOLDEN_PREORDER) == frozenset({0b01, 0b11})
-    assert minimal_basis(Preorder.diagonal(3)) == frozenset({0b001, 0b010, 0b100})
-    assert minimal_basis(Preorder.full(2)) == frozenset({0b11})
+    """The minimal basis is the up-sets R(x), the rows of the relation."""
+    assert frozenset(GOLDEN_PREORDER.rel) == frozenset({0b01, 0b11})
+    assert frozenset(Preorder.diagonal(3).rel) == frozenset({0b001, 0b010, 0b100})
+    assert frozenset(Preorder.full(2).rel) == frozenset({0b11})
 
 
 def test_minimal_basis_generates():
@@ -135,7 +135,7 @@ def test_minimal_basis_generates():
                     rel[x] = acc
             preorders.append(Preorder(n, rel))
     for r in preorders:
-        basis = minimal_basis(r)
+        basis = frozenset(r.rel)
         for m in topology_from_preorder(r).opens:
             union = 0
             for b in basis:
@@ -175,9 +175,13 @@ def test_are_homeomorphic():
 
 
 def test_component_count():
-    assert component_count(GOLDEN_TOPOLOGY) == 1
-    assert component_count(Topology.discrete(2)) == 2
-    assert component_count(Topology.indiscrete(3)) == 1
+    """The components of a space are those of its underlying graph."""
+    for t, want in (
+        (GOLDEN_TOPOLOGY, 1),
+        (Topology.discrete(2), 2),
+        (Topology.indiscrete(3), 1),
+    ):
+        assert len(components(underlying_graph(t))) == want
 
 
 def test_dual_and_reverse():
@@ -185,7 +189,7 @@ def test_dual_and_reverse():
     assert dual_topology(Topology.discrete(2)) == Topology.discrete(2)
 
     d = Digraph.from_arcs(3, [(0, 1), (1, 0), (0, 2), (1, 2)])
-    rev = reverse_digraph(d)
+    rev = d.reverse()
     assert rev.arcs() == [(0, 1), (1, 0), (2, 0), (2, 1)]
     assert digraph_to_preorder(rev) is not None  # reversal stays transitive
 
@@ -196,9 +200,9 @@ def test_duality_involution_exhaustive():
             t = topology_from_preorder(r)
             assert dual_topology(dual_topology(t)) == t
             d = preorder_to_digraph(r)
-            assert reverse_digraph(reverse_digraph(d)) == d
+            assert d.reverse().reverse() == d
             via_reverse = topology_from_preorder(
-                digraph_to_preorder(reverse_digraph(d))
+                digraph_to_preorder(d.reverse())
             )
             assert dual_topology(t) == via_reverse
 
@@ -257,7 +261,7 @@ def test_transitive_masks_matches_naive_oracle():
         n = len(out)
         arcs = [(a, b) for a in range(n) for b in range(n) if out[a] >> b & 1]
         want = naive_transitive(arcs)
-        assert transitive_masks(n, out) == want, out
+        assert is_transitive(Digraph(n, out)) == want, out
         outcomes.add(want)
     assert outcomes == {True, False}
 
@@ -328,7 +332,7 @@ def test_first_intransitive_matches_naive_oracle(n):
 @pytest.mark.parametrize("n", range(9, 17))
 def test_first_intransitive_agrees_with_transitive_masks_on_wide_rows(n):
     """The 16-bit rows, leaf by leaf: on every suffix of a random batch
-    the batch check names the first leaf that transitive_masks rejects,
+    the batch check names the first leaf that is_transitive rejects,
     and one planted non-transitive leaf comes back at its own index, the
     batch's last leaf included."""
     rng = random.Random(2100 + n)
@@ -338,7 +342,7 @@ def test_first_intransitive_agrees_with_transitive_masks_on_wide_rows(n):
     batch = [rng.choice(good) for _ in range(512)]
     for slot in rng.sample(range(512), 12):
         batch[slot] = rng.choice(bad + noise)
-    verdicts = [transitive_masks(n, out) for out in batch]
+    verdicts = [is_transitive(Digraph(n, out)) for out in batch]
     assert verdicts.count(False) >= 8
     for start in range(len(batch) + 1):
         want = next((j for j in range(start, len(batch)) if not verdicts[j]), None)
