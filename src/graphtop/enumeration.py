@@ -56,11 +56,12 @@ class _Search:
     Two bitmask rows per vertex, out[v] and inn[v], hold the decided arcs
     at v.  Every state carries an arc, so the w whose edge {v, w} has a
     state are out[v] | inn[v].  The rows make the consistency test of an
-    edge a fixed number of integer operations; _walk places and removes
-    the states itself.  partners[k] lists the Gamma-partners of edge
-    k = {u, v}: the edges {u, b} with b adjacent to u but not to v, and
-    {v, b} with b adjacent to v but not to u.  A graph with more edges
-    than the budget is refused before any work.
+    edge a fixed number of integer operations on its entry in rows:
+    rows[k] = (u, v, ~adj[u], ~adj[v], 1 << u, 1 << v) for edge
+    k = {u, v}.  _walk places the states itself.  partners[k] lists the
+    Gamma-partners of edge k: the edges {u, b} with b adjacent to u but
+    not to v, and {v, b} with b adjacent to v but not to u.  A graph with
+    more edges than the budget is refused before any work.
     """
 
     def __init__(self, g, budget=None):
@@ -69,11 +70,13 @@ class _Search:
         if g.edge_count > budget:
             raise BudgetExceeded(
                 f"{g.edge_count} edges exceed the budget of {budget}; "
-                "pass an explicit budget_edges to override"
+                "raise it with --budget-edges (budget_edges in the library)"
             )
         self.n = g.n
-        self.adj = g.adj
         self.edges = edge_order(g)
+        self.rows = [
+            (u, v, ~g.adj[u], ~g.adj[v], 1 << u, 1 << v) for u, v in self.edges
+        ]
         eidx = {e: k for k, e in enumerate(self.edges)}
         self.partners = [
             [
@@ -96,15 +99,16 @@ class _Search:
         edges that could miss one are those with v->w->u, and they must
         carry both w->v and u->w.  The arc v->u is the mirror image.  A
         direction the edge does not carry must not be demanded already.
+        _walk runs the same test inline for the edge it places.
         """
-        u, v = self.edges[k]
-        adj, out, inn = self.adj, self.out, self.inn
+        u, v, nu, nv, _, _ = self.rows[k]
+        out, inn = self.out, self.inn
         ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
         vu = ov & iu  # v->w->u: demands v->u
         uv = ou & iv  # u->w->v: demands u->v
         # k is undecided, so neither end is in the other's rows
-        fwd = not (iu & ~adj[v] or ov & ~adj[u] or vu & ~uv)
-        bwd = not (iv & ~adj[u] or ou & ~adj[v] or uv & ~vu)
+        fwd = not (iu & nv or ov & nu or vu & ~uv)
+        bwd = not (iv & nu or ou & nv or uv & ~vu)
         return _ALLOWED[(fwd and not vu) | (bwd and not uv) << 1 | (fwd and bwd) << 2]
 
 
@@ -129,31 +133,24 @@ def _walk(search):
     """Leaves of the search, depth first over search.edges, as out-mask
     tuples.
 
-    search.allowed is the one consistency test, for each edge and for the
-    lookahead.  A stack frame (edge, states left, moves placed since)
-    exists only where an edge has two or more states; an edge with one
-    state joins the innermost frame's moves, so one backtrack XORs a
-    forced chain out.  watch[k] lists the Gamma-partners of edge k that
-    come after it, still undecided once k is placed; a branch that leaves
-    one of them no allowed state has no leaf and is skipped.  Leaves are
-    checked for transitivity _BATCH at a time.
+    The consistency test of the edge being placed runs inline on its
+    entry in search.rows; search.allowed runs the same test for the
+    lookahead.  Both read the states from _ALLOWED, the walk when it
+    starts.  A stack frame (edge, states left, out and inn rows before
+    the edge) exists only where an edge has two or more states; an edge
+    with one state is ORed in on the way down, and one backtrack
+    restores the innermost frame's rows, forced chain and all.
+    watch[k] lists the Gamma-partners of edge k that come after it,
+    still undecided once k is placed; a branch that leaves one of them
+    no allowed state has no leaf and is skipped.  Leaves are checked for
+    transitivity _BATCH at a time.
     """
     n, last = search.n, len(search.edges)
-    allowed, out, inn = search.allowed, search.out, search.inn
-    # moves[k][s]: u, v and the bits edge k = {u, v} in state s sets in
-    # out[u], out[v], inn[u] and inn[v].  Edge k is undecided before, so
-    # XOR with the same bits both places the state and removes it.
-    moves = [
-        {
-            s: (u, v, s & FWD and 1 << v, s & BWD and 1 << u,
-                s & BWD and 1 << v, s & FWD and 1 << u)
-            for s in (FWD, BWD, BOTH)
-        }
-        for u, v in search.edges
-    ]
+    allowed, rows, out, inn = search.allowed, search.rows, search.out, search.inn
+    table = _ALLOWED
     watch = [[j for j in js if j > k] for k, js in enumerate(search.partners)]
 
-    k, batch, frames, placed = 0, [], [], []  # k: the next edge to place
+    k, batch, frames = 0, [], []  # k: the next edge to place
     while True:
         state = 0
         if k == last:
@@ -161,33 +158,39 @@ def _walk(search):
             if len(batch) == _BATCH:
                 yield from _checked(n, batch)
                 batch = []
-        else:
-            states = allowed(k)
+        else:  # allowed's test, inline
+            u, v, nu, nv, bu, bv = rows[k]
+            ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
+            vu = ov & iu
+            uv = ou & iv
+            fwd = not (iu & nv or ov & nu or vu & ~uv)
+            bwd = not (iv & nu or ou & nv or uv & ~vu)
+            states = table[(fwd and not vu) | (bwd and not uv) << 1 | (fwd and bwd) << 2]
             if len(states) == 1:
                 state = states[0]
             elif states:
-                frames.append((k, iter(states), []))
+                todo = iter(states)
+                state = next(todo)
+                frames.append((k, todo, tuple(out), tuple(inn)))
         while True:
             while not state:  # back to the innermost frame with a state left
                 if not frames:
                     yield from _checked(n, batch)
                     return
-                k, todo, placed = frames[-1]
-                for u, v, ou, ov, iu, iv in placed:
-                    out[u] ^= ou
-                    out[v] ^= ov
-                    inn[u] ^= iu
-                    inn[v] ^= iv
-                placed.clear()
+                k, todo, saved_out, saved_inn = frames[-1]
                 state = next(todo, 0)
-                if not state:
+                if state:
+                    out[:] = saved_out
+                    inn[:] = saved_inn
+                    u, v, _, _, bu, bv = rows[k]
+                else:
                     frames.pop()
-            move = u, v, ou, ov, iu, iv = moves[k][state]
-            out[u] ^= ou
-            out[v] ^= ov
-            inn[u] ^= iu
-            inn[v] ^= iv
-            placed.append(move)
+            if state & FWD:
+                out[u] |= bv
+                inn[v] |= bu
+            if state & BWD:
+                out[v] |= bu
+                inn[u] |= bv
             # a later edge with no state left has none in any completion
             if not watch[k] or all(map(allowed, watch[k])):
                 break

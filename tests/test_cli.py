@@ -343,6 +343,15 @@ def test_negative_budget_edges_is_a_usage_error(capsys, argv):
         assert "--budget-edges" in err
 
 
+def test_budget_error_names_the_option(capsys):
+    """The budget error names the option that raises the budget, not
+    only the library parameter, also when the budget was passed."""
+    code, out, err = run_cli(capsys, "enumerate", "union(K3,K3)", "--budget-edges", "5")
+    assert code == 1 and out == ""
+    assert "6 edges exceed the budget of 5" in err
+    assert "--budget-edges" in err and "budget_edges in the library" in err
+
+
 def test_budget_edges_zero_is_accepted(capsys):
     # 0 is a budget: it admits edgeless graphs and names itself on the rest
     assert run_cli(capsys, "count", "K3", "--budget-edges", "0")[0] == 0

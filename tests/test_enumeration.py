@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from graphtop import (
@@ -43,6 +45,7 @@ from conftest import (
     conjugate,
     naive_transitive,
     paw,
+    random_graph,
     star,
     symmetric_examples,
 )
@@ -147,7 +150,7 @@ def test_budget():
     assert tau(big, budget_edges=32) == 2
 
 
-def test_fix_count_examples():
+def test_fixed_examples():
     k2 = complete_graph(2)
     assert _fixed(stream_masks(k2), [(0, 1)]) == [3]
     # only the doubled edge survives the swap
@@ -209,7 +212,7 @@ def test_h_burnside_equals_full_group_average():
         assert h_burnside(g) == _full_group_average(g), g.edges()
 
 
-def test_stream_counts_is_tau_and_h_classes():
+def test_stream_counts_is_tau_and_distinct_codes():
     for g in (e.graph for n in range(7) for e in graphs_up_to_iso(n).entries):
         codes = {digraph_code(g.n, masks) for masks in stream_masks(g)}
         assert stream_counts(g) == (tau(g), len(codes)), g.edges()
@@ -262,7 +265,7 @@ def test_h_burnside_values():
     assert h_burnside(wheel_graph(5)) == 3  # pinned by the brute-force stream
 
 
-def test_h_classes_values():
+def test_stream_counts_h_values():
     assert stream_counts(complete_graph(4))[1] == 8
     assert stream_counts(wheel_graph(7))[1] == 2
     assert stream_counts(cycle_graph(6))[1] == 1
@@ -483,21 +486,42 @@ def test_gamma_lookahead_prunes(monkeypatch):
     """A branch that leaves a later Gamma-partner no state is dropped at
     once, and only undecided partners are looked at.  K7 has no induced
     P3, so no partners, and its search is as it was without the lookahead.
-    allowed is the search's one consistency test, so its calls count the
-    nodes entered and the partners looked at."""
+    Every consistency test, the walk's inline one for the edge it places
+    and allowed's for the lookahead, reads its states from
+    enumeration._ALLOWED, so the reads count the nodes entered and the
+    partners looked at."""
     calls = 0
-    real = enumeration._Search.allowed
 
-    def counted(self, k):
-        nonlocal calls
-        calls += 1
-        return real(self, k)
+    class Counted(list):
+        def __getitem__(self, index):
+            nonlocal calls
+            calls += 1
+            return super().__getitem__(index)
 
-    monkeypatch.setattr(enumeration._Search, "allowed", counted)
+    monkeypatch.setattr(enumeration, "_ALLOWED", Counted(enumeration._ALLOWED))
     assert tau(build_graph(parse_graph_expr("amalgam(K6@0,P2@0)"))) == 1082
-    # 6,270 calls; 23,252 without the lookahead, 12,762 if decided
+    # 6,270 tests; 23,252 without the lookahead, 12,762 if decided
     # partners are re-checked
     assert calls <= 7000
+    assert calls == 6270
     calls = 0
     assert tau(complete_graph(7)) == 47293
     assert calls == 224371
+
+
+def test_stream_order_on_random_graphs_with_gamma_partners():
+    """Twenty seeded graphs on 8 or 9 vertices, each with Gamma-partners
+    and a nonempty stream: the lookahead prunes under deep frames, and
+    every backtrack restores the rows of its frame."""
+    rng = random.Random(25)
+    graphs = []
+    while len(graphs) < 20:
+        g = random_graph(rng, rng.choice((8, 9)))
+        if (
+            g.edge_count <= enumeration.DEFAULT_EDGE_BUDGET
+            and any(enumeration._Search(g).partners)
+            and tree_counts(g)[1]
+        ):
+            graphs.append(g)
+    for g in graphs:
+        check_stream_order(g)

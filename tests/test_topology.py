@@ -244,7 +244,7 @@ def _random_loop_free_masks(rng, n):
     ]
 
 
-def test_transitive_masks_matches_naive_oracle():
+def test_is_transitive_matches_naive_oracle():
     rng = random.Random(4)
     cases = [_random_loop_free_masks(rng, rng.randint(1, 6)) for _ in range(4000)]
     # transitive inputs, and the near misses one arc short of them
