@@ -4,6 +4,8 @@ Neighbor sets are stored as one int bitmask per vertex; everything the
 package does stays exact and fast at the sizes it targets (n <= 16).
 """
 
+from dataclasses import dataclass
+
 from . import canon
 from .canon import _bits
 from .errors import (
@@ -16,10 +18,12 @@ from .errors import (
 )
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Immutable simple graph: no loops, no parallel edges."""
 
-    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple
 
     def __init__(self, n, adj):
         adj = tuple(adj)
@@ -45,11 +49,8 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
-
-    def __reduce__(self):  # pickles for worker processes, rebuilt by __init__
-        return Graph, (self.n, self.adj)
+    def __reduce__(self):  # pickled (for the workers) and copied through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -88,14 +89,6 @@ class Graph:
     def _check_vertex(self, u):
         if not (0 <= u < self.n):
             raise VertexOutOfRange(f"vertex {u} outside 0..{self.n - 1}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.adj))
 
     def __repr__(self):
         return f"Graph({self.n}, edges={self.edges()})"

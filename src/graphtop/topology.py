@@ -9,6 +9,7 @@ digraph.  Vertex subsets and relation rows are int bitmasks throughout.
 import itertools
 import sys
 from array import array
+from dataclasses import dataclass
 
 from . import canon
 from .canon import _bits
@@ -28,10 +29,12 @@ from .graphs import Graph
 MAX_GROUND_SET = 12
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Preorder:
     """Reflexive transitive relation; rel[x] is the bitmask of R(x)."""
 
-    __slots__ = ("n", "rel")
+    n: int
+    rel: tuple
 
     def __init__(self, n, rel):
         rel = tuple(rel)
@@ -52,8 +55,7 @@ class Preorder:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rel", rel)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Preorder is immutable")
+    __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
 
     @classmethod
     def from_pairs(cls, n, pairs):
@@ -75,18 +77,11 @@ class Preorder:
     def pairs(self):
         return sorted((x, y) for x in range(self.n) for y in _bits(self.rel[x]))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Preorder) and self.n == other.n and self.rel == other.rel
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.rel))
-
     def __repr__(self):
         return f"Preorder({self.n}, pairs={self.pairs()})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Topology:
     """Family of open vertex subsets, each stored as a bitmask.
 
@@ -94,14 +89,14 @@ class Topology:
     validate_topology as the entry point for arbitrary families.
     """
 
-    __slots__ = ("n", "opens")
+    n: int
+    opens: frozenset
 
     def __init__(self, n, opens):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "opens", frozenset(opens))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Topology is immutable")
+    __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
 
     @classmethod
     def from_sets(cls, n, sets):
@@ -127,24 +122,16 @@ class Topology:
         """Sorted list of sorted vertex lists (the JSON rendering)."""
         return sorted(list(_bits(m)) for m in self.opens)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Topology)
-            and self.n == other.n
-            and self.opens == other.opens
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.opens))
-
     def __repr__(self):
         return f"Topology({self.n}, {self.opens_as_lists()})"
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Digraph:
     """Loop-free directed graph; out[u] is the bitmask of heads of u."""
 
-    __slots__ = ("n", "out")
+    n: int
+    out: tuple
 
     def __init__(self, n, out):
         out = tuple(out)
@@ -159,8 +146,7 @@ class Digraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "out", out)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Digraph is immutable")
+    __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
 
     @classmethod
     def from_arcs(cls, n, arcs):
@@ -184,6 +170,8 @@ class Digraph:
         return Digraph(self.n, rev)
 
     def relabel(self, perm):
+        if sorted(perm) != list(range(self.n)):
+            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}")
         new = [0] * self.n
         for u in range(self.n):
             acc = 0
@@ -191,14 +179,6 @@ class Digraph:
                 acc |= 1 << perm[v]
             new[perm[u]] = acc
         return Digraph(self.n, new)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Digraph) and self.n == other.n and self.out == other.out
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.out))
 
     def __repr__(self):
         return f"Digraph({self.n}, arcs={self.arcs()})"

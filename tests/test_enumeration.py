@@ -161,7 +161,7 @@ def test_fixed_examples():
 @pytest.mark.parametrize(
     "g", [complete_graph(3), cycle_graph(4), cycle_graph(6), paw(), wheel_graph(5)]
 )
-def test_fix_count_matches_filter(g):
+def test_fixed_matches_filter(g):
     stream = [frozenset(d.arcs()) for d in enumerate_transitive_digraphs(g)]
     for sigma in automorphism_group(g):
         fixed = sum(
@@ -173,7 +173,7 @@ def test_fix_count_matches_filter(g):
 
 
 @pytest.mark.parametrize("g", symmetric_examples())
-def test_fix_count_is_a_class_function(g):
+def test_fixed_is_a_class_function(g):
     group = automorphism_group(g)
     for rep, _ in conjugacy_classes(group):
         want = _fixed(stream_masks(g), [rep])
@@ -449,7 +449,7 @@ def test_stream_order_on_amalgams(text):
 
 
 @pytest.mark.parametrize("n", range(7))
-def test_fix_count_counts_the_fixed_stream_members(n):
+def test_fixed_counts_the_fixed_stream_members(n):
     """Every class on n <= 6 vertices, and each conjugacy-class
     representative sigma of its listed group: Fix(sigma), as _fixed counts
     it over the stream, is the number of stream members that sigma maps to

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -234,6 +236,39 @@ def test_digraph_relabel():
     assert d.relabel((2, 0, 1)).arcs() == [(0, 1), (2, 0)]
     with pytest.raises(ValueError):
         Digraph.from_arcs(2, [(0, 0)])
+    # a repeated image, an extra point and a missing point are no permutation
+    for perm in ([0, 0, 1], [2, 1, 0, 3], [0, 1]):
+        with pytest.raises(ValueError, match="permutation"):
+            Digraph(3, (4, 0, 0)).relabel(perm)
+
+
+@pytest.mark.parametrize(
+    "value, rows",
+    [
+        (complete_graph(3), "adj"),
+        (Digraph(2, (2, 0)), "out"),
+        (Preorder.diagonal(2), "rel"),
+        (Topology.discrete(2), "opens"),
+    ],
+    ids=["Graph", "Digraph", "Preorder", "Topology"],
+)
+def test_value_types_are_frozen_hashable_picklable_and_copyable(value, rows):
+    """Graph, Digraph, Preorder and Topology behave as immutable values."""
+    before = (value.n, getattr(value, rows))
+    for name in ("n", rows):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert (value.n, getattr(value, rows)) == before
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert copy.copy(value) == value
+    assert copy.deepcopy(value) == value
+    from_list = type(value)(value.n, list(getattr(value, rows)))
+    from_tuple = type(value)(value.n, tuple(getattr(value, rows)))
+    assert from_list == from_tuple == value
+    assert hash(from_list) == hash(from_tuple) == hash(value)
 
 
 def _random_loop_free_masks(rng, n):
@@ -330,7 +365,7 @@ def test_first_intransitive_matches_naive_oracle(n):
 
 
 @pytest.mark.parametrize("n", range(9, 17))
-def test_first_intransitive_agrees_with_transitive_masks_on_wide_rows(n):
+def test_first_intransitive_agrees_with_is_transitive_on_wide_rows(n):
     """The 16-bit rows, leaf by leaf: on every suffix of a random batch
     the batch check names the first leaf that is_transitive rejects,
     and one planted non-transitive leaf comes back at its own index, the
