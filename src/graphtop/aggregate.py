@@ -97,24 +97,25 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
     return IsoClassTable(n, [ClassEntry(Graph(n, adj)) for adj in reps])
 
 
-def class_counts(g, budget_edges=None):
+def class_counts(g):
     """(aut_order, tau, h) for one class, with built-in cross-checks.
 
     One walk of the modular-decomposition tree gives |Aut|, tau and h.
     One pass over the stream gives tau and h again, as its length and
     its number of Aut(g)-orbits.  For disconnected graphs the
     multiplicative component rule is checked as well.  Any disagreement
-    raises, never resolves silently.
+    raises, never resolves silently.  The search admits the class's own
+    edge count: MAX_CLASS_VERTICES already bounds the class's size.
     """
     aut_order, t_tree, h_tree = tree_counts(g)
-    t, h = stream_counts(g, budget_edges)
+    t, h = stream_counts(g, g.edge_count)
     if (t_tree, h_tree) != (t, h):
         raise InternalCheckError(
             f"class counts disagree on {g!r}: "
             f"tree=({t_tree},{h_tree}) stream=({t},{h})"
         )
     if not is_connected(g):
-        by_parts = formulas.union_counts(component_parts(g), budget_edges)
+        by_parts = formulas.union_counts(component_parts(g), g.edge_count)
         if (by_parts.tau, by_parts.h) != (t, h):
             raise InternalCheckError(
                 f"component rule disagrees on {g!r}: "
@@ -123,14 +124,14 @@ def class_counts(g, budget_edges=None):
     return aut_order, t, h
 
 
-def _class_task(args):
+def _class_task(g):
     """((aut_order, tau, h), seconds) for one class."""
     t0 = time.perf_counter()
-    counts = class_counts(*args)
+    counts = class_counts(g)
     return counts, time.perf_counter() - t0
 
 
-def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
+def aggregate_counts(n, workers=1, timing=None):
     """(tau_n, h_n, table) summed over all isomorphism classes.
 
     tau_n weights each class by its number of labelings n!/|Aut|, which
@@ -144,7 +145,7 @@ def aggregate_counts(n, budget_edges=None, workers=1, timing=None):
     # heaviest classes first, so that with several workers the dense ones
     # start early instead of setting the makespan at the end
     order = sorted(range(len(table)), key=lambda i: -table.entries[i].graph.edge_count)
-    tasks = [(table.entries[i].graph, budget_edges) for i in order]
+    tasks = [table.entries[i].graph for i in order]
     seconds = [0.0] * len(order)
     results = fan_out(_class_task, tasks, workers)
     for idx, (counts, secs) in zip(order, results, strict=True):

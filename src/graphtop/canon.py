@@ -185,13 +185,13 @@ def graph_code(n, adj, seed_colors=None):
     return (n, _search(n, adj, None, seed_colors, _encode_undirected)[0])
 
 
-def digraph_code(n, out, seed_colors=None):
+def digraph_code(n, out):
     """Canonical code (n, bits) of a loop-free digraph."""
     inn = [0] * n
     for u in range(n):
         for v in _bits(out[u]):
             inn[v] |= 1 << u
-    return (n, _search(n, out, inn, seed_colors, _encode_directed)[0])
+    return (n, _search(n, out, inn, None, _encode_directed)[0])
 
 
 def decode_graph_code(code):

@@ -17,9 +17,9 @@ from .canon import _bits
 from .decomposition import tree_counts
 from .enumeration import stream_masks
 from .errors import GraphTopError, InternalCheckError
-from .expr import FileRef, build_graph, parse_graph_expr
+from .expr import build_graph, parse_graph_expr
 from .formulas import formula_for_graph
-from .graphs import canonical_code
+from .graphs import canonical_code, load_edge_list
 from .verify import run_verify
 
 
@@ -66,7 +66,7 @@ def _graph_from_args(args):
     if (args.expr is None) == (args.file is None):
         raise _UsageError("give exactly one of an expression or --file")
     if args.file is not None:
-        return build_graph(FileRef(args.file))
+        return load_edge_list(args.file)
     return build_graph(parse_graph_expr(args.expr))
 
 
@@ -156,9 +156,7 @@ def _cmd_aggregate(args):
     if n >= 7 and not args.allow_large:
         raise _UsageError(f"aggregate -n {n} is expensive; pass --allow-large")
     timing = [] if n >= 7 else None
-    tau_n, h_n, table = aggregate_counts(
-        n, args.budget_edges, workers=args.workers, timing=timing
-    )
+    tau_n, h_n, table = aggregate_counts(n, workers=args.workers, timing=timing)
     if timing:
         for idx, seconds in timing:
             print(f"class {idx}: {seconds:.3f}s", file=sys.stderr)
@@ -187,7 +185,7 @@ def _cmd_aggregate(args):
 
 
 def _cmd_verify(args):
-    return run_verify(suite=args.suite, budget_edges=args.budget_edges)
+    return run_verify()
 
 
 def _build_parser():
@@ -196,19 +194,20 @@ def _build_parser():
 
     def common(p, with_json=True):
         p.add_argument("--workers", type=_workers, default=1)
-        p.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
         if with_json:
             p.add_argument("--json", action="store_true")
 
     count = sub.add_parser("count", help="tau and h for one graph")
     count.add_argument("expr", nargs="?", help="graph expression, e.g. box(K2,C4)")
     count.add_argument("--file", help="edge-list file instead of an expression")
+    count.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
     common(count)
     count.set_defaults(func=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="stream the transitive digraphs")
     enum.add_argument("expr", nargs="?")
     enum.add_argument("--file")
+    enum.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
     fmt = enum.add_mutually_exclusive_group()
     fmt.add_argument("--dot", action="store_true")
     fmt.add_argument("--jsonl", action="store_true", help="JSON lines (default)")
@@ -222,10 +221,6 @@ def _build_parser():
     agg.set_defaults(func=_cmd_aggregate)
 
     ver = sub.add_parser("verify", help="run the differential check suites")
-    ver.add_argument(
-        "--suite", choices=("all", "formulas", "oracles"), default="all"
-    )
-    ver.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -235,14 +235,14 @@ def tau(g, budget_edges=None):
     return sum(1 for _ in stream_masks(g, budget_edges))
 
 
-def burnside(g, auts, stream):
-    """Orbits of the stream of g under the listed group auts, by Burnside.
+def burnside(auts, stream):
+    """Orbits of a graph's stream under the listed group auts, by Burnside.
 
     Fix(sigma) is constant on each conjugacy class of auts: D -> tau(D)
     maps the sigma-fixed digraphs one-to-one onto the tau sigma tau^-1-fixed
     ones.  So one term per class, weighted by the class size, gives the
-    sum over the whole group.  stream is g's stream as stream_masks gives
-    it; one pass over it counts the fixed members of every class
+    sum over the whole group.  stream is the graph's stream as stream_masks
+    gives it; one pass over it counts the fixed members of every class
     representative, the identity's being the stream length.  This is the
     reference route that decomposition.tree_counts is checked against.
     """
@@ -264,7 +264,7 @@ def burnside(g, auts, stream):
 def h_burnside(g, budget_edges=None):
     """Homeomorphism-class count by averaging fixed digraphs over Aut(g).
     The group is listed before the edge budget is checked."""
-    return burnside(g, automorphism_group(g), stream_masks(g, budget_edges))
+    return burnside(automorphism_group(g), stream_masks(g, budget_edges))
 
 
 class _RowImage(dict):

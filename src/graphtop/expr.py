@@ -18,7 +18,6 @@ from .graphs import (
     build_named,
     cartesian_product,
     disjoint_union,
-    load_edge_list,
 )
 
 _FAMILY_MINIMUM = {"K": 1, "N": 1, "P": 1, "C": 3, "W": 4}
@@ -28,11 +27,6 @@ _FAMILY_MINIMUM = {"K": 1, "N": 1, "P": 1, "C": 3, "W": 4}
 class Named:
     family: str
     size: int
-
-
-@dataclass(frozen=True)
-class FileRef:
-    path: str
 
 
 @dataclass(frozen=True)
@@ -136,9 +130,6 @@ def expr_to_text(expr):
     """Render back to the grammar; parse(expr_to_text(e)) == e."""
     if isinstance(expr, Named):
         return f"{expr.family}{expr.size}"
-    if isinstance(expr, FileRef):
-        # file references come from --file, not from the grammar
-        return f"<file:{expr.path}>"
     if isinstance(expr, Union):
         return f"union({expr_to_text(expr.left)},{expr_to_text(expr.right)})"
     if isinstance(expr, Box):
@@ -161,7 +152,6 @@ def vertex_count(expr):
         return vertex_count(expr.left) * vertex_count(expr.right)
     if isinstance(expr, Amalgam):
         return vertex_count(expr.left) + vertex_count(expr.right) - 1
-    # a file reference has no size until it is loaded
     raise TypeError(f"not a graph expression: {expr!r}")
 
 
@@ -169,10 +159,8 @@ def build_graph(expr):
     """Elaborate an expression tree to a Graph; anchors are range-checked.
 
     An expression over MAX_VERTICES vertices is rejected before any of it
-    is built.  A file reference loads as it is: reading it is linear.
+    is built.
     """
-    if isinstance(expr, FileRef):
-        return load_edge_list(expr.path)
     n = vertex_count(expr)
     if n > MAX_VERTICES:
         raise SizeBoundExceeded(

@@ -93,8 +93,12 @@ class Topology:
     opens: frozenset
 
     def __init__(self, n, opens):
+        opens = frozenset(opens)
+        for m in opens:
+            if m & ~((1 << n) - 1):
+                raise VertexOutOfRange(f"open set {m:#x} has a point outside 0..{n - 1}")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "opens", frozenset(opens))
+        object.__setattr__(self, "opens", opens)
 
     __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
 

@@ -143,6 +143,14 @@ def test_class_counts_cross_checks():
     assert (aut, t, h) == (8, 9, 3)
 
 
+def test_class_counts_searches_within_the_class_edge_count():
+    """A class is searched within its own edge count, not a fixed cap:
+    the 4-cube C4 x C4 has 32 edges, over the library default of 24."""
+    q4 = cartesian_product(cycle_graph(4), cycle_graph(4))
+    assert q4.edge_count == 32
+    assert class_counts(q4) == (384, 2, 1)
+
+
 def test_workers_match_single():
     single = aggregate_counts(4)
     multi = aggregate_counts(4, workers=2)

@@ -18,7 +18,7 @@ from graphtop import (
     parse_graph_expr,
     verify,
 )
-from graphtop.cli import _build_parser, main
+from graphtop.cli import main
 from graphtop.errors import SizeBoundExceeded
 
 
@@ -289,22 +289,22 @@ def test_aggregate_guards(capsys):
         assert (code, out, err) == (1, "", "error: -n must be between 1 and 7\n")
 
 
-def test_verify_oracles_pass(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "oracles")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert all(l.startswith("PASS") for l in lines[:-1])
-    assert "0 failures" in lines[-1]
+def test_verify_oracles_pass():
+    report = verify._Report(io.StringIO())
+    verify._suite_oracles(report)
+    assert report.count > 0 and report.failures == 0
 
 
 def test_verify_reports_a_failing_check(capsys, monkeypatch):
-    def one_failure(report, budget):
-        report.check("planted", 1, 2)
-
-    monkeypatch.setattr(verify, "_suite_oracles", one_failure)
-    code, out, _ = run_cli(capsys, "verify", "--suite", "oracles")
+    monkeypatch.setattr(verify, "_suite_formulas", lambda r: r.check("planted", 1, 2))
+    monkeypatch.setattr(verify, "_suite_oracles", lambda r: r.check("kept", 3, 3))
+    code, out, _ = run_cli(capsys, "verify")
     assert code == 2
-    assert out.splitlines() == ["FAIL planted: 1 != 2", "1 checks, 1 failures: FAILED"]
+    assert out.splitlines() == [
+        "FAIL planted: 1 != 2",
+        "PASS kept: 3 == 3",
+        "2 checks, 1 failures: FAILED",
+    ]
 
 
 def test_workers_below_one_is_a_usage_error(capsys):
@@ -332,15 +332,29 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert f"argument {argv[-2]}:" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [("count", "K3"), ("enumerate", "K3"), ("aggregate", "-n", "3"), ("verify",)],
-)
+@pytest.mark.parametrize("argv", [("count", "K3"), ("enumerate", "K3")])
 def test_negative_budget_edges_is_a_usage_error(capsys, argv):
     for value in ("-1", "many"):
         code, out, err = run_cli(capsys, *argv, "--budget-edges", value)
         assert code == 1 and out == ""
         assert "--budget-edges" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("aggregate", "-n", "3", "--budget-edges", "30"),
+        ("verify", "--budget-edges", "30"),
+        ("verify", "--suite", "oracles"),
+    ],
+)
+def test_removed_options_are_usage_errors(capsys, argv):
+    """aggregate and verify search only graphs they build, each within its
+    own edge count, and verify runs both suites: neither takes these."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert argv[-2] in err
 
 
 def test_budget_error_names_the_option(capsys):
@@ -359,11 +373,6 @@ def test_budget_edges_zero_is_accepted(capsys):
     assert code == 0 and out == '{"arcs":[],"n":3}\n'
     code, out, err = run_cli(capsys, "enumerate", "K3", "--budget-edges", "0")
     assert code == 1 and out == "" and "budget of 0" in err
-    argv = ("aggregate", "-n", "1", "--json", "--budget-edges", "0")
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0 and json.loads(out)["tau_n"] == 1
-    args = _build_parser().parse_args(["verify", "--budget-edges", "0"])
-    assert args.budget_edges == 0
 
 
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch):

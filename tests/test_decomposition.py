@@ -73,7 +73,7 @@ def _reference_counts(g):
     """(|Aut|, tau, h) by listing Aut(g), the plain search and Burnside
     with every term counted over the stream."""
     auts = automorphism_group(g)
-    return len(auts), tau(g), burnside(g, auts, stream_masks(g))
+    return len(auts), tau(g), burnside(auts, stream_masks(g))
 
 
 @pytest.mark.parametrize("n", range(7))

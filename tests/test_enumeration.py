@@ -228,7 +228,7 @@ def test_burnside_with_tau_as_identity_term():
         stream = list(stream_masks(g))
         identity = tuple(range(g.n))
         assert enumeration._fixed(stream, [identity]) == [tau(g)], g.edges()
-        got = burnside(g, automorphism_group(g), stream)
+        got = burnside(automorphism_group(g), stream)
         assert got == _full_group_average(g), g.edges()
 
 
@@ -240,9 +240,9 @@ def test_burnside_raises_on_a_stream_missing_a_member():
     auts = automorphism_group(k3)
     stream = list(stream_masks(k3))
     kept = [masks for masks in stream if masks != (0b110, 0b100, 0)]
-    assert len(kept) == len(stream) - 1 and burnside(k3, auts, stream) == 4
+    assert len(kept) == len(stream) - 1 and burnside(auts, stream) == 4
     with pytest.raises(InternalCheckError, match="not an integer: 23/6"):
-        burnside(k3, auts, kept)
+        burnside(auts, kept)
 
 
 def test_burnside_runs_no_search_of_its_own(monkeypatch):
@@ -255,7 +255,7 @@ def test_burnside_runs_no_search_of_its_own(monkeypatch):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(enumeration, "_Search", refuse)
-    got = [burnside(g, automorphism_group(g), iter(s)) for g, s in zip(graphs, streams)]
+    got = [burnside(automorphism_group(g), iter(s)) for g, s in zip(graphs, streams)]
     assert got == [8, 1, 3]
 
 

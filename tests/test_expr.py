@@ -9,13 +9,14 @@ from graphtop import (
     cycle_graph,
     disjoint_union,
     expr_to_text,
+    load_edge_list,
     null_graph,
     parse_graph_expr,
     wheel_graph,
 )
 from graphtop.canon import MAX_VERTICES
 from graphtop.errors import ExprError, SizeBoundExceeded
-from graphtop.expr import Amalgam, Box, FileRef, Named, Union, vertex_count
+from graphtop.expr import Amalgam, Box, Named, Union, vertex_count
 
 
 def test_parse_named():
@@ -137,7 +138,7 @@ def test_anchor_range_check():
 def test_file_ref(tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("n 3\ne 0 1\ne 1 2\n")
-    g = build_graph(FileRef(str(path)))
+    g = load_edge_list(str(path))
     assert canonical_code(g) == canonical_code(build_graph(parse_graph_expr("P2")))
 
 

@@ -225,6 +225,16 @@ def test_bijection_exhaustive_small():
             assert topology_from_preorder(preorder_from_topology(t)) == t
 
 
+def test_topology_rejects_open_sets_outside_the_ground_set():
+    """The bare constructor range-checks its masks as from_sets does:
+    bits at or above n, or a negative mask, name no point of 0..n-1."""
+    for opens in ([0, 3, 12], [0, 3, 4], [0, -1, 3]):
+        with pytest.raises(VertexOutOfRange, match=r"outside 0\.\.1"):
+            Topology(2, opens)
+    assert Topology(2, [0, 3, 1]).opens == frozenset({0, 1, 3})
+    assert Topology(0, [0]).opens == frozenset({0})
+
+
 def test_topology_json_rendering():
     assert GOLDEN_TOPOLOGY.opens_as_lists() == [[], [0], [0, 1]]
     d = Digraph.from_arcs(3, [(2, 1), (0, 1)])
