@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import time
+from operator import getitem
 
 from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
 from .canon import _bits
@@ -135,7 +136,8 @@ def _cmd_enumerate(args):
     batch = []
     try:
         for index, masks in enumerate(stream_masks(g, args.budget_edges)):
-            arcs = sep.join([row[mask] for row, mask in zip(rows, masks) if mask])
+            # a row with no arcs has empty text, which the join drops
+            arcs = sep.join(filter(None, map(getitem, rows, masks)))
             if args.dot:
                 batch.append(f"digraph d{index} {{\n{nodes}{arcs}}}\n")
             else:

@@ -99,6 +99,9 @@ class _Search:
         edges that could miss one are those with v->w->u, and they must
         carry both w->v and u->w.  The arc v->u is the mirror image.  A
         direction the edge does not carry must not be demanded already.
+        So a demanded direction leaves one state at most, and only the
+        non-edge tests of the directions it carries decide it; both
+        directions demanded allow both only if the same w demand them.
         _walk runs the same test inline for the edge it places.
         """
         u, v, nu, nv, _, _ = self.rows[k]
@@ -107,9 +110,17 @@ class _Search:
         vu = ov & iu  # v->w->u: demands v->u
         uv = ou & iv  # u->w->v: demands u->v
         # k is undecided, so neither end is in the other's rows
-        fwd = not (iu & nv or ov & nu or vu & ~uv)
-        bwd = not (iv & nu or ou & nv or uv & ~vu)
-        return _ALLOWED[(fwd and not vu) | (bwd and not uv) << 1 | (fwd and bwd) << 2]
+        if vu:
+            if uv:
+                if vu == uv and not (iu & nv or ov & nu or iv & nu or ou & nv):
+                    return (BOTH,)
+                return ()
+            return () if iv & nu or ou & nv else (BWD,)
+        if uv:
+            return () if iu & nv or ov & nu else (FWD,)
+        fwd = not (iu & nv or ov & nu)
+        bwd = not (iv & nu or ou & nv)
+        return _ALLOWED[fwd | bwd << 1 | (fwd and bwd) << 2]
 
 
 # the allowed states, in try order, at index fwd_ok | bwd_ok << 1 | both_ok << 2
@@ -135,11 +146,14 @@ def _walk(search):
 
     The consistency test of the edge being placed runs inline on its
     entry in search.rows; search.allowed runs the same test for the
-    lookahead.  Both read the states from _ALLOWED, the walk when it
-    starts.  A stack frame (edge, states left, out and inn rows before
-    the edge) exists only where an edge has two or more states; an edge
-    with one state is ORed in on the way down, and one backtrack
-    restores the innermost frame's rows, forced chain and all.
+    lookahead.  Each test reads the entry once, and nothing else reads
+    the rows.  An edge with a demanded arc has one state at most and
+    settles it without a table; any other edge takes its states from
+    _ALLOWED, the walk's copy read when it starts.  A stack frame (edge,
+    its row, states left, out and inn rows before the edge) exists only
+    where an edge has two or more states; an edge with one state is ORed
+    in on the way down, and one backtrack restores the innermost frame's
+    rows, forced chain and all.
     watch[k] lists the Gamma-partners of edge k that come after it,
     still undecided once k is placed; a branch that leaves one of them
     no allowed state has no leaf and is skipped.  Leaves are checked for
@@ -159,30 +173,40 @@ def _walk(search):
                 yield from _checked(n, batch)
                 batch = []
         else:  # allowed's test, inline
-            u, v, nu, nv, bu, bv = rows[k]
+            u, v, nu, nv, bu, bv = row = rows[k]
             ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
             vu = ov & iu
             uv = ou & iv
-            fwd = not (iu & nv or ov & nu or vu & ~uv)
-            bwd = not (iv & nu or ou & nv or uv & ~vu)
-            states = table[(fwd and not vu) | (bwd and not uv) << 1 | (fwd and bwd) << 2]
-            if len(states) == 1:
-                state = states[0]
-            elif states:
-                todo = iter(states)
-                state = next(todo)
-                frames.append((k, todo, tuple(out), tuple(inn)))
+            if vu:
+                if uv:
+                    if vu == uv and not (iu & nv or ov & nu or iv & nu or ou & nv):
+                        state = BOTH
+                elif not (iv & nu or ou & nv):
+                    state = BWD
+            elif uv:
+                if not (iu & nv or ov & nu):
+                    state = FWD
+            else:
+                fwd = not (iu & nv or ov & nu)
+                bwd = not (iv & nu or ou & nv)
+                states = table[fwd | bwd << 1 | (fwd and bwd) << 2]
+                if len(states) == 1:
+                    state = states[0]
+                elif states:
+                    todo = iter(states)
+                    state = next(todo)
+                    frames.append((k, row, todo, tuple(out), tuple(inn)))
         while True:
             while not state:  # back to the innermost frame with a state left
                 if not frames:
                     yield from _checked(n, batch)
                     return
-                k, todo, saved_out, saved_inn = frames[-1]
+                k, row, todo, saved_out, saved_inn = frames[-1]
                 state = next(todo, 0)
                 if state:
                     out[:] = saved_out
                     inn[:] = saved_inn
-                    u, v, _, _, bu, bv = rows[k]
+                    u, v, _, _, bu, bv = row
                 else:
                     frames.pop()
             if state & FWD:

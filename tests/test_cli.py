@@ -222,6 +222,16 @@ def test_enumerate_renders_the_library_stream(capsys, expr):
     )
 
 
+def test_enumerate_renders_the_graph_with_no_vertex(capsys, tmp_path):
+    """The one digraph on 0 vertices has no row at all to join."""
+    path = tmp_path / "g.txt"
+    path.write_text("n 0\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "enumerate", "--file", str(path))
+    assert (code, out) == (0, '{"arcs":[],"n":0}\n')
+    code, out, _ = run_cli(capsys, "enumerate", "--file", str(path), "--dot")
+    assert (code, out) == (0, "digraph d0 {\n}\n")
+
+
 def test_enumerate_closed_stdout_is_one_error_line(capsys, monkeypatch):
     class ClosedPipe(io.TextIOBase):
         def write(self, text):

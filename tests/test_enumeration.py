@@ -482,31 +482,127 @@ def test_gamma_partners():
             assert sorted(search.partners[k]) == sorted(expected)
 
 
-def test_gamma_lookahead_prunes(monkeypatch):
+class _CountedRows(list):
+    """A list that counts the reads of its items."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+def _consistency_tests(g):
+    """(leaves, consistency tests) of g's search.  Every test, the walk's
+    inline one for the edge it places and allowed's for the lookahead,
+    reads its edge's entry in search.rows once, and nothing else reads the
+    rows, so the reads count the nodes entered and the partners looked at."""
+    search = enumeration._Search(g)
+    search.rows = _CountedRows(search.rows)
+    leaves = sum(1 for _ in enumeration._walk(search))
+    return leaves, search.rows.reads
+
+
+def test_gamma_lookahead_prunes():
     """A branch that leaves a later Gamma-partner no state is dropped at
     once, and only undecided partners are looked at.  K7 has no induced
-    P3, so no partners, and its search is as it was without the lookahead.
-    Every consistency test, the walk's inline one for the edge it places
-    and allowed's for the lookahead, reads its states from
-    enumeration._ALLOWED, so the reads count the nodes entered and the
-    partners looked at."""
-    calls = 0
-
-    class Counted(list):
-        def __getitem__(self, index):
-            nonlocal calls
-            calls += 1
-            return super().__getitem__(index)
-
-    monkeypatch.setattr(enumeration, "_ALLOWED", Counted(enumeration._ALLOWED))
-    assert tau(build_graph(parse_graph_expr("amalgam(K6@0,P2@0)"))) == 1082
+    P3, so no partners, and its search is as it was without the lookahead."""
+    amalgam = build_graph(parse_graph_expr("amalgam(K6@0,P2@0)"))
+    leaves, tests = _consistency_tests(amalgam)
+    assert leaves == 1082
     # 6,270 tests; 23,252 without the lookahead, 12,762 if decided
     # partners are re-checked
-    assert calls <= 7000
-    assert calls == 6270
-    calls = 0
-    assert tau(complete_graph(7)) == 47293
-    assert calls == 224371
+    assert tests <= 7000
+    assert tests == 6270
+    assert _consistency_tests(complete_graph(7)) == (47293, 224371)
+    # K8 minus the edges 0-4, 0-5, 0-6 and 0-7: 292,126 tests without the
+    # lookahead
+    k8_star = Graph.from_edges(
+        8, [(u, v) for u, v in complete_graph(8).edges() if u or v < 4]
+    )
+    assert _consistency_tests(k8_star) == (3300, 17205)
+
+
+def _brute_allowed(g, decided, u, v):
+    """The states of the undecided edge {u, v}, in try order, that keep the
+    decided arcs consistent once added to them: every 2-path a->b->c
+    (a != c) has a->c an edge of g that is undecided or decided with that
+    arc, and every direction that a 2-path already demanded is kept."""
+    arcs = {arc for a, b in decided for arc in _state_arcs(a, b, decided[a, b])}
+    demanded = {(a, c) for a, b in arcs for b2, c in arcs if b == b2 and a != c}
+    decided_edges = {*decided, (u, v)}
+    allowed = []
+    for state in (enumeration.FWD, enumeration.BWD, enumeration.BOTH):
+        new = set(_state_arcs(u, v, state))
+        now = arcs | new
+        consistent = all(
+            g.has_edge(a, c)
+            and ((a, c) in now or (min(a, c), max(a, c)) not in decided_edges)
+            for a, b in now
+            for b2, c in now
+            if b == b2 and a != c
+        )
+        keeps = all(arc in new for arc in ((u, v), (v, u)) if arc in demanded)
+        if consistent and keeps:
+            allowed.append(state)
+    return tuple(allowed)
+
+
+def _state_arcs(u, v, state):
+    """The arcs of edge {u, v} in state."""
+    pairs = ((enumeration.FWD, (u, v)), (enumeration.BWD, (v, u)))
+    return [arc for bit, arc in pairs if state & bit]
+
+
+def test_allowed_matches_brute_force_on_random_partial_assignments():
+    """_Search.allowed against the brute-force rule, on consistent partial
+    assignments that no edge-order prefix need reach: edges decided in a
+    random order, each in a random state the rule allows.  Both directions
+    demanded by different w (v->w->u but not u->w->v) must refuse BOTH;
+    the walk never meets that case on n <= 7, so it is counted here."""
+    rng = random.Random(28)
+    cases = set()
+    graphs = 0
+    while graphs < 30:
+        g = random_graph(rng, rng.choice((5, 6, 7)))
+        search = enumeration._Search(g)
+        if not any(search.partners):
+            continue
+        graphs += 1
+        for _ in range(12):
+            order = list(range(len(search.edges)))
+            rng.shuffle(order)
+            decided = {}
+            for k in order[: rng.randint(0, len(order) - 1)]:
+                states = _brute_allowed(g, decided, *search.edges[k])
+                if not states:
+                    break
+                decided[search.edges[k]] = rng.choice(states)
+            search.out = [0] * g.n
+            search.inn = [0] * g.n
+            for a, b in decided:
+                for x, y in _state_arcs(a, b, decided[a, b]):
+                    search.out[x] |= 1 << y
+                    search.inn[y] |= 1 << x
+            for k, (u, v) in enumerate(search.edges):
+                if (u, v) in decided:
+                    continue
+                assert search.allowed(k) == _brute_allowed(g, decided, u, v), (
+                    g.edges(),
+                    decided,
+                    (u, v),
+                )
+                vu = search.out[v] & search.inn[u]
+                uv = search.out[u] & search.inn[v]
+                cases.add((bool(vu), bool(uv), vu == uv))
+    # neither, v->u only, u->v only, both by the same w, both by different w
+    assert cases == {
+        (False, False, True),
+        (True, False, False),
+        (False, True, False),
+        (True, True, True),
+        (True, True, False),
+    }
 
 
 def test_stream_order_on_random_graphs_with_gamma_partners():
