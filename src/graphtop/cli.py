@@ -2,7 +2,8 @@
 
 Machine-readable results go to stdout (a single JSON document under
 --json); timing and diagnostics go to stderr.  Exit codes: 0 success,
-1 usage or input error, 2 verification failure or internal inconsistency.
+1 usage or input error or a worker process lost, 2 verification failure or
+internal inconsistency.
 """
 
 import argparse

@@ -21,12 +21,12 @@ union of cliques) has no partners, and its search is unchanged.  Every
 leaf is still checked for transitivity, a batch at a time.
 """
 
-from multiprocessing import Pool
+from multiprocessing import get_context
 from operator import itemgetter
 
 from . import canon
 from .canon import _bits
-from .errors import BudgetExceeded, InternalCheckError
+from .errors import BudgetExceeded, InternalCheckError, WorkerDied
 from .graphs import automorphism_group
 from .topology import Digraph, first_intransitive
 
@@ -34,6 +34,8 @@ DEFAULT_EDGE_BUDGET = 24
 
 FWD, BWD, BOTH = 1, 2, 3  # arc sets {u->v}, {v->u}, {u->v, v->u}
 _BATCH = 512  # leaves per transitivity check
+# chunks per worker: few round trips, yet a small last chunk to even out the end
+_CHUNKS_PER_WORKER = 8
 
 
 def edge_order(g):
@@ -120,16 +122,13 @@ class _Search:
             return () if iu & nv or ov & nu else (FWD,)
         fwd = not (iu & nv or ov & nu)
         bwd = not (iv & nu or ou & nv)
-        return _ALLOWED[fwd | bwd << 1 | (fwd and bwd) << 2]
+        return _ALLOWED[fwd | bwd << 1]
 
 
-# the allowed states, in try order, at index fwd_ok | bwd_ok << 1 | both_ok << 2
-_ALLOWED = [
-    tuple(s for s, ok in ((FWD, f), (BWD, b), (BOTH, fb)) if ok)
-    for fb in (0, 1)
-    for b in (0, 1)
-    for f in (0, 1)
-]
+# the allowed states, in try order, of an edge with no demanded arc, at index
+# fwd_ok | bwd_ok << 1: with neither direction demanded, BOTH is allowed iff
+# each direction is
+_ALLOWED = [(), (FWD,), (BWD,), (FWD, BWD, BOTH)]
 
 
 def _checked(n, batch):
@@ -189,7 +188,7 @@ def _walk(search):
             else:
                 fwd = not (iu & nv or ov & nu)
                 bwd = not (iv & nu or ou & nv)
-                states = table[fwd | bwd << 1 | (fwd and bwd) << 2]
+                states = table[fwd | bwd << 1]
                 if len(states) == 1:
                     state = states[0]
                 elif states:
@@ -243,15 +242,80 @@ def fan_out(fn, tasks, workers):
     """fn(t) for t in tasks, lazily and in task order, over `workers`
     processes.
 
-    One worker runs the tasks in this process.  More hand them out one at
-    a time, so that callers control the schedule by the task order, and
-    each result is yielded as soon as it and those before it are done.
+    One worker runs the tasks in this process.  More are forked, one per
+    chunk at most: the tasks, in their given order, are cut into about
+    _CHUNKS_PER_WORKER chunks per worker, and each idle worker is dealt
+    the next chunk, so callers control the schedule by the task order.
+    A worker inherits fn and the tasks through the fork and is sent only
+    a chunk's bounds.  A chunk's results are yielded once it and those
+    before it are done.  A task's exception is raised here after the
+    results of the tasks before it, as in one process; a worker that
+    exits without replying raises WorkerDied.  Every worker is
+    terminated and joined before this returns or raises.
     """
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    with Pool(workers) as pool:
-        yield from pool.imap(fn, tasks, chunksize=1)
+    from multiprocessing.connection import wait
+
+    tasks = list(tasks)
+    size = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER)) or 1
+    chunks = [(lo, min(lo + size, len(tasks))) for lo in range(0, len(tasks), size)]
+    ctx = get_context("fork")  # named: the tasks reach the workers by the fork
+    procs, idle, busy, done = {}, [], {}, {}  # busy: conn -> chunk; done: chunk -> reply
+    dealt = given = 0  # chunks dealt, chunks yielded
+    try:
+        for _ in range(min(workers, len(chunks))):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_worker, args=(fn, tasks, child), daemon=True)
+            proc.start()
+            child.close()  # so that the worker's exit reads as EOF here
+            procs[conn] = proc
+            idle.append(conn)
+        while given < len(chunks):
+            while idle and dealt < len(chunks):
+                conn = idle.pop()
+                conn.send(chunks[dealt])
+                busy[conn] = dealt
+                dealt += 1
+            if given not in done:
+                for conn in wait(list(busy)):
+                    try:
+                        done[busy.pop(conn)] = conn.recv()
+                    except EOFError:
+                        proc = procs[conn]
+                        proc.join()
+                        raise WorkerDied(
+                            f"worker process {proc.pid} exited with code "
+                            f"{proc.exitcode} without replying"
+                        ) from None
+                    idle.append(conn)
+                continue
+            results, exc = done.pop(given)
+            yield from results
+            if exc is not None:
+                raise exc
+            given += 1
+    finally:
+        for conn, proc in procs.items():
+            proc.terminate()  # an idle worker waits for a chunk that never comes
+            proc.join()
+            conn.close()
+
+
+def _worker(fn, tasks, conn):
+    """fan_out's worker: for each chunk (lo, hi) received, send back the
+    results of fn over tasks[lo:hi] up to the first task that raises,
+    and that exception or None."""
+    while True:
+        lo, hi = conn.recv()
+        results, error = [], None
+        try:
+            for task in tasks[lo:hi]:
+                results.append(fn(task))
+        except Exception as exc:
+            error = exc
+        conn.send((results, error))
 
 
 def tau(g, budget_edges=None):

@@ -76,3 +76,7 @@ class ExprError(GraphTopError, ValueError):
 
 class InternalCheckError(GraphTopError, RuntimeError):
     """A built-in cross-check failed; indicates a bug, never bad input."""
+
+
+class WorkerDied(GraphTopError, RuntimeError):
+    """A worker process exited without replying (killed, or os._exit)."""

@@ -49,7 +49,7 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
-    def __reduce__(self):  # pickled (for the workers) and copied through __init__
+    def __reduce__(self):  # pickled and copied through __init__
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     @classmethod

@@ -8,7 +8,11 @@ is all_masks_classes, which dedups by canonical code: it checks the
 class generator's orbit and degree rules, not canon.
 """
 
+import contextlib
 import itertools
+import signal
+
+import pytest
 
 from graphtop import (
     Graph,
@@ -18,6 +22,7 @@ from graphtop import (
     cycle_graph,
     wheel_graph,
 )
+from graphtop import enumeration
 from graphtop.canon import decode_graph_code
 # the named example graphs are verify's own, shared with the tests
 from graphtop.verify import bowtie, paw, star
@@ -212,3 +217,46 @@ def one_color_seed(seed_colors, out, inn=None):
         return [0] * len(out)
     rank = {c: i for i, c in enumerate(sorted(set(seed_colors)))}
     return [rank[c] for c in seed_colors]
+
+
+@pytest.fixture
+def worker_starts(monkeypatch):
+    """The number of workers each fan_out over several workers starts, one
+    entry per call.  The workers are real, from the "fork" context."""
+    starts = []
+    get_context = enumeration.get_context
+
+    class Counted:
+        def __init__(self, ctx):
+            self.Pipe = ctx.Pipe
+            self.ctx = ctx
+
+        def Process(self, **kwargs):
+            starts[-1] += 1
+            return self.ctx.Process(**kwargs)
+
+    def counted(method):
+        assert method == "fork"
+        starts.append(0)
+        return Counted(get_context(method))
+
+    monkeypatch.setattr(enumeration, "get_context", counted)
+    return starts
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run `seconds`, so a
+    hang in the worker fan-out fails its test.  A forked worker inherits
+    the handler but not the timer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

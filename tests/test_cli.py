@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +11,7 @@ import time
 import pytest
 
 from graphtop import (
+    aggregate,
     automorphism_group,
     build_graph,
     canon,
@@ -19,7 +22,9 @@ from graphtop import (
     verify,
 )
 from graphtop.cli import main
-from graphtop.errors import SizeBoundExceeded
+from graphtop.errors import InternalCheckError, SizeBoundExceeded
+
+from conftest import deadline
 
 
 def run_cli(capsys, *argv):
@@ -299,6 +304,39 @@ def test_aggregate_guards(capsys):
         assert (code, out, err) == (1, "", "error: -n must be between 1 and 7\n")
 
 
+def test_aggregate_worker_error_exits_2(capsys, monkeypatch, worker_starts):
+    """A check that fails in a worker ends the run as it does serially."""
+    class_counts = aggregate.class_counts
+
+    def planted(g):
+        if g.edge_count == 10:  # K5, the first class dealt
+            raise InternalCheckError("planted in K5")
+        return class_counts(g)
+
+    monkeypatch.setattr(aggregate, "class_counts", planted)  # the fork inherits it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for workers in ("1", "2"):
+        with deadline(60):
+            code, out, err = run_cli(capsys, "aggregate", "-n", "5", "--workers", workers)
+        assert (code, out, err) == (2, "", "internal error: planted in K5\n")
+    assert worker_starts == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_aggregate_worker_death_exits_1(capsys, monkeypatch, worker_starts):
+    def planted(g):
+        os._exit(7)
+
+    monkeypatch.setattr(aggregate, "class_counts", planted)  # the fork inherits it
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with deadline(60):
+        code, out, err = run_cli(capsys, "aggregate", "-n", "5", "--workers", "2")
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: worker process \d+ exited with code 7 without replying\n", err)
+    assert worker_starts == [2]
+    assert multiprocessing.active_children() == []
+
+
 def test_verify_oracles_pass():
     report = verify._Report(io.StringIO())
     verify._suite_oracles(report)
@@ -385,23 +423,7 @@ def test_budget_edges_zero_is_accepted(capsys):
     assert code == 1 and out == "" and "budget of 0" in err
 
 
-def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
-    sizes = []
-
-    class SerialPool:  # records the size asked for; starts no process
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=None):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(enumeration, "Pool", SerialPool)
+def test_workers_clamped_to_cpu_count(capsys, monkeypatch, worker_starts):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     for argv in (
         ("count", "box(K2,C4)", "--json"),
@@ -410,15 +432,17 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch):
     ):
         want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
         for workers in ("2", "1000000"):
-            assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
-    assert sizes == [2, 3]  # aggregate; count and enumerate run serially
+            with deadline(60):
+                assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
+    assert worker_starts == [2, 3]  # aggregate; count and enumerate run serially
+    assert multiprocessing.active_children() == []
 
 
 def test_enumerate_with_workers_starts_no_pool(capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("enumerate started a worker pool")
+    def no_workers(method):
+        raise AssertionError("enumerate started a worker")
 
-    monkeypatch.setattr(enumeration, "Pool", no_pool)
+    monkeypatch.setattr(enumeration, "get_context", no_workers)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for argv in (("enumerate", "K4"), ("enumerate", "K4", "--dot")):
         code, want, _ = run_cli(capsys, *argv)

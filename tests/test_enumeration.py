@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import random
 
 import pytest
@@ -33,6 +35,7 @@ from graphtop.errors import (
     InternalCheckError,
     SizeBoundExceeded,
     VertexOutOfRange,
+    WorkerDied,
 )
 from graphtop.expr import build_graph, parse_graph_expr
 from graphtop.formulas import cut_vertex_counts
@@ -43,6 +46,7 @@ from conftest import (
     brute_automorphisms,
     brute_transitive_digraphs,
     conjugate,
+    deadline,
     naive_transitive,
     paw,
     random_graph,
@@ -621,3 +625,57 @@ def test_stream_order_on_random_graphs_with_gamma_partners():
             graphs.append(g)
     for g in graphs:
         check_stream_order(g)
+
+
+def _square(x):
+    return x * x
+
+
+def _planted_error_at_5(x):
+    if x == 5:
+        raise InternalCheckError("planted at 5")
+    return x
+
+
+def _exit_at_0(x):
+    if x == 0:
+        os._exit(7)
+    return x
+
+
+@pytest.mark.parametrize("count", [0, 1, 37])
+def test_fan_out_matches_map(worker_starts, count):
+    """Two workers give map's results in task order, for no tasks, fewer
+    tasks than workers, and 37 tasks (chunks of 3, the last of 1); no
+    worker starts without a chunk."""
+    with deadline(60):
+        got = list(enumeration.fan_out(_square, range(count), 2))
+    assert got == list(map(_square, range(count)))
+    assert worker_starts == [min(2, count)]
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_raises_a_task_error_after_the_results_before_it(worker_starts):
+    got = []
+    with deadline(60), pytest.raises(InternalCheckError, match="planted at 5"):
+        for result in enumeration.fan_out(_planted_error_at_5, range(37), 2):
+            got.append(result)
+    assert got == [0, 1, 2, 3, 4]
+    assert worker_starts == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_raises_worker_died_when_a_worker_exits(worker_starts):
+    with deadline(60), pytest.raises(WorkerDied, match="exited with code 7"):
+        list(enumeration.fan_out(_exit_at_0, range(37), 2))
+    assert worker_starts == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_fan_out_closed_early_stops_its_workers(worker_starts):
+    with deadline(60):
+        results = enumeration.fan_out(_square, range(37), 2)
+        assert next(results) == 0
+        results.close()
+    assert worker_starts == [2]
+    assert multiprocessing.active_children() == []
