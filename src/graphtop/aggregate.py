@@ -29,6 +29,7 @@ class ClassEntry:
     aut_order: int | None = None
     tau: int | None = None
     h: int | None = None
+    seconds: float | None = None
 
 
 @dataclass
@@ -131,29 +132,22 @@ def _class_task(g):
     return counts, time.perf_counter() - t0
 
 
-def aggregate_counts(n, workers=1, timing=None):
+def aggregate_counts(n, workers=1):
     """(tau_n, h_n, table) summed over all isomorphism classes.
 
     tau_n weights each class by its number of labelings n!/|Aut|, which
-    must sum to 2^C(n,2); h_n is the plain sum of class counts.  With
-    timing, per-class wall times are appended to it as (index, seconds),
-    in class order.
+    must sum to 2^C(n,2); h_n is the plain sum of class counts.  Each
+    table entry gets its class's aut_order, tau, h and seconds (wall time).
     """
     if n < 1:
         raise ValueError("aggregate_counts needs n >= 1")
     table = graphs_up_to_iso(n)
     # heaviest classes first, so that with several workers the dense ones
     # start early instead of setting the makespan at the end
-    order = sorted(range(len(table)), key=lambda i: -table.entries[i].graph.edge_count)
-    tasks = [table.entries[i].graph for i in order]
-    seconds = [0.0] * len(order)
-    results = fan_out(_class_task, tasks, workers)
-    for idx, (counts, secs) in zip(order, results, strict=True):
-        entry = table.entries[idx]
-        entry.aut_order, entry.tau, entry.h = counts
-        seconds[idx] = secs
-    if timing is not None:
-        timing.extend(enumerate(seconds))
+    entries = sorted(table.entries, key=lambda e: -e.graph.edge_count)
+    results = fan_out(_class_task, [e.graph for e in entries], workers)
+    for entry, result in zip(entries, results, strict=True):
+        (entry.aut_order, entry.tau, entry.h), entry.seconds = result
     copies = [labeled_copies(n, e.aut_order) for e in table.entries]
     if sum(copies) != 2 ** (n * (n - 1) // 2):
         raise InternalCheckError(

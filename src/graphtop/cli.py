@@ -158,11 +158,10 @@ def _cmd_aggregate(args):
         raise _UsageError(f"-n must be between 1 and {MAX_CLASS_VERTICES}")
     if n >= 7 and not args.allow_large:
         raise _UsageError(f"aggregate -n {n} is expensive; pass --allow-large")
-    timing = [] if n >= 7 else None
-    tau_n, h_n, table = aggregate_counts(n, workers=args.workers, timing=timing)
-    if timing:
-        for idx, seconds in timing:
-            print(f"class {idx}: {seconds:.3f}s", file=sys.stderr)
+    tau_n, h_n, table = aggregate_counts(n, workers=args.workers)
+    if n >= 7:
+        for idx, e in enumerate(table.entries):
+            print(f"class {idx}: {e.seconds:.3f}s", file=sys.stderr)
     rows = [
         {
             "class_index": idx,
@@ -195,32 +194,25 @@ def _build_parser():
     parser = _ArgumentParser(prog="graphtop")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_json=True):
-        p.add_argument("--workers", type=_workers, default=1)
-        if with_json:
-            p.add_argument("--json", action="store_true")
-
     count = sub.add_parser("count", help="tau and h for one graph")
     count.add_argument("expr", nargs="?", help="graph expression, e.g. box(K2,C4)")
     count.add_argument("--file", help="edge-list file instead of an expression")
     count.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
-    common(count)
+    count.add_argument("--json", action="store_true")
     count.set_defaults(func=_cmd_count)
 
     enum = sub.add_parser("enumerate", help="stream the transitive digraphs")
     enum.add_argument("expr", nargs="?")
     enum.add_argument("--file")
     enum.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
-    fmt = enum.add_mutually_exclusive_group()
-    fmt.add_argument("--dot", action="store_true")
-    fmt.add_argument("--jsonl", action="store_true", help="JSON lines (default)")
-    common(enum, with_json=False)
+    enum.add_argument("--dot", action="store_true", help="DOT in place of JSON lines")
     enum.set_defaults(func=_cmd_enumerate)
 
     agg = sub.add_parser("aggregate", help="sum over all n-vertex graph classes")
     agg.add_argument("-n", type=_int, required=True)
     agg.add_argument("--allow-large", action="store_true")
-    common(agg)
+    agg.add_argument("--workers", type=_workers, default=1)
+    agg.add_argument("--json", action="store_true")
     agg.set_defaults(func=_cmd_aggregate)
 
     ver = sub.add_parser("verify", help="run the differential check suites")

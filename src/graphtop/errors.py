@@ -2,7 +2,10 @@
 
 
 class GraphTopError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors, unpickled without calling __init__."""
+
+    def __reduce__(self):
+        return Exception.__new__, (type(self), *self.args), self.__dict__
 
 
 class InvalidFamilySize(GraphTopError, ValueError):

@@ -12,6 +12,8 @@ import contextlib
 import io
 import itertools
 import json
+import multiprocessing
+import os
 import time
 from math import factorial
 
@@ -56,6 +58,7 @@ from conftest import (
     bowtie,
     brute_automorphisms,
     brute_transitive_digraphs,
+    deadline,
     paw,
 )
 
@@ -304,18 +307,23 @@ def test_criterion_7_property_suites():
     )
 
 
-def test_criterion_8_worker_determinism():
+def test_criterion_8_worker_determinism(monkeypatch, worker_starts):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 8 clamps to 2
     t0 = time.perf_counter()
     runs = {}
     for workers in ("1", "8"):
-        code, out = run_cli(
-            "count", "box(K2,C4)", "--workers", workers, "--json"
-        )
+        with deadline(60):
+            code, out = run_cli("aggregate", "-n", "5", "--json", "--workers", workers)
         assert code == 0
         runs[workers] = out.encode()
     assert runs["1"] == runs["8"]
+    assert worker_starts == [2]  # the serial run forks none
+    assert multiprocessing.active_children() == []
     elapsed = time.perf_counter() - t0
-    print(f"PASS A8 count box(K2,C4) byte-identical for workers 1 and 8 ({elapsed:.2f}s)")
+    print(
+        f"PASS A8 aggregate -n 5 byte-identical for workers 1 and 8, "
+        f"the second over 2 forked workers ({elapsed:.2f}s)"
+    )
 
 
 def test_scalability_gate_n6():

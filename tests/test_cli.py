@@ -357,9 +357,9 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
 
 def test_workers_below_one_is_a_usage_error(capsys):
     for value in ("0", "-3", "two"):
-        code, out, err = run_cli(capsys, "count", "K3", "--workers", value)
+        code, out, err = run_cli(capsys, "aggregate", "-n", "3", "--workers", value)
         assert code == 1 and out == ""
-        assert "--workers" in err
+        assert "argument --workers:" in err
 
 
 @pytest.mark.parametrize(
@@ -368,8 +368,8 @@ def test_workers_below_one_is_a_usage_error(capsys):
         ("aggregate", "-n", "\u0663"),  # Arabic-Indic three
         ("aggregate", "-n", "\u00b3"),  # superscript three
         ("aggregate", "-n", "1_0"),
-        ("count", "K3", "--workers", "\u0662"),
-        ("count", "K3", "--workers", " 2"),
+        ("aggregate", "-n", "3", "--workers", "\u0662"),
+        ("aggregate", "-n", "3", "--workers", " 2"),
         ("count", "K3", "--budget-edges", "\u0662\u0660"),
     ],
 )
@@ -394,15 +394,20 @@ def test_negative_budget_edges_is_a_usage_error(capsys, argv):
         ("aggregate", "-n", "3", "--budget-edges", "30"),
         ("verify", "--budget-edges", "30"),
         ("verify", "--suite", "oracles"),
+        ("count", "K3", "--workers", "2"),
+        ("enumerate", "K3", "--workers", "2"),
+        ("enumerate", "C3", "--jsonl"),
     ],
 )
 def test_removed_options_are_usage_errors(capsys, argv):
     """aggregate and verify search only graphs they build, each within its
-    own edge count, and verify runs both suites: neither takes these."""
+    own edge count, and verify runs both suites; count and enumerate run
+    in one process, and enumerate writes JSON lines unless --dot is
+    given: none of them takes these."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert argv[-2] in err
+    assert next(a for a in argv if a.startswith("--")) in err
 
 
 def test_budget_error_names_the_option(capsys):
@@ -425,29 +430,13 @@ def test_budget_edges_zero_is_accepted(capsys):
 
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch, worker_starts):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for argv in (
-        ("count", "box(K2,C4)", "--json"),
-        ("enumerate", "C4"),
-        ("aggregate", "-n", "4", "--json"),
-    ):
-        want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
-        for workers in ("2", "1000000"):
-            with deadline(60):
-                assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
-    assert worker_starts == [2, 3]  # aggregate; count and enumerate run serially
+    argv = ("aggregate", "-n", "4", "--json")
+    want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
+    for workers in ("2", "1000000"):
+        with deadline(60):
+            assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
+    assert worker_starts == [2, 3]
     assert multiprocessing.active_children() == []
-
-
-def test_enumerate_with_workers_starts_no_pool(capsys, monkeypatch):
-    def no_workers(method):
-        raise AssertionError("enumerate started a worker")
-
-    monkeypatch.setattr(enumeration, "get_context", no_workers)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for argv in (("enumerate", "K4"), ("enumerate", "K4", "--dot")):
-        code, want, _ = run_cli(capsys, *argv)
-        assert code == 0 and want
-        assert run_cli(capsys, *argv, "--workers", "2")[:2] == (0, want)
 
 
 def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):

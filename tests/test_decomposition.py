@@ -1,8 +1,6 @@
 """|Aut|, tau and h from the modular-decomposition tree."""
 
 import io
-import json
-import os
 import random
 from math import factorial
 
@@ -29,7 +27,6 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.aggregate import class_counts
-from graphtop.cli import main
 from graphtop.decomposition import tree_counts
 from graphtop.enumeration import stream_masks
 from graphtop.errors import InternalCheckError
@@ -129,17 +126,6 @@ def test_a_disagreeing_tree_is_reported(monkeypatch):
     assert report.failures == 1
     out = report.out.getvalue()
     assert "FAIL k3-tree-agreement: (6, -1, 4) != (6, 13, 4)" in out
-
-
-@pytest.mark.parametrize("expr", ["box(K2,C4)", "W5"])
-def test_count_with_two_workers_matches_serial(capsys, monkeypatch, expr):
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    outs = []
-    for workers in ("1", "2"):
-        assert main(["count", expr, "--json", "--workers", workers]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["tau"] == {"box(K2,C4)": 2, "W5": 6}[expr]
 
 
 def test_tree_counts_match_the_listed_group_on_larger_graphs():

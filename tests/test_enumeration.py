@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import pickle
 import random
 
 import pytest
@@ -32,7 +33,9 @@ from graphtop.decomposition import tree_counts
 from graphtop.enumeration import _fixed, edge_order, stream_masks
 from graphtop.errors import (
     BudgetExceeded,
+    ExprError,
     InternalCheckError,
+    NotATopology,
     SizeBoundExceeded,
     VertexOutOfRange,
     WorkerDied,
@@ -637,6 +640,12 @@ def _planted_error_at_5(x):
     return x
 
 
+def _expr_error_at_3(x):
+    if x == 3:
+        raise ExprError("syntax-error", "planted", 7)
+    return x
+
+
 def _exit_at_0(x):
     if x == 0:
         os._exit(7)
@@ -661,6 +670,36 @@ def test_fan_out_raises_a_task_error_after_the_results_before_it(worker_starts):
         for result in enumeration.fan_out(_planted_error_at_5, range(37), 2):
             got.append(result)
     assert got == [0, 1, 2, 3, 4]
+    assert worker_starts == [2]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "exc, fields",
+    [
+        (ExprError("syntax-error", "planted", 7), ("code", "offset")),
+        (ExprError("vertex-out-of-range", "planted"), ("code", "offset")),
+        (NotATopology("not-closed-under-union", ([0], [1])), ("code", "witness")),
+        (NotATopology("missing-empty"), ("code", "witness")),
+    ],
+)
+def test_structured_errors_survive_pickling(exc, fields):
+    """A worker's exception reaches fan_out's caller pickled, and these
+    types take other __init__ arguments than the message they keep."""
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc) and str(back) == str(exc)
+    for field in fields:
+        assert getattr(back, field) == getattr(exc, field)
+
+
+def test_fan_out_raises_a_workers_expr_error_with_its_offset(worker_starts):
+    got = []
+    with deadline(60), pytest.raises(ExprError) as info:
+        for result in enumeration.fan_out(_expr_error_at_3, range(6), 2):
+            got.append(result)
+    assert got == [0, 1, 2]
+    assert (info.value.code, info.value.offset) == ("syntax-error", 7)
+    assert str(info.value) == "syntax-error at offset 7: planted"
     assert worker_starts == [2]
     assert multiprocessing.active_children() == []
 
