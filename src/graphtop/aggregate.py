@@ -103,10 +103,10 @@ def class_counts(g):
 
     One walk of the modular-decomposition tree gives |Aut|, tau and h.
     One pass over the stream gives tau and h again, as its length and
-    its number of Aut(g)-orbits.  For disconnected graphs the
-    multiplicative component rule is checked as well.  Any disagreement
-    raises, never resolves silently.  The search admits the class's own
-    edge count: MAX_CLASS_VERTICES already bounds the class's size.
+    its number of Aut(g)-orbits.  A disconnected graph's union rule,
+    which searches no component, is checked against them too.  Any
+    disagreement raises, never resolves silently.  The search admits the
+    class's own edge count: MAX_CLASS_VERTICES already bounds its size.
     """
     aut_order, t_tree, h_tree = tree_counts(g)
     t, h = stream_counts(g, g.edge_count)
@@ -116,7 +116,7 @@ def class_counts(g):
             f"tree=({t_tree},{h_tree}) stream=({t},{h})"
         )
     if not is_connected(g):
-        by_parts = formulas.union_counts(component_parts(g), g.edge_count)
+        by_parts = formulas.union_counts(component_parts(g))
         if (by_parts.tau, by_parts.h) != (t, h):
             raise InternalCheckError(
                 f"component rule disagrees on {g!r}: "

@@ -80,7 +80,7 @@ def _cmd_count(args):
     if t < h or (h == 0) != (t == 0):
         raise InternalCheckError(f"inconsistent report: tau={t} h={h}")
     code = _code_str(canonical_code(g))
-    formula = formula_for_graph(g, args.budget_edges)
+    formula = formula_for_graph(g)
     if (
         formula is not None
         and formula.tau is not None
@@ -197,7 +197,6 @@ def _build_parser():
     count = sub.add_parser("count", help="tau and h for one graph")
     count.add_argument("expr", nargs="?", help="graph expression, e.g. box(K2,C4)")
     count.add_argument("--file", help="edge-list file instead of an expression")
-    count.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
     count.add_argument("--json", action="store_true")
     count.set_defaults(func=_cmd_count)
 

@@ -21,6 +21,7 @@ union of cliques) has no partners, and its search is unchanged.  Every
 leaf is still checked for transitivity, a batch at a time.
 """
 
+import pickle
 from multiprocessing import get_context
 from operator import itemgetter
 
@@ -67,8 +68,7 @@ class _Search:
     """
 
     def __init__(self, g, budget=None):
-        if budget is None:
-            budget = DEFAULT_EDGE_BUDGET
+        budget = DEFAULT_EDGE_BUDGET if budget is None else budget
         if g.edge_count > budget:
             raise BudgetExceeded(
                 f"{g.edge_count} edges exceed the budget of {budget}; "
@@ -228,13 +228,13 @@ def stream_masks(g, budget_edges=None):
     return _walk(_Search(g, budget_edges))
 
 
-def enumerate_transitive_digraphs(g, budget_edges=None):
+def enumerate_transitive_digraphs(g):
     """Every transitive digraph with underlying graph exactly g, each once.
 
     The stream is deterministic: depth-first over edge_order(g) with
     states tried forward < backward < both.
     """
-    for masks in stream_masks(g, budget_edges):
+    for masks in stream_masks(g):
         yield Digraph(g.n, masks)
 
 
@@ -306,7 +306,8 @@ def fan_out(fn, tasks, workers):
 def _worker(fn, tasks, conn):
     """fan_out's worker: for each chunk (lo, hi) received, send back the
     results of fn over tasks[lo:hi] up to the first task that raises,
-    and that exception or None."""
+    and that exception, a RuntimeError naming it if pickle cannot
+    rebuild it, or None."""
     while True:
         lo, hi = conn.recv()
         results, error = [], None
@@ -315,12 +316,16 @@ def _worker(fn, tasks, conn):
                 results.append(fn(task))
         except Exception as exc:
             error = exc
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                error = RuntimeError(f"{type(exc).__qualname__}: {exc}")
         conn.send((results, error))
 
 
-def tau(g, budget_edges=None):
+def tau(g):
     """Number of transitive digraphs whose underlying graph is g, by search."""
-    return sum(1 for _ in stream_masks(g, budget_edges))
+    return sum(1 for _ in stream_masks(g))
 
 
 def burnside(auts, stream):
@@ -349,10 +354,10 @@ def burnside(auts, stream):
     return classes
 
 
-def h_burnside(g, budget_edges=None):
+def h_burnside(g):
     """Homeomorphism-class count by averaging fixed digraphs over Aut(g).
     The group is listed before the edge budget is checked."""
-    return burnside(automorphism_group(g), stream_masks(g, budget_edges))
+    return burnside(automorphism_group(g), stream_masks(g))
 
 
 class _RowImage(dict):
@@ -440,12 +445,12 @@ def stream_counts(g, budget_edges=None):
     return _orbit_count(g.n, stream, canon.generators(g.n, g.adj))
 
 
-def sink_counts(g, u, budget_edges=None):
+def sink_counts(g, u):
     """(tau_sink, h_sink) from one pass over the stream: the members in
     which u is a sink (no outgoing arcs), and their orbits under the
     automorphisms fixing u, the ones that keep u as its own colour."""
     g._check_vertex(u)
-    sinks = (masks for masks in stream_masks(g, budget_edges) if not masks[u])
+    sinks = (masks for masks in stream_masks(g) if not masks[u])
     stab = canon.generators(g.n, g.adj, [v == u for v in range(g.n)])
     return _orbit_count(g.n, sinks, stab)
 

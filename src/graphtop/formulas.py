@@ -8,8 +8,8 @@ from a genuine count of zero.  All arithmetic is exact.
 from dataclasses import dataclass
 from math import comb
 
-from .decomposition import stirling2
-from .enumeration import sink_counts, stream_counts
+from .decomposition import stirling2, tree_counts
+from .enumeration import sink_counts
 from .errors import NotConnected
 from .graphs import (
     canonical_code,
@@ -107,18 +107,18 @@ def bipartite_counts(g):
     return FormulaResult(2, 1 if is_reflexible(g) else 2, "bipartite")
 
 
-def union_counts(parts, budget_edges=None):
+def union_counts(parts):
     """Counts for a disjoint union of connected parts with multiplicities.
 
     parts is a list of (graph, multiplicity) with pairwise non-isomorphic
     connected graphs.  A part's counts come from connected_counts, else
-    stream_counts within the budget, unless a part with tau = 0 settles the
-    union first: none lists a group or walks tree_counts' tree.
+    from tree_counts: no part is searched.  m copies of a part with h
+    classes give C(h + m - 1, m) multisets of classes, 0 when h = 0.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
-    codes = []
-    known = []
+    codes = set()
+    tau_total = h_total = 1
     for g, mult in parts:
         if mult < 1:
             raise ValueError("part multiplicity must be >= 1")
@@ -127,14 +127,9 @@ def union_counts(parts, budget_edges=None):
         code = canonical_code(g)
         if code in codes:
             raise ValueError("union parts must be pairwise non-isomorphic")
-        codes.append(code)
+        codes.add(code)
         closed = connected_counts(g)
-        known.append(closed and (closed.tau, closed.h))
-    if any(counts and not counts[0] for counts in known):
-        return FormulaResult(0, 0, "disjoint-union")
-    tau_total = h_total = 1
-    for (g, mult), counts in zip(parts, known):
-        t, h = counts or stream_counts(g, budget_edges)
+        t, h = (closed.tau, closed.h) if closed else tree_counts(g)[1:]
         tau_total *= t**mult
         h_total *= comb(h + mult - 1, mult)
     return FormulaResult(tau_total, h_total, "disjoint-union")
@@ -158,7 +153,7 @@ def product_counts(g, h):
     return FormulaResult(2, 1 if one_class else 2, "cartesian-product")
 
 
-def amalgam_counts(g, u, h, v, budget_edges=None):
+def amalgam_counts(g, u, h, v):
     """Counts for the graph glued from g and h at u = v.
 
     The class count additionally needs both parts cut-vertex-free; when a
@@ -166,8 +161,8 @@ def amalgam_counts(g, u, h, v, budget_edges=None):
     """
     if not is_connected(g) or not is_connected(h):
         raise NotConnected("amalgam parts must be connected")
-    ts_g, hs_g = sink_counts(g, u, budget_edges)
-    ts_h, hs_h = sink_counts(h, v, budget_edges)
+    ts_g, hs_g = sink_counts(g, u)
+    ts_h, hs_h = sink_counts(h, v)
     t = 2 * ts_g * ts_h
     if any(is_cut_vertex(g, w) for w in range(g.n)) or any(
         is_cut_vertex(h, w) for w in range(h.n)
@@ -204,7 +199,7 @@ def connected_counts(g):
     return None
 
 
-def formula_for_graph(g, budget_edges=None):
+def formula_for_graph(g):
     """The first closed form whose hypotheses cover g, or None.
 
     The union rule if g is disconnected, else connected_counts.
@@ -212,11 +207,11 @@ def formula_for_graph(g, budget_edges=None):
     if g.n == 0:
         return None
     if not is_connected(g):
-        return union_counts(component_parts(g), budget_edges)
+        return union_counts(component_parts(g))
     return connected_counts(g)
 
 
-def cut_vertex_counts(g, v, budget_edges=None):
+def cut_vertex_counts(g, v):
     """Counts for a graph split by a cut vertex.
 
     The class count holds only when v is the unique cut vertex; otherwise
@@ -224,7 +219,7 @@ def cut_vertex_counts(g, v, budget_edges=None):
     """
     if not is_cut_vertex(g, v):
         raise ValueError(f"vertex {v} is not a cut vertex")
-    ts, hs = sink_counts(g, v, budget_edges)
+    ts, hs = sink_counts(g, v)
     unique = all(w == v or not is_cut_vertex(g, w) for w in range(g.n))
     hh = 2 * hs if unique else None
     return FormulaResult(2 * ts, hh, "cut-vertex")

@@ -82,8 +82,8 @@ def test_count_from_file(capsys, tmp_path):
 def test_count_file_with_a_component_past_the_listing_bound(capsys, tmp_path):
     """K2 joined to nine isolated vertices, plus K1: no closed form covers
     the 11-vertex component and its |Aut| = 2 * 9! is past
-    canon.MAX_AUT_ORDER, so the union rule takes it from the stream and
-    its orbits under canon's generators, listing no group."""
+    canon.MAX_AUT_ORDER, so the union rule takes it from the tree,
+    listing no group."""
     path = tmp_path / "g.txt"
     edges = [(0, 1)] + [(a, v) for a in (0, 1) for v in range(2, 11)]
     path.write_text("n 12\n" + "".join(f"e {u} {v}\n" for u, v in edges))
@@ -92,6 +92,26 @@ def test_count_file_with_a_component_past_the_listing_bound(capsys, tmp_path):
     doc = json.loads(out)
     assert (doc["n"], doc["edges"], doc["tau"], doc["h"]) == (12, 19, 8, 5)
     assert doc["formula"] == {"tau": 8, "h": 5, "theorem": "disjoint-union"}
+
+
+def test_count_file_past_the_edge_budget_searches_nothing(
+    capsys, monkeypatch, tmp_path
+):
+    """K8 minus an edge, plus K1: 27 edges, past the default budget of 24,
+    and no closed form covers the 8-vertex component.  count takes both
+    it and the union rule's part from the tree, so no search starts and
+    no budget option is needed."""
+
+    def refuse(*args):
+        raise AssertionError("count searched")
+
+    monkeypatch.setattr(enumeration, "stream_masks", refuse)
+    path = tmp_path / "g.txt"
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if (u, v) != (0, 1)]
+    path.write_text("n 9\n" + "".join(f"e {u} {v}\n" for u, v in edges))
+    code, out, err = run_cli(capsys, "count", "--file", str(path))
+    assert code == 0, err
+    assert "edges=27 tau=25988 h=144 (closed form: disjoint-union)" in out
 
 
 def test_count_reports_inconsistent_counts(capsys, monkeypatch):
@@ -114,16 +134,8 @@ def test_count_argument_validation(capsys):
 def test_count_input_errors(capsys):
     code, _, err = run_cli(capsys, "count", "C2")
     assert code == 1 and "invalid-family-size" in err
-    # count runs no search on a connected graph, so the edge budget is
-    # not in its way; the union rule still searches each component that
-    # no closed form covers, such as the paw
+    # count runs no search, so the edge budget is not in its way
     assert run_cli(capsys, "count", "box(C4,C4)")[0] == 0
-    assert run_cli(capsys, "count", "box(C4,C4)", "--budget-edges", "32")[0] == 0
-    code, out, err = run_cli(
-        capsys, "count", "union(amalgam(K3@0,P1@0),K2)", "--budget-edges", "2"
-    )
-    assert code == 1 and out == ""
-    assert "budget of 2" in err
     assert run_cli(capsys, "count", "--file", "/nonexistent/path")[0] == 1
 
 
@@ -370,7 +382,7 @@ def test_workers_below_one_is_a_usage_error(capsys):
         ("aggregate", "-n", "1_0"),
         ("aggregate", "-n", "3", "--workers", "\u0662"),
         ("aggregate", "-n", "3", "--workers", " 2"),
-        ("count", "K3", "--budget-edges", "\u0662\u0660"),
+        ("enumerate", "K3", "--budget-edges", "\u0662\u0660"),
     ],
 )
 def test_integer_options_take_ascii_digits_only(capsys, argv):
@@ -380,7 +392,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert f"argument {argv[-2]}:" in err
 
 
-@pytest.mark.parametrize("argv", [("count", "K3"), ("enumerate", "K3")])
+@pytest.mark.parametrize("argv", [("enumerate", "K3")])
 def test_negative_budget_edges_is_a_usage_error(capsys, argv):
     for value in ("-1", "many"):
         code, out, err = run_cli(capsys, *argv, "--budget-edges", value)
@@ -397,13 +409,14 @@ def test_negative_budget_edges_is_a_usage_error(capsys, argv):
         ("count", "K3", "--workers", "2"),
         ("enumerate", "K3", "--workers", "2"),
         ("enumerate", "C3", "--jsonl"),
+        ("count", "K3", "--budget-edges", "30"),
     ],
 )
 def test_removed_options_are_usage_errors(capsys, argv):
     """aggregate and verify search only graphs they build, each within its
     own edge count, and verify runs both suites; count and enumerate run
-    in one process, and enumerate writes JSON lines unless --dot is
-    given: none of them takes these."""
+    in one process, enumerate writes JSON lines unless --dot is given,
+    and count runs no search: none of them takes these."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -421,7 +434,6 @@ def test_budget_error_names_the_option(capsys):
 
 def test_budget_edges_zero_is_accepted(capsys):
     # 0 is a budget: it admits edgeless graphs and names itself on the rest
-    assert run_cli(capsys, "count", "K3", "--budget-edges", "0")[0] == 0
     code, out, _ = run_cli(capsys, "enumerate", "N3", "--budget-edges", "0")
     assert code == 0 and out == '{"arcs":[],"n":3}\n'
     code, out, err = run_cli(capsys, "enumerate", "K3", "--budget-edges", "0")
