@@ -392,7 +392,7 @@ def test_integer_options_take_ascii_digits_only(capsys, argv):
     assert f"argument {argv[-2]}:" in err
 
 
-@pytest.mark.parametrize("argv", [("enumerate", "K3")])
+@pytest.mark.parametrize("argv", [("enumerate", "K3"), ("enumerate", "K3", "--dot")])
 def test_negative_budget_edges_is_a_usage_error(capsys, argv):
     for value in ("-1", "many"):
         code, out, err = run_cli(capsys, *argv, "--budget-edges", value)
