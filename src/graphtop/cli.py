@@ -7,6 +7,7 @@ internal inconsistency.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -88,7 +89,7 @@ def _cmd_count(args):
     ):
         raise InternalCheckError(
             f"closed form {formula.theorem} gives ({formula.tau},{formula.h}), "
-            f"enumeration gives ({t},{h})"
+            f"the tree gives ({t},{h})"
         )
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     if args.json:
@@ -190,6 +191,7 @@ def _cmd_verify(args):
     return run_verify()
 
 
+@functools.cache  # one per process: it holds constants, and each parse makes a new namespace
 def _build_parser():
     parser = _ArgumentParser(prog="graphtop")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -125,6 +125,70 @@ def test_count_reports_inconsistent_counts(capsys, monkeypatch):
         assert f"inconsistent report: tau={t} h={h}" in err
 
 
+def test_count_reports_a_closed_form_that_disagrees_with_the_tree(capsys, monkeypatch):
+    """count takes tau and h from the tree and checks them against a
+    closed form: a disagreement is an internal error, exit 2, with both
+    pairs on stderr and nothing on stdout."""
+    monkeypatch.setattr(cli, "tree_counts", lambda g: (24, 76, 8))
+    code, out, err = run_cli(capsys, "count", "K4", "--json")
+    assert (code, out) == (2, "")
+    assert "closed form complete gives (75,8)" in err
+    assert "the tree gives (76,8)" in err
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(
+    capsys, monkeypatch, worker_starts
+):
+    """main reuses one parser for every call in a process.  No option
+    value, usage error or --help carries over to a later call, each call
+    gets a namespace of its own command's options alone, and --workers
+    reads the CPU count when it is parsed."""
+    assert cli._build_parser() is cli._build_parser()
+
+    namespaces = []
+    graph_from_args = cli._graph_from_args
+
+    def recorded(args):
+        namespaces.append(args)
+        return graph_from_args(args)
+
+    monkeypatch.setattr(cli, "_graph_from_args", recorded)
+
+    code, out, err = run_cli(capsys, "enumerate", "C3", "--budget-edges", "2")
+    assert (code, out) == (1, "") and "budget of 2" in err
+    code, out, _ = run_cli(capsys, "enumerate", "C3")
+    assert code == 0 and len(out.splitlines()) == 13  # the default budget again
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with deadline(60):
+        forked = run_cli(capsys, "aggregate", "-n", "3", "--workers", "2")
+        serial = run_cli(capsys, "aggregate", "-n", "3")
+    assert worker_starts == [2]  # the second run forked no worker
+    assert forked[:2] == serial[:2] and serial[0] == 0
+
+    argv = ("count", "K4", "--json")
+    before = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run_cli(capsys, "count")[0] == 1
+    after = run_cli(capsys, *argv)
+    assert after[:2] == before[:2] and after[0] == 0
+
+    options = {
+        "enumerate": {"command", "func", "expr", "file", "budget_edges", "dot"},
+        "count": {"command", "func", "expr", "file", "json"},
+    }
+    assert len({id(args) for args in namespaces}) == len(namespaces) == 5
+    for args in namespaces:
+        assert set(vars(args)) == options[args.command]
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    args = cli._build_parser().parse_args(["aggregate", "-n", "3", "--workers", "2"])
+    assert args.workers == 1
+
+
 def test_count_argument_validation(capsys):
     assert run_cli(capsys, "count")[0] == 1
     code, _, err = run_cli(capsys, "count", "K2", "--file", "x")
