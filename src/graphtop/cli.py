@@ -119,31 +119,31 @@ class _RowText(dict):
     """Out-mask -> the arcs out of vertex u as text, v ascending: the order
     Digraph.arcs() sorts to.  Rows recur across leaves, so each is made once."""
 
-    def __init__(self, u, arc, sep):
-        self.u, self.arc, self.sep = u, arc, sep
+    def __init__(self, u, arc):
+        self.u, self.arc = u, arc
 
     def __missing__(self, mask):
         arcs = (self.arc.format(self.u, v) for v in _bits(mask))
-        text = self[mask] = self.sep.join(arcs)
+        text = self[mask] = "".join(arcs)
         return text
 
 
 def _cmd_enumerate(args):
     g = _graph_from_args(args)
-    n = g.n
-    # a bidirected pair renders as two arcs in either format
-    arc, sep = ("  {} -> {};\n", "") if args.dot else ("[{},{}]", ",")
-    rows = [_RowText(u, arc, sep) for u in range(n)]
+    n, dot = g.n, args.dot
+    # a bidirected pair renders as two arcs; a JSON arc leads with its comma
+    arc = "  {} -> {};\n" if dot else ",[{},{}]"
+    rows = [_RowText(u, arc) for u in range(n)]
     nodes = "".join(f"  {v};\n" for v in range(n))
+    tail = f'],"n":{n}}}\n'
     batch = []
     try:
         for index, masks in enumerate(stream_masks(g, args.budget_edges)):
-            # a row with no arcs has empty text, which the join drops
-            arcs = sep.join(filter(None, map(getitem, rows, masks)))
-            if args.dot:
+            arcs = "".join(map(getitem, rows, masks))
+            if dot:
                 batch.append(f"digraph d{index} {{\n{nodes}{arcs}}}\n")
             else:
-                batch.append(f'{{"arcs":[{arcs}],"n":{n}}}\n')
+                batch.append(f'{{"arcs":[{arcs[1:]}{tail}')
             if len(batch) == _BATCH:
                 text, batch = "".join(batch), []
                 sys.stdout.write(text)

@@ -17,11 +17,12 @@ still have an allowed state.  The allowed states of an edge only shrink
 as more arcs are decided, so a partner with none now has none in any
 completion, and skipping the branch drops only subtrees without leaves;
 the leaves and their order stay the same.  A graph with no induced P3 (a
-union of cliques) has no partners, and its search is unchanged.  Every
-leaf is still checked for transitivity, a batch at a time.
+union of cliques) has no partners, and its search is unchanged.  The
+walk yields its leaves in lists, each checked for transitivity whole.
 """
 
 import pickle
+from itertools import chain
 from multiprocessing import get_context
 from operator import itemgetter
 
@@ -60,25 +61,24 @@ class _Search:
     at v.  Every state carries an arc, so the w whose edge {v, w} has a
     state are out[v] | inn[v].  The rows make the consistency test of an
     edge a fixed number of integer operations on its entry in rows:
-    rows[k] = (u, v, ~adj[u], ~adj[v], 1 << u, 1 << v) for edge
+    rows[k] = (u, v, ~adj[u], ~adj[v], 1 << u, 1 << v, later) for edge
     k = {u, v}.  _walk places the states itself.  partners[k] lists the
     Gamma-partners of edge k: the edges {u, b} with b adjacent to u but
-    not to v, and {v, b} with b adjacent to v but not to u.  A graph with
-    more edges than the budget is refused before any work.
+    not to v, and {v, b} with b adjacent to v but not to u; later holds
+    those after k.  A graph with more edges than the budget is refused
+    before any work.
     """
 
     def __init__(self, g, budget=None):
         budget = DEFAULT_EDGE_BUDGET if budget is None else budget
         if g.edge_count > budget:
+            verb = "edges exceed" if g.edge_count > 1 else "edge exceeds"
             raise BudgetExceeded(
-                f"{g.edge_count} edges exceed the budget of {budget}; "
+                f"{g.edge_count} {verb} the budget of {budget}; "
                 "raise it with --budget-edges (budget_edges in the library)"
             )
         self.n = g.n
         self.edges = edge_order(g)
-        self.rows = [
-            (u, v, ~g.adj[u], ~g.adj[v], 1 << u, 1 << v) for u, v in self.edges
-        ]
         eidx = {e: k for k, e in enumerate(self.edges)}
         self.partners = [
             [
@@ -87,6 +87,10 @@ class _Search:
                 for b in _bits(g.adj[a] & ~g.adj[far] & ~(1 << far))
             ]
             for u, v in self.edges
+        ]
+        self.rows = [
+            (u, v, ~g.adj[u], ~g.adj[v], 1 << u, 1 << v, tuple(j for j in js if j > k))
+            for k, ((u, v), js) in enumerate(zip(self.edges, self.partners))
         ]
         self.out = [0] * g.n
         self.inn = [0] * g.n
@@ -106,7 +110,7 @@ class _Search:
         directions demanded allow both only if the same w demand them.
         _walk runs the same test inline for the edge it places.
         """
-        u, v, nu, nv, _, _ = self.rows[k]
+        u, v, nu, nv, _, _, _ = self.rows[k]
         out, inn = self.out, self.inn
         ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
         vu = ov & iu  # v->w->u: demands v->u
@@ -131,101 +135,97 @@ class _Search:
 _ALLOWED = [(), (FWD,), (BWD,), (FWD, BWD, BOTH)]
 
 
-def _checked(n, batch):
-    """The leaves of batch up to its first non-transitive one, which raises."""
-    bad = first_intransitive(n, batch)
-    yield from batch[:bad]
-    if bad is not None:  # propagation should make every leaf transitive
-        raise InternalCheckError("non-transitive leaf escaped propagation")
-
-
 def _walk(search):
-    """Leaves of the search, depth first over search.edges, as out-mask
-    tuples.
+    """Lists of up to _BATCH leaves of the search, depth first over
+    search.edges, as out-mask tuples, each yielded once first_intransitive
+    has passed it; at a failing leaf, the leaves before it, then the error.
 
-    The consistency test of the edge being placed runs inline on its
-    entry in search.rows; search.allowed runs the same test for the
-    lookahead.  Each test reads the entry once, and nothing else reads
-    the rows.  An edge with a demanded arc has one state at most and
-    settles it without a table; any other edge takes its states from
-    _ALLOWED, the walk's copy read when it starts.  A stack frame (edge,
-    its row, states left, out and inn rows before the edge) exists only
-    where an edge has two or more states; an edge with one state is ORed
-    in on the way down, and one backtrack restores the innermost frame's
-    rows, forced chain and all.
-    watch[k] lists the Gamma-partners of edge k that come after it,
-    still undecided once k is placed; a branch that leaves one of them
-    no allowed state has no leaf and is skipped.  Leaves are checked for
-    transitivity _BATCH at a time.
+    The descent places edge k from the consistency test run inline on its
+    entry in search.rows (search.allowed runs the same test for the
+    lookahead; each test reads the entry once, and nothing else reads the
+    rows).  An edge with one allowed state ORs it into the out and inn
+    rows; one with more has all three: it pushes BOTH and BWD, each with
+    the one snapshot (edge, row, out and inn rows before the edge), and
+    places FWD.  The row's last field lists the edge's Gamma-partners
+    after it, undecided once it is placed; a branch that leaves one no
+    allowed state has no leaf.  A dead edge or a failed lookahead breaks
+    out to the backtrack, which pops the innermost state left, restores
+    its snapshot, forced chain and all, and places it.
     """
     n, last = search.n, len(search.edges)
     allowed, rows, out, inn = search.allowed, search.rows, search.out, search.inn
-    table = _ALLOWED
-    watch = [[j for j in js if j > k] for k, js in enumerate(search.partners)]
 
     k, batch, frames = 0, [], []  # k: the next edge to place
     while True:
-        state = 0
-        if k == last:
-            batch.append(tuple(out))
-            if len(batch) == _BATCH:
-                yield from _checked(n, batch)
-                batch = []
-        else:  # allowed's test, inline
-            u, v, nu, nv, bu, bv = row = rows[k]
-            ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
+        while k < last:  # allowed's test, inline
+            u, v, nu, nv, bu, bv, later = row = rows[k]
+            ou = out[u]
+            ov = out[v]
+            iu = inn[u]
+            iv = inn[v]
             vu = ov & iu
             uv = ou & iv
             if vu:
                 if uv:
-                    if vu == uv and not (iu & nv or ov & nu or iv & nu or ou & nv):
-                        state = BOTH
-                elif not (iv & nu or ou & nv):
-                    state = BWD
-            elif uv:
-                if not (iu & nv or ov & nu):
-                    state = FWD
-            else:
-                fwd = not (iu & nv or ov & nu)
-                bwd = not (iv & nu or ou & nv)
-                states = table[fwd | bwd << 1]
-                if len(states) == 1:
-                    state = states[0]
-                elif states:
-                    todo = iter(states)
-                    state = next(todo)
-                    frames.append((k, row, todo, tuple(out), tuple(inn)))
-        while True:
-            while not state:  # back to the innermost frame with a state left
-                if not frames:
-                    yield from _checked(n, batch)
-                    return
-                k, row, todo, saved_out, saved_inn = frames[-1]
-                state = next(todo, 0)
-                if state:
-                    out[:] = saved_out
-                    inn[:] = saved_inn
-                    u, v, _, _, bu, bv = row
-                else:
-                    frames.pop()
-            if state & FWD:
+                    if vu != uv or iu & nv or ov & nu or iv & nu or ou & nv:
+                        break
+                    out[u] = ou | bv
+                    inn[v] = iv | bu
+                elif iv & nu or ou & nv:
+                    break
+                out[v] = ov | bu
+                inn[u] = iu | bv
+            elif iu & nv or ov & nu:  # no FWD: BWD, unless u->v is demanded
+                if uv or iv & nu or ou & nv:
+                    break
+                out[v] = ov | bu
+                inn[u] = iu | bv
+            else:  # FWD, and with no demanded arc and BWD allowed, all three
+                if not (uv or iv & nu or ou & nv):  # BWD, then BOTH, wait
+                    saved = k, row, tuple(out), tuple(inn)
+                    frames += (BOTH, saved), (BWD, saved)
+                out[u] = ou | bv
+                inn[v] = iv | bu
+            # a later edge with no state left has none in any completion
+            if later and not all(map(allowed, later)):
+                break
+            k += 1
+        else:
+            batch.append(tuple(out))
+            if len(batch) == _BATCH:
+                bad = first_intransitive(n, batch)
+                yield batch[:bad]
+                if bad is not None:
+                    break
+                batch = []
+        while frames:  # back to the innermost state left
+            state, (k, row, saved_out, saved_inn) = frames.pop()
+            out[:] = saved_out
+            inn[:] = saved_inn
+            u, v, _, _, bu, bv, later = row
+            if state == BOTH:
                 out[u] |= bv
                 inn[v] |= bu
-            if state & BWD:
-                out[v] |= bu
-                inn[u] |= bv
-            # a later edge with no state left has none in any completion
-            if not watch[k] or all(map(allowed, watch[k])):
+            out[v] |= bu
+            inn[u] |= bv
+            if not later or all(map(allowed, later)):
+                k += 1
                 break
-            state = 0
-        k += 1
+        else:
+            bad = first_intransitive(n, batch)
+            yield batch[:bad]
+            if bad is None:
+                return
+            break
+    # propagation should make every leaf transitive
+    raise InternalCheckError("non-transitive leaf escaped propagation")
 
 
 def stream_masks(g, budget_edges=None):
-    """Raw out-mask tuples of the stream, in deterministic order.  The
-    edge budget is checked on the call, before the first leaf is asked
-    for."""
-    return _walk(_Search(g, budget_edges))
+    """Raw out-mask tuples of the stream, in deterministic order: the
+    walk's checked lists, flattened.  The edge budget is checked on the
+    call, before the first leaf is asked for."""
+    return chain.from_iterable(_walk(_Search(g, budget_edges)))
 
 
 def enumerate_transitive_digraphs(g):

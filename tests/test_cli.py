@@ -11,6 +11,7 @@ import time
 import pytest
 
 from graphtop import (
+    Graph,
     aggregate,
     automorphism_group,
     build_graph,
@@ -326,6 +327,38 @@ def test_enumerate_closed_stdout_is_one_error_line(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_the_stream_reaches_stdout_a_checked_batch_at_a_time(monkeypatch):
+    """The walk yields K7's leaves in 93 checked lists, 92 of 512 and one
+    of 189, which stream_masks flattens; an edgeless graph's one leaf is
+    one list.  enumerate K7 writes its first 512 lines after one batch
+    check, not after the whole stream is searched."""
+    k7 = build_graph(parse_graph_expr("K7"))
+    batches = list(enumeration._walk(enumeration._Search(k7)))
+    assert [len(b) for b in batches] == [512] * 92 + [189]
+    assert [m for b in batches for m in b] == list(enumeration.stream_masks(k7))
+    for g in (null_graph(3), Graph(0, [])):
+        assert list(enumeration._walk(enumeration._Search(g))) == [[(0,) * g.n]]
+
+    real = enumeration.first_intransitive
+    checks, writes = 0, []
+
+    def counted(n, batch):
+        nonlocal checks
+        checks += 1
+        return real(n, batch)
+
+    class Stdout(io.TextIOBase):
+        def write(self, text):
+            writes.append((checks, text.count("\n")))
+            return len(text)
+
+    monkeypatch.setattr(enumeration, "first_intransitive", counted)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["enumerate", "K7"]) == 0
+    assert writes[0] == (1, 512)
+    assert sum(lines for _, lines in writes) == 47293 and checks == 93
+
+
 def test_enumerate_error_keeps_the_lines_before_it(capsys, monkeypatch):
     """A leaf that fails the transitivity check stops the stream with exit
     2, and every line before it is on stdout."""
@@ -494,6 +527,8 @@ def test_budget_error_names_the_option(capsys):
     assert code == 1 and out == ""
     assert "6 edges exceed the budget of 5" in err
     assert "--budget-edges" in err and "budget_edges in the library" in err
+    code, out, err = run_cli(capsys, "enumerate", "K2", "--budget-edges", "0")
+    assert (code, out) == (1, "") and "1 edge exceeds the budget of 0;" in err
 
 
 def test_budget_edges_zero_is_accepted(capsys):
