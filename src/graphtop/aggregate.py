@@ -17,10 +17,8 @@ from math import factorial
 from . import canon, formulas
 from .decomposition import tree_counts
 from .enumeration import _RowImage, fan_out, stream_counts
-from .errors import InternalCheckError, SizeBoundExceeded
+from .errors import MAX_CLASS_VERTICES, InternalCheckError, check_bound
 from .graphs import Graph, component_parts, is_connected
-
-MAX_CLASS_VERTICES = 7
 
 
 @dataclass
@@ -58,10 +56,7 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
     isomorphism-invariant and hereditary (closed under deleting a
     vertex), as bipartiteness is, or classes will be missed.
     """
-    if n > max_vertices:
-        raise SizeBoundExceeded(
-            f"class generation is capped at n={max_vertices}, got {n}"
-        )
+    check_bound(n, max_vertices, "class generation at n={}")
     if n < 0:
         raise ValueError("vertex count must be non-negative")
     if n == 0:

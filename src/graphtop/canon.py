@@ -16,18 +16,13 @@ the rest of v's cell.  A refinement round popcounts each vertex's
 neighbours in every cell (_key) and splits each cell in key order; the
 count keys sort exactly like the sorted neighbour colors of textbook
 refinement, so cells, codes and groups match it.
+
+The walk's vertex bound and the listing's |Aut| bound are in errors.py.
 """
 
 from math import prod
 
-from .errors import SizeBoundExceeded
-
-MAX_VERTICES = 16
-# automorphisms lists the group element by element, so |Aut| is bounded:
-# 9! admits every graph on up to 9 vertices and stops N16 (16!) before an
-# element is built.  Only the reference routes and the prime quotients of
-# the decomposition tree list a group; orbit counts use generators.
-MAX_AUT_ORDER = 362880
+from .errors import MAX_AUT_ORDER, MAX_VERTICES, check_bound
 
 
 def _bits(mask):
@@ -110,8 +105,7 @@ def _search(n, out, inn, seed_colors, encode):
     fixing the path, is skipped.  The base is the first path, (fixed
     vertices, first child) per level; leaf is the first leaf's (cells,
     path)."""
-    if n > MAX_VERTICES:
-        raise SizeBoundExceeded(f"n={n} exceeds the supported bound {MAX_VERTICES}")
+    check_bound(n, MAX_VERTICES, "n={}")
     gens = []
     base = []
     first = best = None
@@ -285,8 +279,7 @@ def coded_automorphisms(n, adj, seed_colors=None):
     """
     code, _, strong, base = _group(n, adj, seed_colors)
     orbits = _orbits(strong, base)
-    if prod(map(len, orbits)) > MAX_AUT_ORDER:
-        raise SizeBoundExceeded(f"|Aut| exceeds the supported bound {MAX_AUT_ORDER}")
+    check_bound(prod(map(len, orbits)), MAX_AUT_ORDER, "|Aut|={}")
     group = [tuple(range(n))]
     for orbit in reversed(orbits):
         cosets = dict.fromkeys(orbit, group)  # the base point's: the level below

@@ -15,11 +15,11 @@ import sys
 import time
 from operator import getitem
 
-from .aggregate import MAX_CLASS_VERTICES, aggregate_counts, labeled_copies
+from .aggregate import aggregate_counts, labeled_copies
 from .canon import _bits
 from .decomposition import tree_counts
 from .enumeration import stream_masks
-from .errors import GraphTopError, InternalCheckError
+from .errors import MAX_CLASS_VERTICES, GraphTopError, InternalCheckError
 from .expr import build_graph, parse_graph_expr
 from .formulas import formula_for_graph
 from .graphs import canonical_code, load_edge_list

@@ -45,20 +45,17 @@ from math import comb, factorial, perm, prod
 
 from . import canon
 from .canon import _bits
-from .errors import InternalCheckError
+from .errors import MAX_STIRLING_N, InternalCheckError, check_bound
 from .graphs import components_of
 
 PARALLEL, SERIES, PRIME = "parallel", "series", "prime"
 
 
 def stirling2(n, k):
-    """Partitions of an n-set into exactly k nonempty blocks, exactly.
-
-    Python integers do not wrap, so the arithmetic cannot overflow; the
-    n <= 64 cap just keeps inputs at the intended scale.
-    """
-    if not (0 <= k <= n <= 64):
-        raise ValueError(f"stirling2 needs 0 <= k <= n <= 64, got ({n},{k})")
+    """Partitions of an n-set into exactly k nonempty blocks, exactly."""
+    check_bound(n, MAX_STIRLING_N, "stirling2 on a {}-set")
+    if not (0 <= k <= n):
+        raise ValueError(f"stirling2 needs 0 <= k <= n, got ({n},{k})")
     row = [1] + [0] * k  # S(0, 0..k)
     for _ in range(n):
         new = [0] * (k + 1)

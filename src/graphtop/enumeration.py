@@ -28,11 +28,9 @@ from operator import itemgetter
 
 from . import canon
 from .canon import _bits
-from .errors import BudgetExceeded, InternalCheckError, WorkerDied
+from .errors import DEFAULT_EDGE_BUDGET, BudgetExceeded, InternalCheckError, WorkerDied
 from .graphs import automorphism_group
 from .topology import Digraph, first_intransitive
-
-DEFAULT_EDGE_BUDGET = 24
 
 FWD, BWD, BOTH = 1, 2, 3  # arc sets {u->v}, {v->u}, {u->v, v->u}
 _BATCH = 512  # leaves per transitivity check

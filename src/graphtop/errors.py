@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one table of size
+bounds, each refused at its entry points by check_bound."""
+
+MAX_VERTICES = 16  # canon's walk, an edge list's n line, an expression
+MAX_AUT_ORDER = 362880  # 9!, a listed group: canon.coded_automorphisms
+MAX_CLASS_VERTICES = 7  # graphs_up_to_iso's default, aggregate -n
+MAX_GROUND_SET = 12  # topology_from_preorder, validate_topology
+MAX_PREORDER_POINTS = 6  # all_preorders, a brute-force listing
+MAX_STIRLING_N = 64  # stirling2
+MAX_COMPLETE_N = 20  # complete_counts, and connected_counts through it
+MAX_EXPR_CHARS = 4096  # parse_graph_expr: a level takes 8, so 512 levels at most
+DEFAULT_EDGE_BUDGET = 24  # the search, unless raised per call; BudgetExceeded
 
 
 class GraphTopError(Exception):
@@ -18,6 +29,14 @@ class VertexOutOfRange(GraphTopError, ValueError):
 
 class SizeBoundExceeded(GraphTopError, ValueError):
     """Input is larger than the documented implementation bound."""
+
+
+def check_bound(value, bound, what, *args):
+    """Raise SizeBoundExceeded, "<what.format(value, *args)> is over the
+    bound of <bound>", if value > bound; the message is built only then."""
+    if value > bound:
+        what = what.format(value, *args)
+        raise SizeBoundExceeded(f"{what} is over the bound of {bound}")
 
 
 class BudgetExceeded(GraphTopError, ValueError):

@@ -11,8 +11,7 @@ Grammar (whitespace-insensitive; offsets in errors are byte positions):
 
 from dataclasses import dataclass
 
-from .canon import MAX_VERTICES
-from .errors import ExprError, SizeBoundExceeded
+from .errors import MAX_EXPR_CHARS, MAX_VERTICES, ExprError, check_bound
 from .graphs import (
     amalgamate,
     build_named,
@@ -118,6 +117,7 @@ class _Parser:
 
 
 def parse_graph_expr(text):
+    check_bound(len(text), MAX_EXPR_CHARS, "an expression of {} characters")
     parser = _Parser(text)
     expr = parser.parse_expr()
     parser.skip_ws()
@@ -161,11 +161,7 @@ def build_graph(expr):
     An expression over MAX_VERTICES vertices is rejected before any of it
     is built.
     """
-    n = vertex_count(expr)
-    if n > MAX_VERTICES:
-        raise SizeBoundExceeded(
-            f"{expr_to_text(expr)} has {n} vertices, over the bound of {MAX_VERTICES}"
-        )
+    check_bound(vertex_count(expr), MAX_VERTICES, "an expression of {} vertices")
     return _build(expr)
 
 

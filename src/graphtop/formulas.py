@@ -10,7 +10,7 @@ from math import comb
 
 from .decomposition import stirling2, tree_counts
 from .enumeration import sink_counts
-from .errors import NotConnected
+from .errors import MAX_COMPLETE_N, NotConnected, check_bound
 from .graphs import (
     canonical_code,
     component_parts,
@@ -41,8 +41,9 @@ class FormulaResult:
 
 def complete_counts(n):
     """Counts over the complete graph: ordered set partitions, compositions."""
-    if not (1 <= n <= 20):
-        raise ValueError(f"complete_counts needs 1 <= n <= 20, got {n}")
+    check_bound(n, MAX_COMPLETE_N, "complete_counts of K{}")
+    if n < 1:
+        raise ValueError(f"complete_counts needs n >= 1, got {n}")
     fact = 1
     total = 0
     for k in range(1, n + 1):
@@ -186,7 +187,7 @@ def connected_counts(g):
     """
     n = g.n
     deg = [row.bit_count() for row in g.adj]
-    if n <= 20 and sum(deg) == n * (n - 1):
+    if n <= MAX_COMPLETE_N and sum(deg) == n * (n - 1):
         return complete_counts(n)
     if n >= 3 and deg == [2] * n:
         return cycle_counts(n)

@@ -9,12 +9,13 @@ from dataclasses import dataclass
 from . import canon
 from .canon import _bits
 from .errors import (
+    MAX_VERTICES,
     EdgeListFormatError,
     InvalidFamilySize,
     NotBipartite,
     NotConnected,
-    SizeBoundExceeded,
     VertexOutOfRange,
+    check_bound,
 )
 
 
@@ -335,14 +336,18 @@ def is_reflexible(g):
 #   e <u> <v>
 #
 # '#' starts a comment, blank lines are ignored; duplicate and loop edges
-# are rejected, and so is a count over canon.MAX_VERTICES, as soon as its
-# line is read: files and expressions share one bound.
+# are rejected, and so is a count over errors.MAX_VERTICES, as soon as
+# its line is read: files and expressions share one bound.
 
 
-def _is_count(text):
-    # str.isdigit alone admits digits such as "²", which int() rejects, and
-    # "١", which int() reads as 1
-    return text.isascii() and text.isdigit()
+def _count(text):
+    # the count text spells in ASCII digits, else None.  str.isdigit admits
+    # "²", which int() rejects, and "١", which int() reads as 1; int() refuses
+    # past 4,300 digits, so ten or more, past every bound here, read as 10**9
+    if not (text.isascii() and text.isdigit()):
+        return None
+    digits = text.lstrip("0")
+    return int(digits or "0") if len(digits) < 10 else 10**9
 
 
 def parse_edge_list(text):
@@ -366,25 +371,24 @@ def parse_edge_lines(lines):
         if parts[0] == "n":
             if n is not None:
                 raise EdgeListFormatError(f"line {lineno}: duplicate n line")
-            if len(parts) != 2 or not _is_count(parts[1]):
+            n = _count(parts[1]) if len(parts) == 2 else None
+            if n is None:
                 raise EdgeListFormatError(f"line {lineno}: expected 'n <count>'")
-            n = int(parts[1])
-            if n > canon.MAX_VERTICES:
-                raise SizeBoundExceeded(
-                    f"line {lineno}: n={n} is over the bound of {canon.MAX_VERTICES}"
-                )
+            d = parts[1].lstrip("0")
+            what = "line {1}: n={2}" if len(d) < 10 else "line {1}: n of {3} digits"
+            check_bound(n, MAX_VERTICES, what, lineno, d, len(d))
         elif parts[0] == "e":
             if n is None:
                 raise EdgeListFormatError(f"line {lineno}: edge before n line")
             if len(parts) != 3:
                 raise EdgeListFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            if not (_is_count(parts[1]) and _is_count(parts[2])):
+            u, v = _count(parts[1]), _count(parts[2])
+            if u is None or v is None:
                 raise EdgeListFormatError(f"line {lineno}: non-integer endpoint")
-            u, v = int(parts[1]), int(parts[2])
+            if not (u < n and v < n):
+                raise EdgeListFormatError(f"line {lineno}: vertex outside 0..{n - 1}")
             if u == v:
                 raise EdgeListFormatError(f"line {lineno}: loop edge {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListFormatError(f"line {lineno}: vertex outside 0..{n - 1}")
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise EdgeListFormatError(f"line {lineno}: duplicate edge {key}")

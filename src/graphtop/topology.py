@@ -14,19 +14,17 @@ from dataclasses import dataclass
 from . import canon
 from .canon import _bits
 from .errors import (
+    MAX_GROUND_SET,
+    MAX_PREORDER_POINTS,
     GroundSetMismatch,
     InternalCheckError,
     NotAPreorder,
     NotATopology,
     NotTransitive,
-    SizeBoundExceeded,
     VertexOutOfRange,
+    check_bound,
 )
 from .graphs import Graph
-
-# Families of arbitrary subsets are only accepted up to this ground-set
-# size; everything built from enumerated preorders stays far below it.
-MAX_GROUND_SET = 12
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -230,8 +228,7 @@ def first_intransitive(n, leaves):
 
 def topology_from_preorder(r):
     """Open sets are exactly the up-closed subsets of the preorder."""
-    if r.n > MAX_GROUND_SET:
-        raise SizeBoundExceeded(f"n={r.n} exceeds the bound {MAX_GROUND_SET}")
+    check_bound(r.n, MAX_GROUND_SET, "a ground set of {} points")
     opens = []
     for mask in range(1 << r.n):
         ok = True
@@ -294,8 +291,7 @@ def validate_topology(sets, n):
     not-closed-under-union, not-closed-under-intersection) and, for the
     closure failures, a witness pair of member sets.
     """
-    if n > MAX_GROUND_SET:
-        raise SizeBoundExceeded(f"n={n} exceeds the bound {MAX_GROUND_SET}")
+    check_bound(n, MAX_GROUND_SET, "a ground set of {} points")
     t = Topology.from_sets(n, sets)
     _validate_masks(n, t.opens)
     return t
@@ -381,8 +377,7 @@ def dual_topology(t):
 
 def all_preorders(n):
     """Every preorder on 0..n-1 by brute force (small n only)."""
-    if n > 6:
-        raise SizeBoundExceeded("brute-force preorder listing is capped at n=6")
+    check_bound(n, MAX_PREORDER_POINTS, "a brute-force listing of {} points")
     offdiag = [(x, y) for x in range(n) for y in range(n) if x != y]
     found = []
     for picks in itertools.product((0, 1), repeat=len(offdiag)):
