@@ -264,20 +264,11 @@ def automorphisms(n, adj, seed_colors=None):
     """All adjacency-preserving permutations of 0..n-1, sorted.
 
     With seed_colors, only color-preserving permutations are listed, as
-    in graph_code.  Raises SizeBoundExceeded, before any element is
-    built, when |Aut| exceeds MAX_AUT_ORDER.
+    in graph_code.  The listing is built coset by coset along the base,
+    deepest level first, and SizeBoundExceeded is raised before any
+    element is built when the orbit sizes show |Aut| over MAX_AUT_ORDER.
     """
-    return coded_automorphisms(n, adj, seed_colors)[1]
-
-
-def coded_automorphisms(n, adj, seed_colors=None):
-    """(graph_code(n, adj, seed_colors), automorphisms(n, adj, seed_colors))
-    from one walk.
-
-    The listing is built coset by coset along the base, deepest level
-    first, once the orbit sizes show |Aut| within MAX_AUT_ORDER.
-    """
-    code, _, strong, base = _group(n, adj, seed_colors)
+    _, _, strong, base = _group(n, adj, seed_colors)
     orbits = _orbits(strong, base)
     check_bound(prod(map(len, orbits)), MAX_AUT_ORDER, "|Aut|={}")
     group = [tuple(range(n))]
@@ -289,7 +280,7 @@ def coded_automorphisms(n, adj, seed_colors=None):
                 cosets[q] = [tuple([s[x] for x in h]) for h in cosets[p]]
         group = [h for coset in cosets.values() for h in coset]
     group.sort()
-    return code, group
+    return group
 
 
 def conjugacy_classes(group):

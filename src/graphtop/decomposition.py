@@ -30,14 +30,18 @@ post-order walk gives each node's (type, |Aut|, tau, h):
   (a + k)! / k! counts the weak orders with the twins unlabelled (a!
   when s = 0);
 - prime: H is the type-preserving automorphism group of the quotient,
-  listed by the same canon walk that gives the quotient's code,
-  |Aut| gains |H|, tau gains 2 (or becomes 0 if the quotient has no
-  transitive orientation), and h = (1/|H|) sum 2 prod h(Y_C) over the pi
-  in H that keep the orientation, the product running over the cycles C
-  of pi.
+  whose code and generators come from one canon walk.  |Aut| gains |H|,
+  the product of the orbit sizes along the base; tau gains 2 (or becomes
+  0 if the quotient has no transitive orientation).  pi in H maps to
+  (sigma, keep): its action on D, the children whose h is not 1, and
+  whether it keeps the orientation.  Each member of the image, closed
+  from the generators' pairs, is hit |H|/|image| times, so h = (2/|image|)
+  sum prod h(Y_C) over the members that keep the orientation, C running
+  over the cycles of sigma.  A child with h = 0 stays in D and zeroes h;
+  with D empty, h is 1 if some pi reverses the orientation, else 2.
 
 Every division is checked to be exact.  Nothing here runs the search or
-lists Aut(G): only prime quotients have their (small) groups listed.
+lists a group: a prime node closes only its group's image on D.
 """
 
 from collections import Counter
@@ -208,21 +212,26 @@ def _node(adj, co, s):
         h = _exact(w * prod(kid[3] for kid in kids), sym)
     else:
         q = _quotient(adj, parts)
-        code, group = canon.coded_automorphisms(len(q), q, types)
+        code, gens, strong, base = canon._group(len(q), q, types)
         node_type += (code,)
-        aut *= len(group)
+        aut *= prod(map(len, canon._orbits(strong, base)))
         orient = _prime_orientations(q)
         if orient is None:
             t = h = 0
         else:
             t *= 2
             u, v = next(iter(orient))
-            fixed = sum(
-                2 * prod(kids[i][3] for i in _cycle_heads(pi))
-                for pi in group
-                if (pi[u], pi[v]) in orient
-            )
-            h = _exact(fixed, len(group))
+            on = [c for c, kid in enumerate(kids) if kid[3] != 1]  # D, h != 1
+            at = {c: i for i, c in enumerate(on)}
+            acts = {(tuple(at[p[c]] for c in on), (p[u], p[v]) in orient) for p in gens}
+            image, new = set(), {(tuple(range(len(on))), True)}
+            while new:  # the closure of the generators' pairs under composition
+                image |= new
+                new = {(tuple(p[i] for i in x), k == j) for x, k in new for p, j in acts}
+                new -= image
+            hs = [kids[c][3] for c in on]
+            fixed = sum(2 * prod(hs[i] for i in _cycle_heads(x)) for x, k in image if k)
+            h = _exact(fixed, len(image))
     return node_type, aut, t, h
 
 

@@ -2,10 +2,10 @@
 bounds, each refused at its entry points by check_bound."""
 
 MAX_VERTICES = 16  # canon's walk, an edge list's n line, an expression
-MAX_AUT_ORDER = 362880  # 9!, a listed group: canon.coded_automorphisms
+MAX_AUT_ORDER = 362880  # 9!, a listed group: canon.automorphisms
 MAX_CLASS_VERTICES = 7  # graphs_up_to_iso's default, aggregate -n
 MAX_GROUND_SET = 12  # topology_from_preorder, validate_topology
-MAX_PREORDER_POINTS = 6  # all_preorders, a brute-force listing
+MAX_PREORDER_POINTS = 5  # all_preorders, a brute-force listing
 MAX_STIRLING_N = 64  # stirling2
 MAX_COMPLETE_N = 20  # complete_counts, and connected_counts through it
 MAX_EXPR_CHARS = 4096  # parse_graph_expr: a level takes 8, so 512 levels at most

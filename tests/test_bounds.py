@@ -67,7 +67,7 @@ def test_the_table_keeps_its_values():
         "MAX_AUT_ORDER": 362880,
         "MAX_CLASS_VERTICES": 7,
         "MAX_GROUND_SET": 12,
-        "MAX_PREORDER_POINTS": 6,
+        "MAX_PREORDER_POINTS": 5,
         "MAX_STIRLING_N": 64,
         "MAX_COMPLETE_N": 20,
         "MAX_EXPR_CHARS": 4096,
@@ -79,7 +79,7 @@ def test_the_table_keeps_its_values():
     "bound, call",
     [
         ("MAX_VERTICES", lambda: canon.graph_code(17, (0,) * 17)),  # canon._search
-        ("MAX_AUT_ORDER", lambda: canon.coded_automorphisms(10, (0,) * 10)),
+        ("MAX_AUT_ORDER", lambda: canon.automorphisms(10, (0,) * 10)),
         ("MAX_VERTICES", lambda: parse_edge_lines(["n 17"])),
         ("MAX_VERTICES", lambda: build_graph(parse_graph_expr("N17"))),
         ("MAX_EXPR_CHARS", lambda: parse_graph_expr("K1" + " " * 4095)),
@@ -89,13 +89,13 @@ def test_the_table_keeps_its_values():
             lambda: topology_from_preorder(Preorder(13, [1 << x for x in range(13)])),
         ),
         ("MAX_GROUND_SET", lambda: validate_topology([0, (1 << 13) - 1], 13)),
-        ("MAX_PREORDER_POINTS", lambda: all_preorders(7)),
+        ("MAX_PREORDER_POINTS", lambda: all_preorders(6)),
         ("MAX_STIRLING_N", lambda: stirling2(65, 2)),
         ("MAX_COMPLETE_N", lambda: complete_counts(21)),
     ],
     ids=[
         "canon._search",
-        "canon.coded_automorphisms",
+        "canon.automorphisms",
         "graphs.parse_edge_lines",
         "expr.build_graph",
         "expr.parse_graph_expr",

@@ -18,11 +18,13 @@ from graphtop import (
     canon,
     cli,
     enumeration,
+    graphs_up_to_iso,
     null_graph,
     parse_graph_expr,
     verify,
 )
 from graphtop.cli import main
+from graphtop.decomposition import tree_counts
 from graphtop.errors import InternalCheckError, SizeBoundExceeded
 
 from conftest import deadline
@@ -559,6 +561,13 @@ def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "count", "N6")
     assert code == 0 and "tau=1 h=1" in out
     assert run_cli(capsys, "count", "K4")[0] == 0
+    # nor does the tree: a prime node closes its group's image from generators
+    classes = [e.graph for n in range(7) for e in graphs_up_to_iso(n).entries]
+    want = [tree_counts(g) for g in classes]
+    monkeypatch.setattr(canon, "MAX_AUT_ORDER", 1)
+    assert [tree_counts(g) for g in classes] == want
+    code, out, err = run_cli(capsys, "count", "P3")  # P4: a prime node, |H| = 2
+    assert code == 0 and "tau=2 h=1" in out, err
 
 
 @pytest.mark.parametrize("k", [6, 8])

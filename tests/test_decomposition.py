@@ -129,6 +129,12 @@ def test_a_disagreeing_tree_is_reported(monkeypatch):
 
 
 def test_tree_counts_match_the_listed_group_on_larger_graphs():
+    """Random graphs on 8 to 10 vertices, and class 1856 of the n = 8
+    classes: a P4 quotient over 0, 7, a C5 on 1..5 and 6.  Its H is
+    trivial, and the C5's h = 0 must still zero the node's h."""
+    edges = "0-7 1-2 1-3 1-6 1-7 2-4 2-6 2-7 3-5 3-6 3-7 4-5 4-6 4-7 5-6 5-7"
+    g = Graph.from_edges(8, [tuple(map(int, e.split("-"))) for e in edges.split()])
+    assert tree_counts(g) == _reference_counts(g) == (10, 0, 0)
     rng = random.Random(909)
     checked = 0
     while checked < 24:
@@ -224,7 +230,7 @@ def _p4_with_vertex_1_replaced(edges, size):
     ids=["P4", "C5", "bull", "P4[K2]", "P4[P4]"],
 )
 def test_one_canon_walk_per_prime_node(monkeypatch, g, primes):
-    """Each prime quotient's code and listed group come from one walk."""
+    """Each prime quotient's code and generators come from one walk."""
     calls = {"walks": 0, "primes": 0}
 
     def counted(name, f):
