@@ -14,9 +14,9 @@ import time
 from dataclasses import dataclass
 from math import factorial
 
-from . import canon, formulas
+from . import canon, enumeration, formulas
 from .decomposition import tree_counts
-from .enumeration import _RowImage, fan_out, stream_counts
+from .enumeration import _RowImage, fan_out
 from .errors import MAX_CLASS_VERTICES, InternalCheckError, check_bound
 from .graphs import Graph, component_parts, is_connected
 
@@ -28,6 +28,8 @@ class ClassEntry:
     tau: int | None = None
     h: int | None = None
     seconds: float | None = None
+    # generators of Aut(graph) from generation, as bytes permutations
+    generators: tuple = ()
 
 
 @dataclass
@@ -49,7 +51,10 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
     k-vertex graph minus a vertex of minimum degree is isomorphic to a
     base, and that isomorphism carries the graph to a candidate whose
     new vertex keeps its degree.  Candidates are canonized as plain
-    adjacency lists and deduplicated by code.
+    adjacency lists and deduplicated by code.  The walk that gives a new
+    class its code also gives its generators, carried onto the class's
+    representative: each entry keeps them, and the next level's bases
+    take their orbits from them, so no class is walked twice.
 
     With keep, generation is restricted to graphs satisfying it.  The
     predicate is applied to one candidate per orbit, so it must be
@@ -61,16 +66,16 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
         raise ValueError("vertex count must be non-negative")
     if n == 0:
         return IsoClassTable(0, [ClassEntry(Graph(0, ()))])
-    reps = [(0,)]
+    reps = [((0,), ())]
     for k in range(2, n + 1):
-        codes = set()
-        for base in reps:
+        classes = {}  # code -> generators
+        for base, gens in reps:
             deg = [row.bit_count() for row in base]
             # a new vertex of degree d has minimum degree iff d <= min(deg) + 1
             # and it is joined to every base vertex of degree below d
             below = [sum(1 << u for u, e in enumerate(deg) if e < d) for d in range(k)]
             top = min(deg) + 1
-            images = [_RowImage(sigma) for sigma in canon.generators(k - 1, base)]
+            images = [_RowImage(sigma) for sigma in gens]
             seen = bytearray(1 << (k - 1))
             for mask in range(1 << (k - 1)):
                 d = mask.bit_count()
@@ -88,23 +93,33 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
                 adj.append(mask)
                 if keep is not None and not keep(Graph(k, adj)):
                     continue
-                codes.add(canon.graph_code(k, adj))
-        reps = [canon.decode_graph_code(code)[1] for code in sorted(codes)]
-    return IsoClassTable(n, [ClassEntry(Graph(n, adj)) for adj in reps])
+                found = canon._search(k, adj, None, None, canon._encode_undirected)
+                code = (k, found[0][0])
+                if code not in classes:
+                    classes[code] = canon._canonical_generators(k, found)
+        reps = [(canon.decode_graph_code(c)[1], classes[c]) for c in sorted(classes)]
+    entries = [ClassEntry(Graph(n, adj), generators=gens) for adj, gens in reps]
+    return IsoClassTable(n, entries)
 
 
-def class_counts(g):
+def class_counts(g, gens=None):
     """(aut_order, tau, h) for one class, with built-in cross-checks.
 
     One walk of the modular-decomposition tree gives |Aut|, tau and h.
     One pass over the stream gives tau and h again, as its length and
-    its number of Aut(g)-orbits.  A disconnected graph's union rule,
+    its number of orbits under gens, generators of Aut(g) as
+    graphs_up_to_iso carries them (canon's when None).  A wrong generator
+    maps a member out of the stream and a missing one raises h, so both
+    show up here.  A disconnected graph's union rule,
     which searches no component, is checked against them too.  Any
     disagreement raises, never resolves silently.  The search admits the
     class's own edge count: MAX_CLASS_VERTICES already bounds its size.
     """
     aut_order, t_tree, h_tree = tree_counts(g)
-    t, h = stream_counts(g, g.edge_count)
+    if gens is None:
+        gens = canon.generators(g.n, g.adj)
+    stream = enumeration.stream_masks(g, g.edge_count)
+    t, h = enumeration._orbit_count(g.n, stream, gens)
     if (t_tree, h_tree) != (t, h):
         raise InternalCheckError(
             f"class counts disagree on {g!r}: "
@@ -120,10 +135,10 @@ def class_counts(g):
     return aut_order, t, h
 
 
-def _class_task(g):
-    """((aut_order, tau, h), seconds) for one class."""
+def _class_task(entry):
+    """((aut_order, tau, h), seconds) for one class entry."""
     t0 = time.perf_counter()
-    counts = class_counts(g)
+    counts = class_counts(entry.graph, entry.generators)
     return counts, time.perf_counter() - t0
 
 
@@ -140,7 +155,7 @@ def aggregate_counts(n, workers=1):
     # heaviest classes first, so that with several workers the dense ones
     # start early instead of setting the makespan at the end
     entries = sorted(table.entries, key=lambda e: -e.graph.edge_count)
-    results = fan_out(_class_task, [e.graph for e in entries], workers)
+    results = fan_out(_class_task, entries, workers)
     for entry, result in zip(entries, results, strict=True):
         (entry.aut_order, entry.tau, entry.h), entry.seconds = result
     copies = [labeled_copies(n, e.aut_order) for e in table.entries]

@@ -3,8 +3,9 @@
 Everything here works on raw per-vertex neighbor masks so the same
 machinery serves simple graphs (symmetric masks) and digraphs (out
 masks).  One individualization-refinement walk, after nauty and Traces
-(McKay and Piperno 2014), gives the code, generators of the automorphisms
-and a base.  Refinement partitions the vertices into cells that any
+(McKay and Piperno 2014), gives the code, the vertex order that maps the
+graph onto its canonical form, generators of the automorphisms and a
+base.  Refinement partitions the vertices into cells that any
 isomorphism must respect; when it gets stuck, each vertex of the first
 non-singleton cell is split off in turn.  The code is the least
 adjacency encoding over the leaves' vertex orders, and leaves with equal
@@ -25,7 +26,30 @@ from math import prod
 from .errors import MAX_AUT_ORDER, MAX_VERTICES, check_bound
 
 
+def _bit_table(width):
+    """The set bits of each mask below 2^width, ascending, by doubling:
+    the masks with top bit v are those below 2^v with v appended."""
+    table = [()]
+    for v in range(width):
+        table += [bits + (v,) for bits in table]
+    return tuple(table)
+
+
+_BIT_TABLE = _bit_table(10)
+
+
 def _bits(mask):
+    """The set bits of a non-negative mask, ascending.  A mask below 2^10,
+    which holds every row of a graph on up to 10 vertices, is answered by
+    a tuple from a table built at import (1,024 entries, about 88 KB).
+    Larger masks take the loop, the only path past 10 vertices: a table
+    doubles with each bit it covers."""
+    if mask < 1024:  # len(_BIT_TABLE)
+        return _BIT_TABLE[mask]
+    return _bits_loop(mask)
+
+
+def _bits_loop(mask):
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
@@ -98,13 +122,15 @@ def _encode_directed(n, out, order):
 
 
 def _search(n, out, inn, seed_colors, encode):
-    """(code, generators, base, leaf) from one walk, colour-preserving
-    with seed_colors.  A leaf with the first leaf's code gives the map
-    from the first leaf's order to its own, and the walk backs up to the
-    first path.  A child in the orbit of one tried, under the generators
-    fixing the path, is skipped.  The base is the first path, (fixed
-    vertices, first child) per level; leaf is the first leaf's (cells,
-    path)."""
+    """(best, generators, base, leaf) from one walk, colour-preserving
+    with seed_colors.  best is (code, order): the least code and the
+    vertex order of a leaf that gives it, so vertex order[i] of the input
+    is vertex i of the canonical form.  A leaf with the first leaf's code
+    gives the map from the first leaf's order to its own, and the walk
+    backs up to the first path.  A child in the orbit of one tried, under
+    the generators fixing the path, is skipped.  The base is the first
+    path, (fixed vertices, first child) per level; leaf is the first
+    leaf's (cells, path)."""
     check_bound(n, MAX_VERTICES, "n={}")
     gens = []
     base = []
@@ -118,13 +144,13 @@ def _search(n, out, inn, seed_colors, encode):
             order = [v for cell in cells for v in _bits(cell)]
             code = encode(n, out, order)
             if first is None:
-                first, best = (order, code, cells, path), code
+                first, best = (order, code, cells, path), (code, order)
             elif code == first[1]:
                 image = dict(zip(first[0], order))
                 gens.append(tuple([image[u] for u in range(n)]))
                 return True
-            elif code < best:
-                best = code
+            elif code < best[0]:
+                best = (code, order)
             return False
         t = next(t for t, cell in enumerate(cells) if cell & cell - 1)
         cell = cells[t]
@@ -176,7 +202,7 @@ def graph_code(n, adj, seed_colors=None):
     With seed_colors, isomorphisms are restricted to color-preserving
     ones, which gives rooted/colored canonical forms.
     """
-    return (n, _search(n, adj, None, seed_colors, _encode_undirected)[0])
+    return (n, _search(n, adj, None, seed_colors, _encode_undirected)[0][0])
 
 
 def digraph_code(n, out):
@@ -185,7 +211,7 @@ def digraph_code(n, out):
     for u in range(n):
         for v in _bits(out[u]):
             inn[v] |= 1 << u
-    return (n, _search(n, out, inn, None, _encode_directed)[0])
+    return (n, _search(n, out, inn, None, _encode_directed)[0][0])
 
 
 def decode_graph_code(code):
@@ -211,7 +237,12 @@ def _group(n, adj, seed):
     the transposition of its first two points and, past two points, a
     cycle through all of them; strong adds its consecutive transpositions,
     a strong generating set relative to the base, as _orbits needs."""
-    code, gens, base, (cells, path) = _search(n, adj, None, seed, _encode_undirected)
+    return _extend(n, _search(n, adj, None, seed, _encode_undirected))
+
+
+def _extend(n, found):
+    """_group's result from found, a _search walk of a simple graph."""
+    (code, _), gens, base, (cells, path) = found
     strong = list(gens)
     for cell in cells:
         if not cell & cell - 1:
@@ -225,6 +256,19 @@ def _group(n, adj, seed):
         if len(points) > 2:
             gens.append(_cycle(n, points))
     return (n, code), gens, strong, base
+
+
+def _canonical_generators(n, found):
+    """Generators of the automorphisms of the canonical form behind found,
+    an unseeded _search walk of a simple graph, as bytes permutations;
+    () for the trivial group.  They are _group's, each sigma conjugated
+    by the best leaf's order onto the canonical form: sigma'[i] =
+    pos[sigma[order[i]]], where pos inverts order."""
+    order = found[0][1]
+    pos = bytearray(n)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return tuple(bytes([pos[s[v]] for v in order]) for s in _extend(n, found)[1])
 
 
 def _cycle(n, points):

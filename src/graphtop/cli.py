@@ -56,8 +56,14 @@ def _int_at_least(text, least=0):
 
 
 def _workers(text):
-    """--workers: a positive count, clamped to the CPUs of this host."""
-    return min(_int_at_least(text, 1), os.cpu_count() or 1)
+    """--workers: a positive count, clamped to the CPUs this process may
+    run on (its affinity mask where the platform has one: a cpuset or
+    taskset can leave it fewer than the host's)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_int_at_least(text, 1), cpus)
 
 
 def _code_str(code):

@@ -22,11 +22,12 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.aggregate import class_counts, labeled_copies
+from graphtop.decomposition import tree_counts
 from graphtop.errors import InternalCheckError, SizeBoundExceeded
 from graphtop.graphs import is_bipartite
 from graphtop.topology import all_preorders, preorder_to_digraph
 
-from conftest import all_masks_classes, paw
+from conftest import all_masks_classes, brute_automorphisms, dimino_closure, paw
 
 KNOWN_CLASS_COUNTS = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
@@ -204,6 +205,72 @@ def test_class_counts_makes_one_pass(monkeypatch, g):
     _count_calls(monkeypatch, calls, canon, "conjugacy_classes")
     assert class_counts(g) == want
     assert calls == {"stream_masks": 1, "_fixed": 0, "conjugacy_classes": 0}
+
+
+@pytest.mark.parametrize("keep", [None, is_bipartite])
+def test_carried_generators_close_to_the_tree_order(keep):
+    """Each class with n <= 6 carries generators from generation: each is
+    an automorphism of the class's graph, and together they close to a
+    group of the tree's order |Aut|."""
+    for n in range(7):
+        for entry in graphs_up_to_iso(n, keep=keep).entries:
+            g = entry.graph
+            edges = set(g.edges())
+            gens = [tuple(sigma) for sigma in entry.generators]
+            for sigma in gens:
+                assert sorted(sigma) == list(range(n))
+                assert {tuple(sorted((sigma[u], sigma[v]))) for u, v in edges} == edges
+            assert len(dimino_closure(gens, n)) == tree_counts(g)[0], g
+
+
+def _candidates(n):
+    """The candidates graphs_up_to_iso(n) canonizes, counted on its own:
+    per (k-1)-class base, one per orbit of the base's brute-force group on
+    the masks that give a new vertex minimum degree."""
+    total = 0
+    for k in range(2, n + 1):
+        for entry in graphs_up_to_iso(k - 1).entries:
+            deg = [row.bit_count() for row in entry.graph.adj]
+            auts = brute_automorphisms(entry.graph)
+            firsts = set()
+            for mask in range(1 << (k - 1)):
+                members = [u for u in range(k - 1) if mask >> u & 1]
+                d = len(members)
+                short = [u for u, e in enumerate(deg) if e < d and u not in members]
+                if d > min(deg) + 1 or short:
+                    continue
+                firsts.add(min(sum(1 << p[u] for u in members) for p in auts))
+            total += len(firsts)
+    return total
+
+
+def test_generation_walks_each_candidate_once(monkeypatch):
+    """graphs_up_to_iso takes a new class's generators from the walk that
+    gave its code: one canon walk per candidate, and no other."""
+    want = _candidates(6)
+    calls = {}
+    _count_calls(monkeypatch, calls, canon, "_search")
+    _count_calls(monkeypatch, calls, canon, "generators")
+    assert len(graphs_up_to_iso(6)) == 156
+    assert calls == {"_search": want, "generators": 0}
+
+
+def test_aggregate_walks_no_class_for_its_generators(monkeypatch):
+    """aggregate closes each class's stream orbits under the generators
+    that generation carried, so it asks canon for none on a class.  The
+    union rule's closed forms still ask for a bipartite component's
+    (is_reflexible): 4 walks, on components of 3 and 4 vertices."""
+    want = aggregate_counts(5)[:2]
+    generators = canon.generators
+    sizes = []
+
+    def recorded(n, adj, seed_colors=None):
+        sizes.append(n)
+        return generators(n, adj, seed_colors)
+
+    monkeypatch.setattr(canon, "generators", recorded)
+    assert aggregate_counts(5)[:2] == want
+    assert sorted(sizes) == [3, 3, 4, 4]
 
 
 def test_aggregate_checks_the_labeled_count_identity(monkeypatch):

@@ -106,6 +106,17 @@ def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
             assert prod(map(len, canon._orbits(strong, base))) == factorial(n)
 
 
+def test_bits_on_each_side_of_the_table():
+    """_bits answers masks below 2^10 from its table and larger ones by
+    its loop: both list the set bits, ascending."""
+    rng = random.Random(36)
+    masks = [0, 1, 2**10 - 1, 2**10, 2**10 + 1, 2**16 - 1, 2**70 + 5, *range(2**11)]
+    for width in range(1, 81):
+        masks += [rng.getrandbits(width) | 1 << (width - 1) for _ in range(20)]
+    for m in masks:
+        assert list(canon._bits(m)) == [v for v in range(m.bit_length()) if m >> v & 1]
+
+
 def test_automorphism_group_axioms():
     rng = random.Random(7)
     graphs = [e.graph for n in range(1, 6) for e in graphs_up_to_iso(n).entries]

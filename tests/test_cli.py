@@ -36,6 +36,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _allow_cpus(monkeypatch, k):
+    """Let this process run on k CPUs, by the affinity mask that --workers
+    reads and by the host count it reads where there is no mask."""
+    cpus = set(range(k))
+    monkeypatch.setattr(os, "cpu_count", lambda: k)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+
+
 def test_count_json(capsys):
     code, out, err = run_cli(capsys, "count", "K4", "--json")
     assert code == 0
@@ -145,7 +153,7 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(
     """main reuses one parser for every call in a process.  No option
     value, usage error or --help carries over to a later call, each call
     gets a namespace of its own command's options alone, and --workers
-    reads the CPU count when it is parsed."""
+    reads the CPUs this process may run on when it is parsed."""
     assert cli._build_parser() is cli._build_parser()
 
     namespaces = []
@@ -162,7 +170,7 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(
     code, out, _ = run_cli(capsys, "enumerate", "C3")
     assert code == 0 and len(out.splitlines()) == 13  # the default budget again
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     with deadline(60):
         forked = run_cli(capsys, "aggregate", "-n", "3", "--workers", "2")
         serial = run_cli(capsys, "aggregate", "-n", "3")
@@ -187,7 +195,7 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(
     for args in namespaces:
         assert set(vars(args)) == options[args.command]
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    _allow_cpus(monkeypatch, 1)
     args = cli._build_parser().parse_args(["aggregate", "-n", "3", "--workers", "2"])
     assert args.workers == 1
 
@@ -419,13 +427,13 @@ def test_aggregate_worker_error_exits_2(capsys, monkeypatch, worker_starts):
     """A check that fails in a worker ends the run as it does serially."""
     class_counts = aggregate.class_counts
 
-    def planted(g):
+    def planted(g, gens):
         if g.edge_count == 10:  # K5, the first class dealt
             raise InternalCheckError("planted in K5")
-        return class_counts(g)
+        return class_counts(g, gens)
 
     monkeypatch.setattr(aggregate, "class_counts", planted)  # the fork inherits it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     for workers in ("1", "2"):
         with deadline(60):
             code, out, err = run_cli(capsys, "aggregate", "-n", "5", "--workers", workers)
@@ -435,11 +443,11 @@ def test_aggregate_worker_error_exits_2(capsys, monkeypatch, worker_starts):
 
 
 def test_aggregate_worker_death_exits_1(capsys, monkeypatch, worker_starts):
-    def planted(g):
+    def planted(g, gens):
         os._exit(7)
 
     monkeypatch.setattr(aggregate, "class_counts", planted)  # the fork inherits it
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _allow_cpus(monkeypatch, 2)
     with deadline(60):
         code, out, err = run_cli(capsys, "aggregate", "-n", "5", "--workers", "2")
     assert (code, out) == (1, "")
@@ -541,8 +549,21 @@ def test_budget_edges_zero_is_accepted(capsys):
     assert code == 1 and out == "" and "budget of 0" in err
 
 
+def test_workers_clamped_to_the_affinity_mask(capsys, monkeypatch, worker_starts):
+    """On a host of 4 CPUs, a process that may run on one of them (a
+    cpuset or taskset) forks no worker for --workers 2, and prints the
+    same bytes as a serial run."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    argv = ("aggregate", "-n", "4", "--json")
+    want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
+    with deadline(60):
+        assert run_cli(capsys, *argv, "--workers", "2")[:2] == want
+    assert want[0] == 0 and worker_starts == []
+
+
 def test_workers_clamped_to_cpu_count(capsys, monkeypatch, worker_starts):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _allow_cpus(monkeypatch, 3)
     argv = ("aggregate", "-n", "4", "--json")
     want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
     for workers in ("2", "1000000"):
