@@ -93,8 +93,7 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
                 adj.append(mask)
                 if keep is not None and not keep(Graph(k, adj)):
                     continue
-                found = canon._search(k, adj, None, None, canon._encode_undirected)
-                code = (k, found[0][0])
+                code, found = canon._graph_walk(k, adj, None)
                 if code not in classes:
                     classes[code] = canon._canonical_generators(k, found)
         reps = [(canon.decode_graph_code(c)[1], classes[c]) for c in sorted(classes)]
@@ -102,22 +101,20 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
     return IsoClassTable(n, entries)
 
 
-def class_counts(g, gens=None):
+def class_counts(g, gens):
     """(aut_order, tau, h) for one class, with built-in cross-checks.
 
     One walk of the modular-decomposition tree gives |Aut|, tau and h.
     One pass over the stream gives tau and h again, as its length and
     its number of orbits under gens, generators of Aut(g) as
-    graphs_up_to_iso carries them (canon's when None).  A wrong generator
-    maps a member out of the stream and a missing one raises h, so both
-    show up here.  A disconnected graph's union rule,
-    which searches no component, is checked against them too.  Any
-    disagreement raises, never resolves silently.  The search admits the
-    class's own edge count: MAX_CLASS_VERTICES already bounds its size.
+    graphs_up_to_iso carries them.  A wrong generator maps a member out
+    of the stream and a missing one raises h, so both show up here.  A
+    disconnected graph's union rule, which searches no component, is
+    checked against them too.  Any disagreement raises, never resolves
+    silently.  The search admits the class's own edge count:
+    MAX_CLASS_VERTICES already bounds its size.
     """
     aut_order, t_tree, h_tree = tree_counts(g)
-    if gens is None:
-        gens = canon.generators(g.n, g.adj)
     stream = enumeration.stream_masks(g, g.edge_count)
     t, h = enumeration._orbit_count(g.n, stream, gens)
     if (t_tree, h_tree) != (t, h):

@@ -196,13 +196,20 @@ def _seed(seed_colors, out, inn=None):
     return [cells[c] for c in sorted(cells)]
 
 
+def _graph_walk(n, adj, seed_colors):
+    """(code, found) of a simple graph from one walk: graph_code's code
+    and the walk, which _extend and _canonical_generators read."""
+    found = _search(n, adj, None, seed_colors, _encode_undirected)
+    return (n, found[0][0]), found
+
+
 def graph_code(n, adj, seed_colors=None):
     """Canonical code (n, bits) of a simple graph; equal iff isomorphic.
 
     With seed_colors, isomorphisms are restricted to color-preserving
     ones, which gives rooted/colored canonical forms.
     """
-    return (n, _search(n, adj, None, seed_colors, _encode_undirected)[0][0])
+    return _graph_walk(n, adj, seed_colors)[0]
 
 
 def digraph_code(n, out):
@@ -237,11 +244,11 @@ def _group(n, adj, seed):
     the transposition of its first two points and, past two points, a
     cycle through all of them; strong adds its consecutive transpositions,
     a strong generating set relative to the base, as _orbits needs."""
-    return _extend(n, _search(n, adj, None, seed, _encode_undirected))
+    return _extend(n, _graph_walk(n, adj, seed)[1])
 
 
 def _extend(n, found):
-    """_group's result from found, a _search walk of a simple graph."""
+    """_group's result from found, a _graph_walk walk."""
     (code, _), gens, base, (cells, path) = found
     strong = list(gens)
     for cell in cells:
@@ -260,7 +267,7 @@ def _extend(n, found):
 
 def _canonical_generators(n, found):
     """Generators of the automorphisms of the canonical form behind found,
-    an unseeded _search walk of a simple graph, as bytes permutations;
+    an unseeded _graph_walk walk, as bytes permutations;
     () for the trivial group.  They are _group's, each sigma conjugated
     by the best leaf's order onto the canonical form: sigma'[i] =
     pos[sigma[order[i]]], where pos inverts order."""

@@ -137,10 +137,11 @@ def test_aggregate_n5():
 
 
 def test_class_counts_cross_checks():
-    aut, t, h = class_counts(complete_graph(4))
+    k4 = complete_graph(4)
+    aut, t, h = class_counts(k4, canon.generators(4, k4.adj))
     assert (aut, t, h) == (24, 75, 8)
-    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])
-    aut, t, h = class_counts(two_k2)  # exercises the component rule
+    two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])  # exercises the component rule
+    aut, t, h = class_counts(two_k2, canon.generators(4, two_k2.adj))
     assert (aut, t, h) == (8, 9, 3)
 
 
@@ -149,7 +150,7 @@ def test_class_counts_searches_within_the_class_edge_count():
     the 4-cube C4 x C4 has 32 edges, over the library default of 24."""
     q4 = cartesian_product(cycle_graph(4), cycle_graph(4))
     assert q4.edge_count == 32
-    assert class_counts(q4) == (384, 2, 1)
+    assert class_counts(q4, canon.generators(16, q4.adj)) == (384, 2, 1)
 
 
 def test_workers_match_single():
@@ -199,11 +200,12 @@ def test_class_counts_makes_one_pass(monkeypatch, g):
     rule's check takes the paw, which no closed form covers, from the
     tree too, so it adds no pass."""
     want = (len(automorphism_group(g)), tau(g), stream_counts(g)[1])
+    gens = canon.generators(g.n, g.adj)
     calls = {}
     _count_calls(monkeypatch, calls, enumeration, "stream_masks")
     _count_calls(monkeypatch, calls, enumeration, "_fixed")
     _count_calls(monkeypatch, calls, canon, "conjugacy_classes")
-    assert class_counts(g) == want
+    assert class_counts(g, gens) == want
     assert calls == {"stream_masks": 1, "_fixed": 0, "conjugacy_classes": 0}
 
 

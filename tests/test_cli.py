@@ -573,6 +573,20 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch, worker_starts):
     assert multiprocessing.active_children() == []
 
 
+def test_workers_clamped_to_cpu_count_without_an_affinity_mask(
+    capsys, monkeypatch, worker_starts
+):
+    """Where os has no sched_getaffinity, --workers is clamped to the
+    host's CPU count: on one CPU, --workers 2 forks no worker."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    argv = ("aggregate", "-n", "4", "--json")
+    want = run_cli(capsys, *argv)[:2]  # exit code and stdout bytes
+    with deadline(60):
+        assert run_cli(capsys, *argv, "--workers", "2")[:2] == want
+    assert want[0] == 0 and worker_starts == []
+
+
 def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):
     monkeypatch.setattr(canon, "MAX_AUT_ORDER", 100)
     with pytest.raises(SizeBoundExceeded, match=r"\|Aut\|=720 is over the bound of 100$"):

@@ -118,8 +118,9 @@ def test_tree_matches_the_search_on_twin_blow_ups():
 
 def test_a_disagreeing_tree_is_reported(monkeypatch):
     monkeypatch.setattr("graphtop.aggregate.tree_counts", lambda g: (6, tau(g) + 1, 4))
+    k3 = complete_graph(3)
     with pytest.raises(InternalCheckError, match="tree="):
-        class_counts(complete_graph(3))
+        class_counts(k3, canon.generators(3, k3.adj))
     monkeypatch.setattr(verify, "tree_counts", lambda g: (6, -1, 4))
     report = verify._Report(io.StringIO())
     verify._engine_counts(report, "k3", complete_graph(3))
