@@ -93,9 +93,9 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
                 adj.append(mask)
                 if keep is not None and not keep(Graph(k, adj)):
                     continue
-                code, found = canon._graph_walk(k, adj, None)
-                if code not in classes:
-                    classes[code] = canon._canonical_generators(k, found)
+                walk = canon.walk(k, adj)
+                if walk.code not in classes:
+                    classes[walk.code] = canon.canonical_generators(walk)
         reps = [(canon.decode_graph_code(c)[1], classes[c]) for c in sorted(classes)]
     entries = [ClassEntry(Graph(n, adj), generators=gens) for adj, gens in reps]
     return IsoClassTable(n, entries)

@@ -3,9 +3,9 @@
 Everything here works on raw per-vertex neighbor masks so the same
 machinery serves simple graphs (symmetric masks) and digraphs (out
 masks).  One individualization-refinement walk, after nauty and Traces
-(McKay and Piperno 2014), gives the code, the vertex order that maps the
-graph onto its canonical form, generators of the automorphisms and a
-base.  Refinement partitions the vertices into cells that any
+(McKay and Piperno 2014), gives a Walk: the code, the vertex order that
+maps the graph onto its canonical form, generators of the automorphisms
+and a base.  Refinement partitions the vertices into cells that any
 isomorphism must respect; when it gets stuck, each vertex of the first
 non-singleton cell is split off in turn.  The code is the least
 adjacency encoding over the leaves' vertex orders, and leaves with equal
@@ -21,6 +21,7 @@ refinement, so cells, codes and groups match it.
 The walk's vertex bound and the listing's |Aut| bound are in errors.py.
 """
 
+from dataclasses import dataclass
 from math import prod
 
 from .errors import MAX_AUT_ORDER, MAX_VERTICES, check_bound
@@ -121,22 +122,37 @@ def _encode_directed(n, out, order):
     return code
 
 
+@dataclass
+class Walk:
+    """The least code (n, bits) and the order of a leaf giving it: input
+    vertex order[i] is vertex i of the canonical form.  generators and
+    strong generate the automorphisms, empty for the trivial group; strong
+    is a strong generating set relative to base's (fixed, point) levels."""
+
+    code: tuple
+    order: list
+    generators: list
+    strong: list
+    base: list
+
+
 def _search(n, out, inn, seed_colors, encode):
-    """(best, generators, base, leaf) from one walk, colour-preserving
-    with seed_colors.  best is (code, order): the least code and the
-    vertex order of a leaf that gives it, so vertex order[i] of the input
-    is vertex i of the canonical form.  A leaf with the first leaf's code
-    gives the map from the first leaf's order to its own, and the walk
-    backs up to the first path.  A child in the orbit of one tried, under
-    the generators fixing the path, is skipped.  The base is the first
-    path, (fixed vertices, first child) per level; leaf is the first
-    leaf's (cells, path)."""
+    """The Walk, colour-preserving with seed_colors.  A leaf with the first
+    leaf's code gives the map from the first leaf's order to its own, and
+    the walk backs up to the first path.  A child in the orbit of one
+    tried, under the generators fixing the path, is skipped: a generator
+    that moves the path maps the node's subtree to another node's
+    subtree.  The base is the first path, (fixed vertices, first child)
+    per level, then the points of the first leaf's cells: homogeneous, so
+    each is acted on by its full symmetric group.  Per cell, generators
+    gains the transposition of its first two points and, past two, a
+    cycle through all; strong its consecutive transpositions."""
     check_bound(n, MAX_VERTICES, "n={}")
     gens = []
     base = []
     first = best = None
 
-    def walk(cells, path, on_first):
+    def descend(cells, path, on_first):
         """True when a leaf below, off the first path, gave an automorphism."""
         nonlocal first, best
         cells = _refine(n, out, inn, cells)
@@ -166,7 +182,7 @@ def _search(n, out, inn, seed_colors, encode):
             if seen >> v & 1:
                 continue
             child = cells[:t] + [1 << v, cell ^ 1 << v] + cells[t + 1 :]
-            if walk(child, path | 1 << v, on_first and not seen) and not on_first:
+            if descend(child, path | 1 << v, on_first and not seen) and not on_first:
                 return True
             seen |= 1 << v
             if not stab:
@@ -179,9 +195,28 @@ def _search(n, out, inn, seed_colors, encode):
                         todo.append(s[p])
         return False
 
-    walk(_seed(seed_colors, out, inn), 0, True)
-    del walk  # walk refers to itself; dropping it frees its state at once
-    return best, gens, base, first[2:]
+    descend(_seed(seed_colors, out, inn), 0, True)
+    del descend  # descend refers to itself; dropping it frees its state at once
+    _, _, cells, path = first
+    strong = list(gens)
+    ident = list(range(n))
+    for cell in cells:
+        if not cell & cell - 1:
+            continue
+        points = list(_bits(cell))
+        cycle = ident[:]  # through all the points
+        cycle[points[-1]] = points[0]
+        for a, b in zip(points, points[1:]):
+            base.append((path, a))
+            path |= 1 << a
+            cycle[a] = b
+            sigma = ident[:]
+            sigma[a], sigma[b] = b, a
+            strong.append(tuple(sigma))
+        gens.append(strong[1 - len(points)])  # the first two points' transposition
+        if len(points) > 2:
+            gens.append(tuple(cycle))
+    return Walk((n, best[0]), best[1], gens, strong, base)
 
 
 def _seed(seed_colors, out, inn=None):
@@ -196,11 +231,9 @@ def _seed(seed_colors, out, inn=None):
     return [cells[c] for c in sorted(cells)]
 
 
-def _graph_walk(n, adj, seed_colors):
-    """(code, found) of a simple graph from one walk: graph_code's code
-    and the walk, which _extend and _canonical_generators read."""
-    found = _search(n, adj, None, seed_colors, _encode_undirected)
-    return (n, found[0][0]), found
+def walk(n, adj, seed_colors=None):
+    """The Walk of a simple graph, colour-preserving with seed_colors."""
+    return _search(n, adj, None, seed_colors, _encode_undirected)
 
 
 def graph_code(n, adj, seed_colors=None):
@@ -209,7 +242,7 @@ def graph_code(n, adj, seed_colors=None):
     With seed_colors, isomorphisms are restricted to color-preserving
     ones, which gives rooted/colored canonical forms.
     """
-    return _graph_walk(n, adj, seed_colors)[0]
+    return walk(n, adj, seed_colors).code
 
 
 def digraph_code(n, out):
@@ -218,7 +251,7 @@ def digraph_code(n, out):
     for u in range(n):
         for v in _bits(out[u]):
             inn[v] |= 1 << u
-    return (n, _search(n, out, inn, None, _encode_directed)[0][0])
+    return _search(n, out, inn, None, _encode_directed).code
 
 
 def decode_graph_code(code):
@@ -234,57 +267,6 @@ def decode_graph_code(code):
                 adj[j] |= 1 << i
             idx += 1
     return n, tuple(adj)
-
-
-def _group(n, adj, seed):
-    """(code, generators, strong, base) of adj from one walk, colour-preserving
-    with seed.  The first leaf's cells are homogeneous, so each is acted on
-    by its full symmetric group, and their points extend the base.  Both
-    generating sets start with the walk's own.  generators adds, per cell,
-    the transposition of its first two points and, past two points, a
-    cycle through all of them; strong adds its consecutive transpositions,
-    a strong generating set relative to the base, as _orbits needs."""
-    return _extend(n, _graph_walk(n, adj, seed)[1])
-
-
-def _extend(n, found):
-    """_group's result from found, a _graph_walk walk."""
-    (code, _), gens, base, (cells, path) = found
-    strong = list(gens)
-    for cell in cells:
-        if not cell & cell - 1:
-            continue
-        points = list(_bits(cell))
-        for a, b in zip(points, points[1:]):
-            base.append((path, a))
-            path |= 1 << a
-            strong.append(_cycle(n, (a, b)))
-        gens.append(strong[1 - len(points)])  # the first two points' transposition
-        if len(points) > 2:
-            gens.append(_cycle(n, points))
-    return (n, code), gens, strong, base
-
-
-def _canonical_generators(n, found):
-    """Generators of the automorphisms of the canonical form behind found,
-    an unseeded _graph_walk walk, as bytes permutations;
-    () for the trivial group.  They are _group's, each sigma conjugated
-    by the best leaf's order onto the canonical form: sigma'[i] =
-    pos[sigma[order[i]]], where pos inverts order."""
-    order = found[0][1]
-    pos = bytearray(n)
-    for i, v in enumerate(order):
-        pos[v] = i
-    return tuple(bytes([pos[s[v]] for v in order]) for s in _extend(n, found)[1])
-
-
-def _cycle(n, points):
-    """The permutation of 0..n-1 taking each of points to the next, the
-    last to the first."""
-    sigma = list(range(n))
-    for a, b in zip(points, points[1:] + points[:1]):
-        sigma[a] = b
-    return tuple(sigma)
 
 
 def _orbits(gens, base):
@@ -305,10 +287,25 @@ def _orbits(gens, base):
     return orbits
 
 
+def aut_order(w):
+    """|Aut| from a Walk: the product of the orbit sizes along its base."""
+    return prod(map(len, _orbits(w.strong, w.base)))
+
+
+def canonical_generators(w):
+    """A Walk's generators conjugated onto the canonical form by its order,
+    sigma'[i] = pos[sigma[order[i]]] where pos inverts order, as bytes
+    permutations; () for the trivial group."""
+    pos = bytearray(len(w.order))
+    for i, v in enumerate(w.order):
+        pos[v] = i
+    return tuple(bytes([pos[s[v]] for v in w.order]) for s in w.generators)
+
+
 def generators(n, adj, seed_colors=None):
     """A generating set of the automorphisms of adj, colour-preserving
     with seed_colors; empty for the trivial group.  No group is listed."""
-    return _group(n, adj, seed_colors)[1]
+    return walk(n, adj, seed_colors).generators
 
 
 def automorphisms(n, adj, seed_colors=None):
@@ -319,8 +316,8 @@ def automorphisms(n, adj, seed_colors=None):
     deepest level first, and SizeBoundExceeded is raised before any
     element is built when the orbit sizes show |Aut| over MAX_AUT_ORDER.
     """
-    _, _, strong, base = _group(n, adj, seed_colors)
-    orbits = _orbits(strong, base)
+    w = walk(n, adj, seed_colors)
+    orbits = _orbits(w.strong, w.base)
     check_bound(prod(map(len, orbits)), MAX_AUT_ORDER, "|Aut|={}")
     group = [tuple(range(n))]
     for orbit in reversed(orbits):

@@ -212,9 +212,9 @@ def _node(adj, co, s):
         h = _exact(w * prod(kid[3] for kid in kids), sym)
     else:
         q = _quotient(adj, parts)
-        code, gens, strong, base = canon._group(len(q), q, types)
-        node_type += (code,)
-        aut *= prod(map(len, canon._orbits(strong, base)))
+        walk = canon.walk(len(q), q, types)
+        node_type += (walk.code,)
+        aut *= canon.aut_order(walk)
         orient = _prime_orientations(q)
         if orient is None:
             t = h = 0
@@ -223,7 +223,8 @@ def _node(adj, co, s):
             u, v = next(iter(orient))
             on = [c for c, kid in enumerate(kids) if kid[3] != 1]  # D, h != 1
             at = {c: i for i, c in enumerate(on)}
-            acts = {(tuple(at[p[c]] for c in on), (p[u], p[v]) in orient) for p in gens}
+            acts = {(tuple(at[p[c]] for c in on), (p[u], p[v]) in orient)
+                    for p in walk.generators}
             image, new = set(), {(tuple(range(len(on))), True)}
             while new:  # the closure of the generators' pairs under composition
                 image |= new

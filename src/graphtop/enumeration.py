@@ -354,8 +354,9 @@ def burnside(auts, stream):
 
 def h_burnside(g):
     """Homeomorphism-class count by averaging fixed digraphs over Aut(g).
-    The group is listed before the edge budget is checked."""
-    return burnside(automorphism_group(g), stream_masks(g))
+    The edge budget is checked before the group is listed."""
+    stream = stream_masks(g)  # the budget before the group
+    return burnside(automorphism_group(g), stream)
 
 
 class _RowImage(dict):

@@ -292,7 +292,7 @@ def has_triangle(g):
 
 
 def automorphism_group(g):
-    """All adjacency-preserving permutations, sorted. Bound: n <= 16."""
+    """All adjacency-preserving permutations, sorted. Bounds: n <= 16, |Aut| <= 9!."""
     return canon.automorphisms(g.n, g.adj)
 
 

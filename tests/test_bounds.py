@@ -167,6 +167,29 @@ def test_only_errors_defines_a_bound_or_builds_size_bound_exceeded():
     assert found == []
 
 
+def test_no_module_but_canon_names_a_private_canon_attribute_but_bits():
+    """canon is read through walk, aut_order, canonical_generators and
+    the fields of a Walk: no other module names canon._x, or imports _x
+    from canon, for any _x but _bits."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "canon.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "canon":
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module in ("canon", "graphtop.canon"):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} names canon.{name}"
+                for name in names
+                if name.startswith("_") and name != "_bits"
+            ]
+    assert found == []
+
+
 def test_an_edge_list_count_too_long_for_int_is_one_error_line(capsys, tmp_path):
     """int() refuses more than 4,300 digits: a 5,000-digit n line or
     endpoint is decided from its digits, never converted."""

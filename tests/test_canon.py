@@ -1,7 +1,7 @@
 import hashlib
 import itertools
 import random
-from math import factorial, prod
+from math import factorial
 
 import pytest
 
@@ -67,14 +67,28 @@ def test_automorphisms_match_brute_force(g):
     assert automorphism_group(g) == sorted(brute_automorphisms(g))
 
 
+def _first_leaf_cells(n, adj, seed):
+    """The cells of the walk's first leaf: refine, and split the first
+    point of the first non-singleton cell off, until the cells are
+    discrete or homogeneous."""
+    cells = canon._refine(n, adj, None, canon._seed(seed, adj))
+    while len(cells) < n and not canon._homogeneous(cells, adj):
+        t = next(t for t, cell in enumerate(cells) if cell & cell - 1)
+        v = cells[t] & -cells[t]
+        cells = canon._refine(n, adj, None, cells[:t] + [v, cells[t] ^ v] + cells[t + 1 :])
+    return cells
+
+
 def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
     """On every class with n <= 6, unseeded and with each vertex as its
     own colour: the listing is the brute-force group, or the stabiliser
     of the seeded vertex in it; the generators and the strong generating
-    set each close to exactly the listing; the generators add at most two
-    to the walk's per homogeneous cell of the first leaf; and the orbit
-    sizes along the base multiply to the listing's length.  K_n and N_n,
-    one homogeneous cell, take a transposition and an n-cycle."""
+    set each close to exactly the listing; both start with the walk's
+    own, which are strong less one transposition per point past the first
+    of each homogeneous cell of the first leaf, and the generators add at
+    most two to them per such cell; and the orbit sizes along the base
+    multiply to the listing's length.  K_n and N_n, one homogeneous cell,
+    take a transposition and an n-cycle."""
     checked = 0
     for n in range(1, 7):
         for entry in graphs_up_to_iso(n).entries:
@@ -85,15 +99,16 @@ def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
                 group = canon.automorphisms(n, g.adj, seed)
                 assert group == [s for s in brute if root is None or s[root] == root]
                 gens = canon.generators(n, g.adj, seed)
-                _, walk, _, (cells, _) = canon._search(
-                    n, g.adj, None, seed, canon._encode_undirected
-                )
+                walk = canon.walk(n, g.adj, seed)
+                assert walk.generators == gens
+                cells = _first_leaf_cells(n, g.adj, seed)
                 homogeneous = [cell for cell in cells if cell & cell - 1]
-                assert len(gens) <= len(walk) + 2 * len(homogeneous)
+                own = len(walk.strong) - sum(c.bit_count() - 1 for c in homogeneous)
+                assert gens[:own] == walk.strong[:own]
+                assert len(gens) <= own + 2 * len(homogeneous)
                 assert dimino_closure(gens, n) == set(group)
-                _, _, strong, base = canon._group(n, g.adj, seed)
-                assert dimino_closure(strong, n) == set(group)
-                assert prod(map(len, canon._orbits(strong, base))) == len(group)
+                assert dimino_closure(walk.strong, n) == set(group)
+                assert canon.aut_order(walk) == len(group)
                 checked += 1
     assert checked == sum(
         (n + 1) * len(graphs_up_to_iso(n).entries) for n in range(1, 7)
@@ -102,8 +117,7 @@ def test_generators_close_to_the_listing_and_the_orbits_multiply_to_its_order():
         for g in (complete_graph(n), null_graph(n)):
             gens = canon.generators(n, g.adj)
             assert sorted(sum(s[v] != v for v in range(n)) for s in gens) == [2, n]
-            _, _, strong, base = canon._group(n, g.adj, None)
-            assert prod(map(len, canon._orbits(strong, base))) == factorial(n)
+            assert canon.aut_order(canon.walk(n, g.adj)) == factorial(n)
 
 
 def test_bits_on_each_side_of_the_table():
@@ -285,9 +299,9 @@ def test_symmetric_unions_take_few_leaves(monkeypatch, g, order):
     rng = random.Random(g.n)
     for _ in range(3):
         assert graph_code(g.n, _relabel_masks(g.adj, _shuffled(rng, g.n))) == code
-    _, gens, strong, base = canon._group(g.n, g.adj, None)
-    assert all(_relabel_masks(g.adj, s) == list(g.adj) for s in gens + strong)
-    assert prod(map(len, canon._orbits(strong, base))) == order
+    walk = canon.walk(g.n, g.adj)
+    assert all(_relabel_masks(g.adj, s) == list(g.adj) for s in walk.generators + walk.strong)
+    assert canon.aut_order(walk) == order
 
 
 def test_automorphisms_refuses_eight_copies_of_k2_before_building_an_element(
@@ -358,6 +372,80 @@ def _shuffled(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
     return perm
+
+
+def _by_order(masks, order):
+    """masks relabelled by a walk's order: vertex order[i] becomes i."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
+    return _relabel_masks(masks, pos)
+
+
+def _decode_digraph_code(code):
+    """The out-masks behind a digraph code: row i's bits at j != i, read
+    from the top, as canon._encode_directed writes them."""
+    n, bits = code
+    out = [0] * n
+    k = n * (n - 1)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                k -= 1
+                out[i] |= (bits >> k & 1) << j
+    return out
+
+
+def test_the_order_maps_the_input_onto_the_canonical_form(monkeypatch):
+    """Relabelling the input by a walk's order, vertex order[i] to i,
+    gives the adjacency behind its code: on every class with n <= 6
+    under three seeded relabellings, each unseeded and with random seed
+    colours, on the graphs with n = 7..16 and their relabellings, and on
+    the walk behind digraph_code for every stream member of every class
+    with n <= 5, relabelled, and the digraphs with n = 7..16.  At n <= 6
+    the first leaf always gives the least code; only the larger graphs
+    tell the best leaf's order from the first leaf's."""
+    rng = random.Random(37)
+    graphs = 0
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            for _ in range(3):
+                adj = _relabel_masks(entry.graph.adj, _shuffled(rng, n))
+                for seed in (None, [rng.randrange(3) for _ in range(n)]):
+                    walk = canon.walk(n, adj, seed)
+                    assert walk.code == graph_code(n, adj, seed)
+                    assert _by_order(adj, walk.order) == list(decode_graph_code(walk.code)[1])
+                    graphs += 1
+    for make, g, perms in _large_graphs():
+        for adj in [list(g.adj)] + [_relabel_masks(g.adj, perm) for perm in perms]:
+            walk = canon.walk(g.n, adj)
+            assert _by_order(adj, walk.order) == list(decode_graph_code(walk.code)[1]), make
+            graphs += 1
+    assert graphs == 6 * (1 + 2 + 4 + 11 + 34 + 156) + 4 * 30
+    classes = [e.graph for n in range(1, 6) for e in graphs_up_to_iso(n).entries]
+    digraphs = [list(stream_masks(g)) for g in classes]
+    for _, out, perms in _large_digraphs():
+        digraphs.append([out] + [_relabel_masks(out, perm) for perm in perms])
+    walks = []
+    search = canon._search
+
+    def kept(*args):
+        walks.append(search(*args))
+        return walks[-1]
+
+    monkeypatch.setattr(canon, "_search", kept)  # digraph_code returns only the code
+    checked = 0
+    for group in digraphs:
+        for masks in group:
+            n = len(masks)
+            out = _relabel_masks(masks, _shuffled(rng, n))
+            code = digraph_code(n, out)
+            (walk,) = walks
+            walks.clear()
+            assert walk.code == code
+            assert _by_order(out, walk.order) == _decode_digraph_code(code)
+            checked += 1
+    assert checked == 1 + 4 + 19 + 123 + 881 + 4 * 20  # the streams, then 20 digraphs
 
 
 def _large_graphs():

@@ -323,6 +323,18 @@ def test_stream_counts_h_sink_and_is_reflexible_list_no_group(monkeypatch):
         stream_counts(complete_graph(9))
 
 
+def test_h_burnside_checks_the_budget_before_listing_the_group(monkeypatch):
+    """K9 has 36 edges, past the default budget, and 9! automorphisms:
+    the budget is refused before any of them is listed."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was listed")
+
+    monkeypatch.setattr(canon, "automorphisms", refuse)
+    with pytest.raises(BudgetExceeded, match="^36 edges exceed the budget of 24; "):
+        h_burnside(complete_graph(9))
+
+
 def test_sink_counts():
     k2 = complete_graph(2)
     assert sink_counts(k2, 0)[0] == 1  # only 1 -> 0
