@@ -18,7 +18,7 @@ from . import canon, enumeration, formulas
 from .decomposition import tree_counts
 from .enumeration import _RowImage, fan_out
 from .errors import MAX_CLASS_VERTICES, InternalCheckError, check_bound
-from .graphs import Graph, component_parts, is_connected
+from .graphs import Graph, is_connected
 
 
 @dataclass
@@ -109,10 +109,10 @@ def class_counts(g, gens):
     its number of orbits under gens, generators of Aut(g) as
     graphs_up_to_iso carries them.  A wrong generator maps a member out
     of the stream and a missing one raises h, so both show up here.  A
-    disconnected graph's union rule, which searches no component, is
-    checked against them too.  Any disagreement raises, never resolves
-    silently.  The search admits the class's own edge count:
-    MAX_CLASS_VERTICES already bounds its size.
+    disconnected graph is checked through formula_for_graph too, the
+    entry count uses, whose union rule searches no component.  Any
+    disagreement raises, never resolves silently.  The search admits the
+    class's own edge count: MAX_CLASS_VERTICES already bounds its size.
     """
     aut_order, t_tree, h_tree = tree_counts(g)
     stream = enumeration.stream_masks(g, g.edge_count)
@@ -123,7 +123,7 @@ def class_counts(g, gens):
             f"tree=({t_tree},{h_tree}) stream=({t},{h})"
         )
     if not is_connected(g):
-        by_parts = formulas.union_counts(component_parts(g))
+        by_parts = formulas.formula_for_graph(g)
         if (by_parts.tau, by_parts.h) != (t, h):
             raise InternalCheckError(
                 f"component rule disagrees on {g!r}: "

@@ -13,9 +13,10 @@ from .enumeration import sink_counts
 from .errors import MAX_COMPLETE_N, NotConnected, check_bound
 from .graphs import (
     canonical_code,
-    component_parts,
+    components,
     components_of,
     has_triangle,
+    induced_subgraph,
     is_bipartite,
     is_connected,
     is_cut_vertex,
@@ -111,24 +112,23 @@ def bipartite_counts(g):
 def union_counts(parts):
     """Counts for a disjoint union of connected parts with multiplicities.
 
-    parts is a list of (graph, multiplicity) with pairwise non-isomorphic
-    connected graphs.  A part's counts come from connected_counts, else
-    from tree_counts: no part is searched.  m copies of a part with h
-    classes give C(h + m - 1, m) multisets of classes, 0 when h = 0.
+    parts is a list of (graph, multiplicity); isomorphic parts are merged
+    by canonical code, their multiplicities added.  A part's counts come
+    from connected_counts, else from tree_counts: no part is searched.
+    m copies of a part with h classes give C(h + m - 1, m) multisets of
+    classes, 0 when h = 0.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
-    codes = set()
-    tau_total = h_total = 1
+    merged = {}  # code -> [graph, multiplicity]
     for g, mult in parts:
         if mult < 1:
             raise ValueError("part multiplicity must be >= 1")
         if not is_connected(g):
             raise NotConnected("union parts must be connected")
-        code = canonical_code(g)
-        if code in codes:
-            raise ValueError("union parts must be pairwise non-isomorphic")
-        codes.add(code)
+        merged.setdefault(canonical_code(g), [g, 0])[1] += mult
+    tau_total = h_total = 1
+    for g, mult in merged.values():
         closed = connected_counts(g)
         t, h = (closed.tau, closed.h) if closed else tree_counts(g)[1:]
         tau_total *= t**mult
@@ -203,12 +203,13 @@ def connected_counts(g):
 def formula_for_graph(g):
     """The first closed form whose hypotheses cover g, or None.
 
-    The union rule if g is disconnected, else connected_counts.
+    The union rule over g's components, each passed once, if g is
+    disconnected, else connected_counts.
     """
     if g.n == 0:
         return None
     if not is_connected(g):
-        return union_counts(component_parts(g))
+        return union_counts([(induced_subgraph(g, c), 1) for c in components(g)])
     return connected_counts(g)
 
 

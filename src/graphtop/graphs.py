@@ -243,19 +243,6 @@ def induced_subgraph(g, vertices):
     return Graph.from_edges(len(vs), edges)
 
 
-def component_parts(g):
-    """Components grouped by isomorphism type, as (graph, multiplicity).
-
-    Each type is represented by its first component, induced and
-    relabeled; types come in order of first appearance.
-    """
-    grouped = {}
-    for comp in components(g):
-        part = induced_subgraph(g, comp)
-        grouped.setdefault(canonical_code(part), [part, 0])[1] += 1
-    return [(part, mult) for part, mult in grouped.values()]
-
-
 def bipartition(g):
     """Proper 2-coloring as (X1, X2), or None if g has an odd cycle.
 

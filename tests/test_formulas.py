@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import random
 from math import comb, factorial
 
@@ -9,6 +10,7 @@ from graphtop import (
     amalgam_counts,
     amalgamate,
     bipartite_counts,
+    canon,
     cartesian_product,
     complete_counts,
     complete_graph,
@@ -32,7 +34,13 @@ from graphtop import (
 )
 from graphtop.errors import NotConnected
 from graphtop.cli import main
-from graphtop.graphs import canonical_code, component_parts, is_bipartite, is_connected
+from graphtop.graphs import (
+    canonical_code,
+    components,
+    induced_subgraph,
+    is_bipartite,
+    is_connected,
+)
 from graphtop.verify import count_compositions, count_ordered_partitions
 
 from conftest import bowtie, paw, relabel_graph, star
@@ -167,9 +175,12 @@ def test_union_counts():
 
     two_k2 = disjoint_union(k2, k2)
     assert stream_counts(two_k2) == (9, 3)
+    twice = union_counts([(k2, 1), (k2, 1)])  # isomorphic parts merge
+    assert (twice.tau, twice.h) == (9, 3)
+    split = union_counts([(k3, 1), (k2, 1), (k3, 1)])
+    assert (split.tau, split.h) == (507, 20)
+    assert stream_counts(disjoint_union(k3, disjoint_union(k2, k3))) == (507, 20)
 
-    with pytest.raises(ValueError):
-        union_counts([(k2, 1), (k2, 1)])  # parts must be non-isomorphic
     with pytest.raises(ValueError):
         union_counts([(k2, 0)])
     with pytest.raises(NotConnected):
@@ -183,19 +194,44 @@ def test_union_counts():
 
 
 def test_union_closed_forms_agree_with_search_on_each_component():
+    """union_counts gets the components ungrouped, so its merge runs on
+    every disconnected class; the search side groups them by code itself."""
     for n in range(2, 7):
         for entry in graphs_up_to_iso(n).entries:
             g = entry.graph
             if is_connected(g):
                 continue
-            parts = component_parts(g)
+            parts = [induced_subgraph(g, comp) for comp in components(g)]
+            grouped = {}
+            for part in parts:
+                grouped.setdefault(canonical_code(part), [part, 0])[1] += 1
             by_search = [1, 1]
-            for part, mult in parts:
+            for part, mult in grouped.values():
                 t, h = tau(part), h_burnside(part)
                 by_search[0] *= t**mult
                 by_search[1] *= comb(h + mult - 1, mult)
-            result = union_counts(parts)
+            result = union_counts([(part, 1) for part in parts])
             assert (result.tau, result.h) == stream_counts(g) == tuple(by_search)
+
+
+def test_a_union_walks_each_component_once(monkeypatch, capsys):
+    """K3 + K2 + K3: one canon walk per component, plus one for count's
+    graph field; the parts are not canonized a second time to group them."""
+    walks = []
+    search = canon._search
+
+    def counted(*args):
+        walks.append(args[0])
+        return search(*args)
+
+    monkeypatch.setattr(canon, "_search", counted)
+    k2, k3 = complete_graph(2), complete_graph(3)
+    result = formula_for_graph(disjoint_union(k3, disjoint_union(k2, k3)))
+    assert (result.tau, result.h, len(walks)) == (507, 20, 3)
+    walks.clear()
+    assert main(["count", "union(K3,union(K2,K3))", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["tau"], out["h"], len(walks)) == (507, 20, 4)
 
 
 def test_union_counts_takes_closed_forms_without_searching(monkeypatch, capsys):
