@@ -16,7 +16,7 @@ from math import factorial
 
 from . import canon, enumeration, formulas
 from .decomposition import tree_counts
-from .enumeration import _RowImage, fan_out
+from .enumeration import _row_images, fan_out
 from .errors import MAX_CLASS_VERTICES, InternalCheckError, check_bound
 from .graphs import Graph, is_connected
 
@@ -75,7 +75,7 @@ def graphs_up_to_iso(n, keep=None, max_vertices=MAX_CLASS_VERTICES):
             # and it is joined to every base vertex of degree below d
             below = [sum(1 << u for u, e in enumerate(deg) if e < d) for d in range(k)]
             top = min(deg) + 1
-            images = [_RowImage(sigma) for sigma in gens]
+            images = [_row_images(sigma) for sigma in gens]
             seen = bytearray(1 << (k - 1))
             for mask in range(1 << (k - 1)):
                 d = mask.bit_count()

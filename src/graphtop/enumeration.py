@@ -34,6 +34,7 @@ from .topology import Digraph, first_intransitive
 
 FWD, BWD, BOTH = 1, 2, 3  # arc sets {u->v}, {v->u}, {u->v, v->u}
 _BATCH = 512  # leaves per transitivity check
+_BYTE_POINTS = 8  # up to this many vertices, every row mask fits in a byte
 # chunks per worker: few round trips, yet a small last chunk to even out the end
 _CHUNKS_PER_WORKER = 8
 
@@ -45,7 +46,7 @@ def edge_order(g):
     degree go early; ties break lexicographically, which also fixes the
     deterministic stream order.
     """
-    deg = [g.degree(u) for u in range(g.n)]
+    deg = [row.bit_count() for row in g.adj]
     return sorted(
         g.edges(),
         key=lambda e: (-min(deg[e[0]], deg[e[1]]), -max(deg[e[0]], deg[e[1]]), e),
@@ -75,21 +76,20 @@ class _Search:
                 f"{g.edge_count} {verb} the budget of {budget}; "
                 "raise it with --budget-edges (budget_edges in the library)"
             )
-        self.n = g.n
+        self.n, adj = g.n, g.adj
         self.edges = edge_order(g)
         eidx = {e: k for k, e in enumerate(self.edges)}
-        self.partners = [
-            [
+        self.partners, self.rows = [], []
+        for k, (u, v) in enumerate(self.edges):
+            js = [
                 eidx[(a, b) if a < b else (b, a)]
                 for a, far in ((u, v), (v, u))
-                for b in _bits(g.adj[a] & ~g.adj[far] & ~(1 << far))
+                for b in _bits(adj[a] & ~adj[far] & ~(1 << far))
             ]
-            for u, v in self.edges
-        ]
-        self.rows = [
-            (u, v, ~g.adj[u], ~g.adj[v], 1 << u, 1 << v, tuple(j for j in js if j > k))
-            for k, ((u, v), js) in enumerate(zip(self.edges, self.partners))
-        ]
+            self.partners.append(js)
+            self.rows.append(
+                (u, v, ~adj[u], ~adj[v], 1 << u, 1 << v, tuple(j for j in js if j > k))
+            )
         self.out = [0] * g.n
         self.inn = [0] * g.n
 
@@ -360,8 +360,9 @@ def h_burnside(g):
 
 
 class _RowImage(dict):
-    """Out-mask -> its image under sigma.  Rows recur across leaves, so
-    each is mapped once."""
+    """Out-mask -> its image under sigma, for sigma on more than
+    _BYTE_POINTS points.  Rows recur across leaves, so each is mapped
+    once."""
 
     def __init__(self, sigma):
         self.sigma = sigma
@@ -371,12 +372,28 @@ class _RowImage(dict):
         return image
 
 
+def _row_images(sigma):
+    """The image under sigma of each row mask m, as table[m].  On up to
+    _BYTE_POINTS points every row is a byte, and the table is 256 bytes
+    built by doubling, as canon's bit table is: for m below 2^v, the
+    image of m + 2^v is that of m with bit sigma[v] set.  Masks of 2^n
+    and past are no rows, so they map to 0.  On more points, a
+    _RowImage memo."""
+    if len(sigma) > _BYTE_POINTS:
+        return _RowImage(sigma)
+    table = [0]
+    for v in sigma:
+        bit = 1 << v
+        table += [m | bit for m in table]
+    return bytes(table).ljust(256, b"\0")
+
+
 def _fixed(stream, sigmas):
     """For each sigma, the number of stream members D with sigma(D) = D:
     those whose row at sigma[u] is the image of row u, for every u.  The
     u that sigma moves go first, as their test fails soonest."""
     tests = [
-        (_RowImage(sigma), sorted(enumerate(sigma), key=lambda uv: uv[0] == uv[1]))
+        (_row_images(sigma), sorted(enumerate(sigma), key=lambda uv: uv[0] == uv[1]))
         for sigma in sigmas
     ]
     counts = [0] * len(tests)
@@ -397,7 +414,10 @@ def _orbit_count(n, stream, gens):
     A member that no earlier orbit holds starts a new one, closed under
     gens; its other members wait in a pending set until the stream
     reaches them.  The stream is closed under the group, so the pending
-    set must end empty.
+    set must end empty.  On up to _BYTE_POINTS points each member is
+    kept as bytes, and a generator maps it whole: its rows translated
+    through the generator's table, then reordered.  On more, members
+    stay tuples and each row goes through the generator's memo.
     """
     maps = []
     for sigma in gens:
@@ -406,11 +426,14 @@ def _orbit_count(n, stream, gens):
             inverse[v] = u
         # row v of an image is the image of row inverse[v]; a generator moves
         # two points or more, so n > 1 and the getter gives an exact-size tuple
-        maps.append((_RowImage(sigma).__getitem__, itemgetter(*inverse)))
+        maps.append((_row_images(sigma), itemgetter(*inverse)))
+    small = n <= _BYTE_POINTS
     t = h = 0
     pending = set()
     for masks in stream:
         t += 1
+        if small:
+            masks = bytes(masks)
         if masks in pending:
             pending.remove(masks)
             continue
@@ -418,8 +441,11 @@ def _orbit_count(n, stream, gens):
         orbit = [masks]
         members = {masks}
         for d in orbit:
-            for row_image, reorder in maps:
-                image = reorder(list(map(row_image, d)))
+            for table, reorder in maps:
+                if small:
+                    image = bytes(reorder(d.translate(table)))
+                else:
+                    image = reorder(list(map(table.__getitem__, d)))
                 if image not in members:
                     members.add(image)
                     orbit.append(image)
@@ -438,7 +464,9 @@ def stream_counts(g, budget_edges=None):
     tau is the stream length.  An isomorphism between two transitive
     digraphs over g is an automorphism of g, so h is the number of
     Aut(g)-orbits on the stream, closed under canon's generators of
-    Aut(g).  No group is listed, so no bound on |Aut(g)| applies.
+    Aut(g) by _orbit_count: through one byte table per generator on up
+    to 8 vertices, through a memo of row images past that.  No group is
+    listed, so no bound on |Aut(g)| applies.
     """
     stream = stream_masks(g, budget_edges)  # the budget before the generators
     return _orbit_count(g.n, stream, canon.generators(g.n, g.adj))

@@ -17,6 +17,7 @@ from graphtop import (
     disjoint_union,
     enumeration,
     graphs_up_to_iso,
+    path_graph,
     stream_counts,
     tau,
     wheel_graph,
@@ -24,6 +25,7 @@ from graphtop import (
 from graphtop.aggregate import class_counts, labeled_copies
 from graphtop.decomposition import tree_counts
 from graphtop.errors import InternalCheckError, SizeBoundExceeded
+from graphtop.expr import build_graph, parse_graph_expr
 from graphtop.graphs import is_bipartite
 from graphtop.topology import all_preorders, preorder_to_digraph
 
@@ -143,6 +145,32 @@ def test_class_counts_cross_checks():
     two_k2 = Graph.from_edges(4, [(0, 1), (2, 3)])  # exercises the component rule
     aut, t, h = class_counts(two_k2, canon.generators(4, two_k2.adj))
     assert (aut, t, h) == (8, 9, 3)
+
+
+def _two_k4_k1_without_the_swap():
+    """K4 + K4 + K1 (9 points, rows past a byte) and canon's generators
+    less those that swap the two K4s."""
+    g = build_graph(parse_graph_expr("union(K4,union(K4,K1))"))
+    return g, tuple(s for s in canon.generators(g.n, g.adj) if s[0] < 4)
+
+
+@pytest.mark.parametrize(
+    "g, gens, match",
+    [
+        # no generator: every K4 member is an orbit of its own
+        (complete_graph(4), (), r"tree=\(75,8\) stream=\(75,75\)"),
+        # swapping 0 and 1 of P4 maps the edge 1-2 onto the non-edge 0-2
+        (path_graph(3), ((1, 0, 2, 3),), "missing from the stream"),
+        # without the K4 swap, orbits of two members split in two
+        (*_two_k4_k1_without_the_swap(), r"tree=\(5625,36\) stream=\(5625,64\)"),
+    ],
+)
+def test_class_counts_refuses_bad_generators(g, gens, match):
+    """A generator that is no automorphism maps a member out of the
+    stream, and a missing one splits orbits; class_counts raises on
+    both, on rows of a byte and on wider ones."""
+    with pytest.raises(InternalCheckError, match=match):
+        class_counts(g, gens)
 
 
 def test_class_counts_searches_within_the_class_edge_count():

@@ -28,9 +28,9 @@ from graphtop import (
     underlying_graph,
     wheel_graph,
 )
-from graphtop.canon import conjugacy_classes, digraph_code
+from graphtop.canon import _bits, conjugacy_classes, digraph_code
 from graphtop.decomposition import tree_counts
-from graphtop.enumeration import _fixed, edge_order, stream_masks
+from graphtop.enumeration import _fixed, _row_images, edge_order, stream_masks
 from graphtop.errors import (
     BudgetExceeded,
     ExprError,
@@ -288,16 +288,61 @@ def test_stream_counts_makes_no_digraph_code_call(monkeypatch):
     assert stream_counts(complete_graph(6)) == (4683, 32)
 
 
-@pytest.mark.parametrize("dropped", [0, 40])
-def test_stream_counts_raises_on_a_leaf_missing_from_the_stream(monkeypatch, dropped):
+# K4 + K4 + K1: 9 points, past a byte, so its orbits close through the memo
+TWO_K4_K1 = "union(K4,union(K4,K1))"
+
+
+@pytest.mark.parametrize(
+    "expr, dropped", [("K4", 0), ("K4", 40), (TWO_K4_K1, 1), (TWO_K4_K1, 2000)]
+)
+def test_stream_counts_raises_on_a_leaf_missing_from_the_stream(monkeypatch, expr, dropped):
     """An orbit that the stream leaves incomplete is an error, not a
-    smaller h: the dropped K4 leaves lie in orbits of more than one
-    member."""
-    stream = list(stream_masks(complete_graph(4)))
+    smaller h, on rows of a byte and on wider ones: each dropped leaf
+    lies in an orbit of more than one member."""
+    g = build_graph(parse_graph_expr(expr))
+    stream = list(stream_masks(g))
     kept = stream[:dropped] + stream[dropped + 1 :]
     monkeypatch.setattr(enumeration, "stream_masks", lambda g, budget=None: iter(kept))
     with pytest.raises(InternalCheckError, match="missing from the stream"):
-        stream_counts(complete_graph(4))
+        stream_counts(g)
+
+
+def test_stream_counts_closes_wide_orbits():
+    """On 9 points the members stay tuples and each generator maps them
+    row by row through its memo; the orbits still match the tree, and
+    the swap of the two K4s joins orbits of two members."""
+    g = build_graph(parse_graph_expr(TWO_K4_K1))
+    assert g.n == 9
+    assert stream_counts(g) == tree_counts(g)[1:] == (5625, 36)
+
+
+def _image(sigma, mask):
+    return sum(1 << sigma[v] for v in range(len(sigma)) if mask >> v & 1)
+
+
+def test_row_images_table_matches_the_memo():
+    """Up to 8 points a generator's row images are one 256-byte table:
+    for every generator canon gives the classes with n <= 6, and every
+    one generation carries, table[m] is the image of m for each m < 2^n,
+    as the memo gives it.  Permutations on 9 to 16 points get the memo,
+    and it maps random masks to their images."""
+    for n in range(2, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            for sigma in [*canon.generators(n, g.adj), *entry.generators]:
+                table = _row_images(sigma)
+                assert type(table) is bytes and len(table) == 256
+                memo = enumeration._RowImage(sigma)
+                for m in range(1 << n):
+                    assert table[m] == memo[m] == sum(1 << sigma[v] for v in _bits(m))
+    rng = random.Random(39)
+    for n in range(9, 17):
+        sigma = rng.sample(range(n), n)
+        memo = _row_images(sigma)
+        assert type(memo) is enumeration._RowImage
+        for _ in range(200):
+            m = rng.getrandbits(n)
+            assert memo[m] == _image(sigma, m), (sigma, m)
 
 
 def test_stream_counts_h_sink_and_is_reflexible_list_no_group(monkeypatch):
