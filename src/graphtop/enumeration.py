@@ -419,15 +419,16 @@ def _orbit_count(n, stream, gens):
     through the generator's table, then reordered.  On more, members
     stay tuples and each row goes through the generator's memo.
     """
+    small = n <= _BYTE_POINTS
     maps = []
     for sigma in gens:
         inverse = [0] * n
         for u, v in enumerate(sigma):
             inverse[v] = u
+        images = _row_images(sigma)
         # row v of an image is the image of row inverse[v]; a generator moves
         # two points or more, so n > 1 and the getter gives an exact-size tuple
-        maps.append((_row_images(sigma), itemgetter(*inverse)))
-    small = n <= _BYTE_POINTS
+        maps.append((images if small else images.__getitem__, itemgetter(*inverse)))
     t = h = 0
     pending = set()
     for masks in stream:
@@ -441,11 +442,11 @@ def _orbit_count(n, stream, gens):
         orbit = [masks]
         members = {masks}
         for d in orbit:
-            for table, reorder in maps:
+            for images, reorder in maps:
                 if small:
-                    image = bytes(reorder(d.translate(table)))
+                    image = bytes(reorder(d.translate(images)))
                 else:
-                    image = reorder(list(map(table.__getitem__, d)))
+                    image = reorder(list(map(images, d)))
                 if image not in members:
                     members.add(image)
                     orbit.append(image)

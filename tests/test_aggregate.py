@@ -159,7 +159,7 @@ def _two_k4_k1_without_the_swap():
     [
         # no generator: every K4 member is an orbit of its own
         (complete_graph(4), (), r"tree=\(75,8\) stream=\(75,75\)"),
-        # swapping 0 and 1 of P4 maps the edge 1-2 onto the non-edge 0-2
+        # swapping 0 and 1 of the path 0-1-2-3 maps the edge 1-2 onto the non-edge 0-2
         (path_graph(3), ((1, 0, 2, 3),), "missing from the stream"),
         # without the K4 swap, orbits of two members split in two
         (*_two_k4_k1_without_the_swap(), r"tree=\(5625,36\) stream=\(5625,64\)"),

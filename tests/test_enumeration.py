@@ -293,7 +293,9 @@ TWO_K4_K1 = "union(K4,union(K4,K1))"
 
 
 @pytest.mark.parametrize(
-    "expr, dropped", [("K4", 0), ("K4", 40), (TWO_K4_K1, 1), (TWO_K4_K1, 2000)]
+    "expr, dropped",
+    [("K4", 0), ("K4", 40), (TWO_K4_K1, 1), (TWO_K4_K1, 2000)],
+    ids=["0", "40", "wide-1", "wide-2000"],
 )
 def test_stream_counts_raises_on_a_leaf_missing_from_the_stream(monkeypatch, expr, dropped):
     """An orbit that the stream leaves incomplete is an error, not a
@@ -314,10 +316,6 @@ def test_stream_counts_closes_wide_orbits():
     g = build_graph(parse_graph_expr(TWO_K4_K1))
     assert g.n == 9
     assert stream_counts(g) == tree_counts(g)[1:] == (5625, 36)
-
-
-def _image(sigma, mask):
-    return sum(1 << sigma[v] for v in range(len(sigma)) if mask >> v & 1)
 
 
 def test_row_images_table_matches_the_memo():
@@ -342,7 +340,7 @@ def test_row_images_table_matches_the_memo():
         assert type(memo) is enumeration._RowImage
         for _ in range(200):
             m = rng.getrandbits(n)
-            assert memo[m] == _image(sigma, m), (sigma, m)
+            assert memo[m] == sum(1 << sigma[v] for v in range(n) if m >> v & 1), (sigma, m)
 
 
 def test_stream_counts_h_sink_and_is_reflexible_list_no_group(monkeypatch):
