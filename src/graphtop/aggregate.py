@@ -11,7 +11,6 @@ generation end to end: a missed or repeated class raises.
 """
 
 import time
-from dataclasses import dataclass
 from math import factorial
 
 from . import canon, enumeration, formulas
@@ -21,21 +20,19 @@ from .errors import MAX_CLASS_VERTICES, InternalCheckError, check_bound
 from .graphs import Graph, is_connected
 
 
-@dataclass
 class ClassEntry:
-    graph: Graph
-    aut_order: int | None = None
-    tau: int | None = None
-    h: int | None = None
-    seconds: float | None = None
-    # generators of Aut(graph) from generation, as bytes permutations
-    generators: tuple = ()
+    """One class: its graph and the generators of Aut(graph) from
+    generation, as bytes permutations; aggregate_counts fills in
+    aut_order, tau, h and seconds (wall time)."""
+
+    def __init__(self, graph, generators=()):
+        self.graph, self.generators = graph, generators
+        self.aut_order = self.tau = self.h = self.seconds = None
 
 
-@dataclass
 class IsoClassTable:
-    n: int
-    entries: list
+    def __init__(self, n, entries):
+        self.n, self.entries = n, entries
 
     def __len__(self):
         return len(self.entries)

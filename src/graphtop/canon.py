@@ -21,7 +21,6 @@ refinement, so cells, codes and groups match it.
 The walk's vertex bound and the listing's |Aut| bound are in errors.py.
 """
 
-from dataclasses import dataclass
 from math import prod
 
 from .errors import MAX_AUT_ORDER, MAX_VERTICES, check_bound
@@ -122,18 +121,15 @@ def _encode_directed(n, out, order):
     return code
 
 
-@dataclass
 class Walk:
     """The least code (n, bits) and the order of a leaf giving it: input
     vertex order[i] is vertex i of the canonical form.  generators and
     strong generate the automorphisms, empty for the trivial group; strong
     is a strong generating set relative to base's (fixed, point) levels."""
 
-    code: tuple
-    order: list
-    generators: list
-    strong: list
-    base: list
+    def __init__(self, code, order, generators, strong, base):
+        self.code, self.order, self.generators = code, order, generators
+        self.strong, self.base = strong, base
 
 
 def _search(n, out, inn, seed_colors, encode):

@@ -21,9 +21,8 @@ union of cliques) has no partners, and its search is unchanged.  The
 walk yields its leaves in lists, each checked for transitivity whole.
 """
 
-import pickle
+import os
 from itertools import chain
-from multiprocessing import get_context
 from operator import itemgetter
 
 from . import canon
@@ -240,54 +239,59 @@ def fan_out(fn, tasks, workers):
     """fn(t) for t in tasks, lazily and in task order, over `workers`
     processes.
 
-    One worker runs the tasks in this process.  More are forked, one per
-    chunk at most: the tasks, in their given order, are cut into about
-    _CHUNKS_PER_WORKER chunks per worker, and each idle worker is dealt
-    the next chunk, so callers control the schedule by the task order.
-    A worker inherits fn and the tasks through the fork and is sent only
-    a chunk's bounds.  A chunk's results are yielded once it and those
-    before it are done.  A task's exception is raised here after the
-    results of the tasks before it, as in one process; a worker that
-    exits without replying raises WorkerDied.  Every worker is
-    terminated and joined before this returns or raises.
+    One worker runs the tasks in this process.  More are forked with
+    os.fork, one per chunk at most: the tasks, in their given order, are
+    cut into about _CHUNKS_PER_WORKER chunks per worker, and each idle
+    worker is dealt the next chunk, so callers control the schedule by
+    the task order.  A worker inherits fn and the tasks through the fork
+    and has two pipes: a chunk's bounds go down one and its reply comes
+    back up the other, each one pickle.  A pickle marks its own end and a
+    worker has at most one message in flight, so select on a reply pipe
+    never misses one left in a file buffer.  A chunk's results are
+    yielded once it and those before it are done.  A task's exception is
+    raised here after the results of the tasks before it, as in one
+    process; a worker that exits without replying raises WorkerDied with
+    its pid and exit code.  Every worker is sent SIGTERM and reaped, once,
+    before this returns or raises.
     """
     if workers <= 1:
         yield from map(fn, tasks)
         return
-    from multiprocessing.connection import wait
+    import pickle
+    import select
+    import signal
 
     tasks = list(tasks)
     size = -(-len(tasks) // (workers * _CHUNKS_PER_WORKER)) or 1
     chunks = [(lo, min(lo + size, len(tasks))) for lo in range(0, len(tasks), size)]
-    ctx = get_context("fork")  # named: the tasks reach the workers by the fork
-    procs, idle, busy, done = {}, [], {}, {}  # busy: conn -> chunk; done: chunk -> reply
+    procs, idle, busy, done = {}, [], {}, {}  # procs: reply -> (pid, down); busy: reply -> chunk
     dealt = given = 0  # chunks dealt, chunks yielded
     try:
         for _ in range(min(workers, len(chunks))):
-            conn, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker, args=(fn, tasks, child), daemon=True)
-            proc.start()
-            child.close()  # so that the worker's exit reads as EOF here
-            procs[conn] = proc
-            idle.append(conn)
+            pid, down, reply = _fork_worker(fn, tasks)
+            procs[reply] = pid, down
+            idle.append(reply)
         while given < len(chunks):
             while idle and dealt < len(chunks):
-                conn = idle.pop()
-                conn.send(chunks[dealt])
-                busy[conn] = dealt
+                reply = idle.pop()
+                down = procs[reply][1]
+                pickle.dump(chunks[dealt], down)
+                down.flush()
+                busy[reply] = dealt
                 dealt += 1
             if given not in done:
-                for conn in wait(list(busy)):
+                for reply in select.select(list(busy), [], [])[0]:
                     try:
-                        done[busy.pop(conn)] = conn.recv()
-                    except EOFError:
-                        proc = procs[conn]
-                        proc.join()
+                        done[busy.pop(reply)] = pickle.load(reply)
+                    except (EOFError, pickle.UnpicklingError):  # a pickle cut short
+                        pid, down = procs.pop(reply)
+                        down.close()
+                        reply.close()
+                        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                         raise WorkerDied(
-                            f"worker process {proc.pid} exited with code "
-                            f"{proc.exitcode} without replying"
+                            f"worker process {pid} exited with code {code} without replying"
                         ) from None
-                    idle.append(conn)
+                    idle.append(reply)
                 continue
             results, exc = done.pop(given)
             yield from results
@@ -295,19 +299,47 @@ def fan_out(fn, tasks, workers):
                 raise exc
             given += 1
     finally:
-        for conn, proc in procs.items():
-            proc.terminate()  # an idle worker waits for a chunk that never comes
-            proc.join()
-            conn.close()
+        for pid, _ in procs.values():
+            os.kill(pid, signal.SIGTERM)  # an idle worker waits for a chunk that never comes
+        for reply, (pid, down) in procs.items():
+            os.waitpid(pid, 0)
+            down.close()
+            reply.close()
 
 
-def _worker(fn, tasks, conn):
-    """fan_out's worker: for each chunk (lo, hi) received, send back the
-    results of fn over tasks[lo:hi] up to the first task that raises,
-    and that exception, a RuntimeError naming it if pickle cannot
-    rebuild it, or None."""
+def _fork_worker(fn, tasks):
+    """Fork one fan_out worker; return its pid and this process's ends
+    of its pipes, (pid, chunk writer, reply reader), as binary files.
+    The child runs _worker and leaves by os._exit, so it never returns
+    into the caller's stack or flushes a buffer it inherited."""
+    down_r, down_w = os.pipe()
+    up_r, up_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(down_w)
+            os.close(up_r)
+            _worker(fn, tasks, open(down_r, "rb"), open(up_w, "wb"))
+        except BaseException:
+            import traceback
+
+            os.write(2, traceback.format_exc().encode())
+        finally:
+            os._exit(1)
+    os.close(down_r)
+    os.close(up_w)  # so that the worker's exit reads as EOF here
+    return pid, open(down_w, "wb"), open(up_r, "rb")
+
+
+def _worker(fn, tasks, chunks, replies):
+    """fan_out's worker: for each chunk (lo, hi) read from chunks, write
+    to replies the results of fn over tasks[lo:hi] up to the first task
+    that raises, and that exception, a RuntimeError naming it if pickle
+    cannot rebuild it, or None.  It runs until it is signalled."""
+    import pickle
+
     while True:
-        lo, hi = conn.recv()
+        lo, hi = pickle.load(chunks)
         results, error = [], None
         try:
             for task in tasks[lo:hi]:
@@ -318,7 +350,8 @@ def _worker(fn, tasks, conn):
                 pickle.loads(pickle.dumps(exc))
             except Exception:
                 error = RuntimeError(f"{type(exc).__qualname__}: {exc}")
-        conn.send((results, error))
+        pickle.dump((results, error), replies)
+        replies.flush()
 
 
 def tau(g):

@@ -9,10 +9,9 @@ Grammar (whitespace-insensitive; offsets in errors are byte positions):
     NAME := K | C | W | P | N
 """
 
-from dataclasses import dataclass
-
 from .errors import MAX_EXPR_CHARS, MAX_VERTICES, ExprError, check_bound
 from .graphs import (
+    Record,
     amalgamate,
     build_named,
     cartesian_product,
@@ -22,30 +21,20 @@ from .graphs import (
 _FAMILY_MINIMUM = {"K": 1, "N": 1, "P": 1, "C": 3, "W": 4}
 
 
-@dataclass(frozen=True)
-class Named:
-    family: str
-    size: int
+class Named(Record):
+    __slots__ = ("family", "size")
 
 
-@dataclass(frozen=True)
-class Union:
-    left: object
-    right: object
+class Union(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Box:
-    left: object
-    right: object
+class Box(Record):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Amalgam:
-    left: object
-    left_vertex: int
-    right: object
-    right_vertex: int
+class Amalgam(Record):
+    __slots__ = ("left", "left_vertex", "right", "right_vertex")
 
 
 class _Parser:

@@ -5,13 +5,13 @@ hypotheses do not cover the input (not-applicable), which is distinct
 from a genuine count of zero.  All arithmetic is exact.
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from .decomposition import stirling2, tree_counts
 from .enumeration import sink_counts
 from .errors import MAX_COMPLETE_N, NotConnected, check_bound
 from .graphs import (
+    Record,
     canonical_code,
     components,
     components_of,
@@ -25,13 +25,11 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class FormulaResult:
-    """Counts from one closed form; None marks not-applicable."""
+class FormulaResult(Record):
+    """Counts from one closed form, (tau, h, theorem); None marks
+    not-applicable."""
 
-    tau: int | None
-    h: int | None
-    theorem: str
+    __slots__ = ("tau", "h", "theorem")
 
     def as_json_dict(self):
         def show(x):

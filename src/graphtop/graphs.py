@@ -4,8 +4,6 @@ Neighbor sets are stored as one int bitmask per vertex; everything the
 package does stays exact and fast at the sizes it targets (n <= 16).
 """
 
-from dataclasses import dataclass
-
 from . import canon
 from .canon import _bits
 from .errors import (
@@ -19,12 +17,50 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Graph:
+class Record:
+    """An immutable value whose fields are its __slots__, set once by
+    __init__ in slot order.  It equals only a record of its own class
+    with equal fields and hashes as the tuple of them; setting or
+    deleting a field raises AttributeError.  It is pickled and copied
+    through __init__, so a subclass's checks run again on the copy."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a record")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Graph(Record):
     """Immutable simple graph: no loops, no parallel edges."""
 
-    n: int
-    adj: tuple
+    __slots__ = ("n", "adj")
 
     def __init__(self, n, adj):
         adj = tuple(adj)
@@ -47,11 +83,7 @@ class Graph:
             if diff:
                 v = (diff & -diff).bit_length() - 1
                 raise ValueError(f"adjacency not symmetric at {{{u},{v}}}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-
-    def __reduce__(self):  # pickled and copied through __init__
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        super().__init__(n, adj)
 
     @classmethod
     def from_edges(cls, n, edges):

@@ -9,7 +9,6 @@ digraph.  Vertex subsets and relation rows are int bitmasks throughout.
 import itertools
 import sys
 from array import array
-from dataclasses import dataclass
 
 from . import canon
 from .canon import _bits
@@ -24,15 +23,13 @@ from .errors import (
     VertexOutOfRange,
     check_bound,
 )
-from .graphs import Graph
+from .graphs import Graph, Record
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Preorder:
+class Preorder(Record):
     """Reflexive transitive relation; rel[x] is the bitmask of R(x)."""
 
-    n: int
-    rel: tuple
+    __slots__ = ("n", "rel")
 
     def __init__(self, n, rel):
         rel = tuple(rel)
@@ -50,10 +47,7 @@ class Preorder:
                 reach |= rel[y]
             if reach & ~rel[x]:
                 raise NotAPreorder(f"not transitive at {x}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "rel", rel)
-
-    __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
+        super().__init__(n, rel)
 
     @classmethod
     def from_pairs(cls, n, pairs):
@@ -79,26 +73,21 @@ class Preorder:
         return f"Preorder({self.n}, pairs={self.pairs()})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Topology:
+class Topology(Record):
     """Family of open vertex subsets, each stored as a bitmask.
 
     Instances coming from the converters are valid by construction; use
     validate_topology as the entry point for arbitrary families.
     """
 
-    n: int
-    opens: frozenset
+    __slots__ = ("n", "opens")
 
     def __init__(self, n, opens):
         opens = frozenset(opens)
         for m in opens:
             if m & ~((1 << n) - 1):
                 raise VertexOutOfRange(f"open set {m:#x} has a point outside 0..{n - 1}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "opens", opens)
-
-    __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
+        super().__init__(n, opens)
 
     @classmethod
     def from_sets(cls, n, sets):
@@ -128,12 +117,10 @@ class Topology:
         return f"Topology({self.n}, {self.opens_as_lists()})"
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class Digraph:
+class Digraph(Record):
     """Loop-free directed graph; out[u] is the bitmask of heads of u."""
 
-    n: int
-    out: tuple
+    __slots__ = ("n", "out")
 
     def __init__(self, n, out):
         out = tuple(out)
@@ -145,10 +132,7 @@ class Digraph:
                 raise VertexOutOfRange(f"vertex {u} has an arc head >= {n}")
             if row >> u & 1:
                 raise ValueError(f"loop at vertex {u}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "out", out)
-
-    __reduce__ = Graph.__reduce__  # Python 3.10.0 cannot unpickle frozen slots
+        super().__init__(n, out)
 
     @classmethod
     def from_arcs(cls, n, arcs):

@@ -10,6 +10,7 @@ class generator's orbit and degree rules, not canon.
 
 import contextlib
 import itertools
+import os
 import signal
 
 import pytest
@@ -221,27 +222,27 @@ def one_color_seed(seed_colors, out, inn=None):
 
 @pytest.fixture
 def worker_starts(monkeypatch):
-    """The number of workers each fan_out over several workers starts, one
-    entry per call.  The workers are real, from the "fork" context."""
-    starts = []
-    get_context = enumeration.get_context
+    """The number of workers each fan_out that forks starts, one entry
+    per call.  The workers are real, forked by enumeration._fork_worker;
+    the forks of one call share its task list."""
+    starts, calls = [], []
+    fork_worker = enumeration._fork_worker
 
-    class Counted:
-        def __init__(self, ctx):
-            self.Pipe = ctx.Pipe
-            self.ctx = ctx
+    def counted(fn, tasks):
+        if not calls or calls[-1] is not tasks:
+            calls.append(tasks)
+            starts.append(0)
+        starts[-1] += 1
+        return fork_worker(fn, tasks)
 
-        def Process(self, **kwargs):
-            starts[-1] += 1
-            return self.ctx.Process(**kwargs)
-
-    def counted(method):
-        assert method == "fork"
-        starts.append(0)
-        return Counted(get_context(method))
-
-    monkeypatch.setattr(enumeration, "get_context", counted)
+    monkeypatch.setattr(enumeration, "_fork_worker", counted)
     return starts
+
+
+def assert_no_child_left():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @contextlib.contextmanager

@@ -12,7 +12,6 @@ import contextlib
 import io
 import itertools
 import json
-import multiprocessing
 import os
 import time
 from math import factorial
@@ -55,6 +54,7 @@ from graphtop.topology import (
 )
 
 from conftest import (
+    assert_no_child_left,
     bowtie,
     brute_automorphisms,
     brute_transitive_digraphs,
@@ -318,7 +318,7 @@ def test_criterion_8_worker_determinism(monkeypatch, worker_starts):
         runs[workers] = out.encode()
     assert runs["1"] == runs["8"]
     assert worker_starts == [2]  # the serial run forks none
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     elapsed = time.perf_counter() - t0
     print(
         f"PASS A8 aggregate -n 5 byte-identical for workers 1 and 8, "

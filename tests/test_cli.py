@@ -1,15 +1,16 @@
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import graphtop
 from graphtop import (
     Graph,
     aggregate,
@@ -27,7 +28,7 @@ from graphtop.cli import main
 from graphtop.decomposition import tree_counts
 from graphtop.errors import InternalCheckError, SizeBoundExceeded
 
-from conftest import deadline
+from conftest import assert_no_child_left, deadline
 
 
 def run_cli(capsys, *argv):
@@ -439,7 +440,7 @@ def test_aggregate_worker_error_exits_2(capsys, monkeypatch, worker_starts):
             code, out, err = run_cli(capsys, "aggregate", "-n", "5", "--workers", workers)
         assert (code, out, err) == (2, "", "internal error: planted in K5\n")
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_aggregate_worker_death_exits_1(capsys, monkeypatch, worker_starts):
@@ -453,7 +454,7 @@ def test_aggregate_worker_death_exits_1(capsys, monkeypatch, worker_starts):
     assert (code, out) == (1, "")
     assert re.fullmatch(r"error: worker process \d+ exited with code 7 without replying\n", err)
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_verify_oracles_pass():
@@ -570,7 +571,7 @@ def test_workers_clamped_to_cpu_count(capsys, monkeypatch, worker_starts):
         with deadline(60):
             assert run_cli(capsys, *argv, "--workers", workers)[:2] == want
     assert worker_starts == [2, 3]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_workers_clamped_to_cpu_count_without_an_affinity_mask(
@@ -630,3 +631,45 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["tau"] == 2
+
+
+# run as `python -I -c _IMPORT_CHECK <src dir>`: isolated mode ignores PYTHONPATH
+_IMPORT_CHECK = """
+import contextlib, io, os, sys
+
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import graphtop, graphtop.cli
+
+unused = {"dataclasses", "inspect", "multiprocessing", "pickle", "socket", "selectors"}
+print("loaded:", sorted(unused & set(sys.modules) - before))
+os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, so that --workers 2 forks
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = graphtop.cli.main(argv)
+    return code, out.getvalue()
+
+
+serial = run(["aggregate", "-n", "4", "--json"])
+forked = run(["aggregate", "-n", "4", "--workers", "2", "--json"])
+print("exit:", serial[0], "same bytes:", forked == serial, "forked:", "pickle" in sys.modules)
+"""
+
+
+def test_import_loads_only_what_a_serial_run_uses():
+    """import graphtop.cli loads no module that only the fan-out or a
+    dataclass needs (site may load typing first, so the check compares
+    sys.modules before and after); the fan-out, run in that interpreter
+    after it, imports them and prints a serial run's bytes."""
+    src = str(Path(graphtop.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", _IMPORT_CHECK, src],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "loaded: []\nexit: 0 same bytes: True forked: True\n"

@@ -1,7 +1,8 @@
-import multiprocessing
 import os
 import pickle
 import random
+import re
+import signal
 
 import pytest
 
@@ -45,6 +46,7 @@ from graphtop.formulas import cut_vertex_counts
 from graphtop.graphs import is_reflexible
 
 from conftest import (
+    assert_no_child_left,
     bowtie,
     brute_automorphisms,
     brute_transitive_digraphs,
@@ -720,6 +722,20 @@ def _exit_at_0(x):
     return x
 
 
+def _killed_at_0(x):
+    if x == 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _reply_cut_short(fn, tasks, chunks, replies):
+    """A worker that dies part way through writing its first reply."""
+    pickle.load(chunks)
+    replies.write(pickle.dumps(([bytes(1 << 18)], None))[:1000])
+    replies.flush()
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 @pytest.mark.parametrize("count", [0, 1, 37])
 def test_fan_out_matches_map(worker_starts, count):
     """Two workers give map's results in task order, for no tasks, fewer
@@ -728,8 +744,8 @@ def test_fan_out_matches_map(worker_starts, count):
     with deadline(60):
         got = list(enumeration.fan_out(_square, range(count), 2))
     assert got == list(map(_square, range(count)))
-    assert worker_starts == [min(2, count)]
-    assert multiprocessing.active_children() == []
+    assert worker_starts == ([min(2, count)] if count else [])
+    assert_no_child_left()
 
 
 def test_fan_out_raises_a_task_error_after_the_results_before_it(worker_starts):
@@ -739,7 +755,7 @@ def test_fan_out_raises_a_task_error_after_the_results_before_it(worker_starts):
             got.append(result)
     assert got == [0, 1, 2, 3, 4]
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize(
@@ -769,7 +785,7 @@ def test_fan_out_raises_a_workers_expr_error_with_its_offset(worker_starts):
     assert (info.value.code, info.value.offset) == ("syntax-error", 7)
     assert str(info.value) == "syntax-error at offset 7: planted"
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_fan_out_sends_a_stand_in_for_an_error_pickle_cannot_rebuild(
@@ -786,14 +802,34 @@ def test_fan_out_sends_a_stand_in_for_an_error_pickle_cannot_rebuild(
             got.append(result)
     assert got == [0, 1, 2]
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_fan_out_raises_worker_died_when_a_worker_exits(worker_starts):
     with deadline(60), pytest.raises(WorkerDied, match="exited with code 7"):
         list(enumeration.fan_out(_exit_at_0, range(37), 2))
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+
+
+def test_fan_out_raises_worker_died_when_a_worker_is_killed(worker_starts):
+    """A worker killed by SIGKILL mid-chunk reads as WorkerDied, with the
+    signal as a negative exit code."""
+    with deadline(60), pytest.raises(WorkerDied) as info:
+        list(enumeration.fan_out(_killed_at_0, range(37), 2))
+    assert re.fullmatch(r"worker process \d+ exited with code -9 without replying", str(info.value))
+    assert worker_starts == [2]
+    assert_no_child_left()
+
+
+def test_fan_out_raises_worker_died_on_a_reply_cut_short(monkeypatch, worker_starts):
+    """A reply that ends inside a pickle frame raises UnpicklingError,
+    not EOFError, when read: it reads as WorkerDied too."""
+    monkeypatch.setattr(enumeration, "_worker", _reply_cut_short)  # the fork inherits it
+    with deadline(60), pytest.raises(WorkerDied, match="exited with code -9 without replying"):
+        list(enumeration.fan_out(_square, range(37), 2))
+    assert worker_starts == [2]
+    assert_no_child_left()
 
 
 def test_fan_out_closed_early_stops_its_workers(worker_starts):
@@ -802,4 +838,4 @@ def test_fan_out_closed_early_stops_its_workers(worker_starts):
         assert next(results) == 0
         results.close()
     assert worker_starts == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()

@@ -7,6 +7,7 @@ import pytest
 
 from graphtop import (
     Digraph,
+    Graph,
     Preorder,
     Topology,
     all_preorders,
@@ -32,6 +33,8 @@ from graphtop.errors import (
     NotTransitive,
     VertexOutOfRange,
 )
+from graphtop.expr import Amalgam, Box, Named, Union
+from graphtop.formulas import FormulaResult
 from graphtop.topology import first_intransitive
 
 from conftest import naive_transitive
@@ -252,33 +255,94 @@ def test_digraph_relabel():
             Digraph(3, (4, 0, 0)).relabel(perm)
 
 
+_K2, _N1 = Named("K", 2), Named("N", 1)
+
+
 @pytest.mark.parametrize(
-    "value, rows",
+    "value, other, rows",
     [
-        (complete_graph(3), "adj"),
-        (Digraph(2, (2, 0)), "out"),
-        (Preorder.diagonal(2), "rel"),
-        (Topology.discrete(2), "opens"),
+        (complete_graph(3), Graph(3, (2, 1, 0)), "adj"),
+        (Digraph(2, (2, 0)), Digraph(2, (0, 1)), "out"),
+        (Preorder.diagonal(2), Preorder.full(2), "rel"),
+        (Topology.discrete(2), Topology.indiscrete(2), "opens"),
+        (Named("K", 4), Named("K", 5), None),
+        (Union(_K2, _N1), Union(_N1, _K2), None),
+        (Box(_K2, Named("C", 4)), Box(_K2, Named("C", 5)), None),
+        (Amalgam(Named("K", 3), 0, _K2, 1), Amalgam(Named("K", 3), 0, _K2, 0), None),
+        (FormulaResult(13, 4, "cycle"), FormulaResult(13, 4, "wheel"), None),
     ],
-    ids=["Graph", "Digraph", "Preorder", "Topology"],
+    ids=[
+        "Graph", "Digraph", "Preorder", "Topology",
+        "Named", "Union", "Box", "Amalgam", "FormulaResult",
+    ],
 )
-def test_value_types_are_frozen_hashable_picklable_and_copyable(value, rows):
-    """Graph, Digraph, Preorder and Topology behave as immutable values."""
-    before = (value.n, getattr(value, rows))
-    for name in ("n", rows):
+def test_value_types_are_frozen_hashable_picklable_and_copyable(
+    monkeypatch, value, other, rows
+):
+    """The nine Record classes behave as immutable values, and every
+    pickle or copy of one is rebuilt through its class's __init__."""
+    cls, names = type(value), type(value).__slots__
+    fields = tuple(getattr(value, name) for name in names)
+    twin = cls(*fields)
+    assert twin == value and hash(twin) == hash(value) and twin is not value
+    assert value != other
+    for name in names:
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
         with pytest.raises(AttributeError):
             delattr(value, name)
-    assert (value.n, getattr(value, rows)) == before
-    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        assert pickle.loads(pickle.dumps(value, protocol)) == value
-    assert copy.copy(value) == value
-    assert copy.deepcopy(value) == value
-    from_list = type(value)(value.n, list(getattr(value, rows)))
-    from_tuple = type(value)(value.n, tuple(getattr(value, rows)))
-    assert from_list == from_tuple == value
-    assert hash(from_list) == hash(from_tuple) == hash(value)
+    assert tuple(getattr(value, name) for name in names) == fields
+    inits = []
+    init = cls.__init__
+
+    def counted(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    copies = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    copies += [copy.copy(value), copy.deepcopy(value)]
+    for back in copies:
+        assert type(back) is cls and back == value and back is not value
+    assert inits == [fields] * len(copies)
+    if rows is not None:
+        from_list = cls(value.n, list(getattr(value, rows)))
+        from_tuple = cls(value.n, tuple(getattr(value, rows)))
+        assert from_list == from_tuple == value
+        assert hash(from_list) == hash(from_tuple) == hash(value)
+
+
+def test_records_of_two_classes_differ_on_equal_fields():
+    assert Union(_K2, _N1) != Box(_K2, _N1)
+    assert Graph(2, (2, 1)) != Digraph(2, (2, 1))
+    assert Graph(2, (2, 1)).adj == Digraph(2, (2, 1)).out
+
+
+def test_an_edited_graph_pickle_is_refused_on_load():
+    """A pickle calls Graph(n, adj), so its checks run on the copy: here
+    on a K2 pickle edited to hold the asymmetric rows (2, 0)."""
+    data = pickle.dumps(Graph(2, (2, 1)), 0)
+    assert data.count(b"I1\n") == 1  # protocol 0 writes the row 1 as text
+    with pytest.raises(ValueError, match=r"adjacency not symmetric at \{0,1\}"):
+        pickle.loads(data.replace(b"I1\n", b"I0\n"))
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (Named("K", 4), "Named(family='K', size=4)"),
+        (
+            Amalgam(Union(_K2, _N1), 0, Box(Named("C", 4), Named("P", 1)), 3),
+            "Amalgam(left=Union(left=Named(family='K', size=2), right=Named(family='N', size=1)), "
+            "left_vertex=0, right=Box(left=Named(family='C', size=4), right=Named(family='P', size=1)), "
+            "right_vertex=3)",
+        ),
+        (FormulaResult(None, None, "bipartite"), "FormulaResult(tau=None, h=None, theorem='bipartite')"),
+        (FormulaResult(13, 4, "cycle"), "FormulaResult(tau=13, h=4, theorem='cycle')"),
+    ],
+)
+def test_record_repr_names_its_fields(value, want):
+    assert repr(value) == want
 
 
 def _random_loop_free_masks(rng, n):
