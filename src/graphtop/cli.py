@@ -13,12 +13,13 @@ import os
 import re
 import sys
 import time
+from itertools import count
 from operator import getitem
 
 from .aggregate import aggregate_counts, labeled_copies
 from .canon import _bits
 from .decomposition import tree_counts
-from .enumeration import stream_masks
+from .enumeration import stream_batches
 from .errors import MAX_CLASS_VERTICES, GraphTopError, InternalCheckError
 from .expr import build_graph, parse_graph_expr
 from .formulas import formula_for_graph
@@ -118,9 +119,6 @@ def _cmd_count(args):
     return 0
 
 
-_BATCH = 512  # stream lines per sys.stdout.write
-
-
 class _RowText(dict):
     """Out-mask -> the arcs out of vertex u as text, v ascending: the order
     Digraph.arcs() sorts to.  Rows recur across leaves, so each is made once."""
@@ -136,26 +134,29 @@ class _RowText(dict):
 
 def _cmd_enumerate(args):
     g = _graph_from_args(args)
-    n, dot = g.n, args.dot
     # a bidirected pair renders as two arcs; a JSON arc leads with its comma
-    arc = "  {} -> {};\n" if dot else ",[{},{}]"
-    rows = [_RowText(u, arc) for u in range(n)]
-    nodes = "".join(f"  {v};\n" for v in range(n))
-    tail = f'],"n":{n}}}\n'
-    batch = []
-    try:
-        for index, masks in enumerate(stream_masks(g, args.budget_edges)):
-            arcs = "".join(map(getitem, rows, masks))
-            if dot:
-                batch.append(f"digraph d{index} {{\n{nodes}{arcs}}}\n")
-            else:
-                batch.append(f'{{"arcs":[{arcs[1:]}{tail}')
-            if len(batch) == _BATCH:
-                text, batch = "".join(batch), []
-                sys.stdout.write(text)
-    finally:
-        # the lines before an error still reach stdout
-        sys.stdout.write("".join(batch))
+    arc = "  {} -> {};\n" if args.dot else ",[{},{}]"
+    rows = [_RowText(u, arc) for u in range(g.n)]
+    if args.dot:
+        nodes = "".join(f"  {v};\n" for v in range(g.n))
+        index = count()  # runs on across batches; zip takes a leaf first
+
+        def render(batch):
+            return "".join([
+                f"digraph d{i} {{\n{nodes}{''.join(map(getitem, rows, masks))}}}\n"
+                for masks, i in zip(batch, index)
+            ])
+    else:
+        tail = f'],"n":{g.n}}}\n'
+
+        def render(batch):
+            return "".join([
+                f'{{"arcs":[{"".join(map(getitem, rows, masks))[1:]}{tail}'
+                for masks in batch
+            ])
+
+    # one write per checked batch; the batch before an error is written first
+    sys.stdout.writelines(map(render, stream_batches(g, args.budget_edges)))
     return 0
 
 

@@ -16,9 +16,10 @@ an arc on the other.  Once an edge is set, each undecided partner must
 still have an allowed state.  The allowed states of an edge only shrink
 as more arcs are decided, so a partner with none now has none in any
 completion, and skipping the branch drops only subtrees without leaves;
-the leaves and their order stay the same.  A graph with no induced P3 (a
-union of cliques) has no partners, and its search is unchanged.  The
-walk yields its leaves in lists, each checked for transitivity whole.
+the leaves and their order stay the same.  An edge with no partner joins
+true twins, whose non-edge tests always pass, so the walk tests it on its
+demanded arcs alone, as every edge of a union of cliques.  The walk
+yields its leaves in lists, each checked for transitivity whole.
 """
 
 import os
@@ -63,8 +64,8 @@ class _Search:
     k = {u, v}.  _walk places the states itself.  partners[k] lists the
     Gamma-partners of edge k: the edges {u, b} with b adjacent to u but
     not to v, and {v, b} with b adjacent to v but not to u; later holds
-    those after k.  A graph with more edges than the budget is refused
-    before any work.
+    those after k, or is None if k has no partner (u and v are true twins).
+    A graph with more edges than the budget is refused before any work.
     """
 
     def __init__(self, g, budget=None):
@@ -86,9 +87,8 @@ class _Search:
                 for b in _bits(adj[a] & ~adj[far] & ~(1 << far))
             ]
             self.partners.append(js)
-            self.rows.append(
-                (u, v, ~adj[u], ~adj[v], 1 << u, 1 << v, tuple(j for j in js if j > k))
-            )
+            later = tuple(j for j in js if j > k) if js else None
+            self.rows.append((u, v, ~adj[u], ~adj[v], 1 << u, 1 << v, later))
         self.out = [0] * g.n
         self.inn = [0] * g.n
 
@@ -138,16 +138,15 @@ def _walk(search):
     has passed it; at a failing leaf, the leaves before it, then the error.
 
     The descent places edge k from the consistency test run inline on its
-    entry in search.rows (search.allowed runs the same test for the
-    lookahead; each test reads the entry once, and nothing else reads the
-    rows).  An edge with one allowed state ORs it into the out and inn
-    rows; one with more has all three: it pushes BOTH and BWD, each with
-    the one snapshot (edge, row, out and inn rows before the edge), and
-    places FWD.  The row's last field lists the edge's Gamma-partners
-    after it, undecided once it is placed; a branch that leaves one no
-    allowed state has no leaf.  A dead edge or a failed lookahead breaks
-    out to the backtrack, which pops the innermost state left, restores
-    its snapshot, forced chain and all, and places it.
+    entry in search.rows.  A twin row (later None) is tested on its
+    demanded arcs alone; any other on its non-edge masks too, and then
+    search.allowed must leave each partner in later a state (the
+    lookahead).  Each test reads one row once, and nothing else reads the
+    rows.  An edge with one allowed state ORs it into the out and inn
+    rows; one with more pushes BOTH and BWD, with one snapshot (edge, row,
+    out and inn rows before it), and places FWD.  A dead edge or a failed
+    lookahead breaks out to the backtrack, which pops the innermost state
+    left, restores its snapshot, forced chain and all, and places it.
     """
     n, last = search.n, len(search.edges)
     allowed, rows, out, inn = search.allowed, search.rows, search.out, search.inn
@@ -156,6 +155,25 @@ def _walk(search):
     while True:
         while k < last:  # allowed's test, inline
             u, v, nu, nv, bu, bv, later = row = rows[k]
+            if later is None:  # twins: no non-edge mask is set, no partner
+                vu = out[v] & inn[u]
+                uv = out[u] & inn[v]
+                if vu:
+                    if uv:
+                        if vu != uv:
+                            break
+                        out[u] |= bv
+                        inn[v] |= bu
+                    out[v] |= bu
+                    inn[u] |= bv
+                else:
+                    if not uv:  # BWD, then BOTH, wait
+                        saved = k, row, tuple(out), tuple(inn)
+                        frames += (BOTH, saved), (BWD, saved)
+                    out[u] |= bv
+                    inn[v] |= bu
+                k += 1
+                continue
             ou = out[u]
             ov = out[v]
             iu = inn[u]
@@ -218,11 +236,16 @@ def _walk(search):
     raise InternalCheckError("non-transitive leaf escaped propagation")
 
 
+def stream_batches(g, budget_edges=None):
+    """The walk's checked lists of out-mask tuples, in stream order; the
+    edge budget is checked on the call, before the first list is asked for."""
+    return _walk(_Search(g, budget_edges))
+
+
 def stream_masks(g, budget_edges=None):
-    """Raw out-mask tuples of the stream, in deterministic order: the
-    walk's checked lists, flattened.  The edge budget is checked on the
-    call, before the first leaf is asked for."""
-    return chain.from_iterable(_walk(_Search(g, budget_edges)))
+    """Raw out-mask tuples of the stream: the lists of stream_batches,
+    flattened, with the edge budget checked on the call as there."""
+    return chain.from_iterable(stream_batches(g, budget_edges))
 
 
 def enumerate_transitive_digraphs(g):

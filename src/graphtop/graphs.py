@@ -4,6 +4,8 @@ Neighbor sets are stored as one int bitmask per vertex; everything the
 package does stays exact and fast at the sizes it targets (n <= 16).
 """
 
+from operator import attrgetter
+
 from . import canon
 from .canon import _bits
 from .errors import (
@@ -26,22 +28,26 @@ class Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        names = cls.__slots__  # attrgetter of one name gives a bare value
+        if len(names) > 1:
+            cls._fields = staticmethod(attrgetter(*names))
+        else:
+            cls._fields = staticmethod(lambda r: tuple(getattr(r, a) for a in names))
+
     def __init__(self, *values):
         if len(values) != len(self.__slots__):
             raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
-    def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        return self._fields(self) == self._fields(other)
 
     def __hash__(self):
-        return hash(self._values())
+        return hash(self._fields(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a record")
@@ -54,7 +60,7 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._fields(self)
 
 
 class Graph(Record):

@@ -293,9 +293,11 @@ def test_enumerate_dot(capsys):
     assert "0 -> 1;" in blocks[2] and "1 -> 0;" in blocks[2]
 
 
-@pytest.mark.parametrize("expr", ["N3", "P4", "K4", "W5", "box(K2,C4)"])
+@pytest.mark.parametrize("expr", ["N3", "P4", "K4", "W5", "box(K2,C4)", "K6"])
 def test_enumerate_renders_the_library_stream(capsys, expr):
-    """Each line and dot block holds the sorted arcs of the same digraph."""
+    """Each line and dot block holds the sorted arcs of the same digraph.
+    K6's 4,683 leaves come in 10 checked batches, and the dot index runs
+    on across them."""
     g = build_graph(parse_graph_expr(expr))
     stream = list(enumeration.enumerate_transitive_digraphs(g))
     code, out, _ = run_cli(capsys, "enumerate", expr)

@@ -546,6 +546,54 @@ def test_gamma_partners():
             assert sorted(search.partners[k]) == sorted(expected)
 
 
+def _k8_minus_star():
+    """K8 minus the edges 0-4, 0-5, 0-6 and 0-7."""
+    return Graph.from_edges(
+        8, [(u, v) for u, v in complete_graph(8).edges() if u or v < 4]
+    )
+
+
+def test_a_row_is_marked_twin_iff_its_edge_has_no_partner():
+    """rows[k][6], later, is None exactly when edge k has no Gamma-partner
+    (its ends are true twins); the walk's short branch reads only then."""
+    graphs = [e.graph for n in range(7) for e in graphs_up_to_iso(n).entries]
+    graphs += [
+        complete_graph(7),
+        _k8_minus_star(),
+        build_graph(parse_graph_expr("amalgam(K6@0,P2@0)")),
+    ]
+    for g in graphs:
+        search = enumeration._Search(g)
+        for row, partners in zip(search.rows, search.partners):
+            assert (row[6] is None) == (partners == []), g.edges()
+    assert all(row[6] is None for row in enumeration._Search(complete_graph(7)).rows)
+
+
+@pytest.mark.parametrize("edge", [(0, 6), (6, 7)], ids=["0-6", "6-7"])
+def test_a_partnered_row_marked_twin_changes_the_stream(monkeypatch, edge):
+    """The mark is read: on amalgam(K6@0,P2@0), the edge 0-6 or 6-7 (each
+    partnered) marked twin skips its non-edge tests, and the stream
+    differs or its batch check fails.  Marking an edge 0-x of the K6
+    changes nothing, since vertex 6 is undecided when it is placed."""
+    g = build_graph(parse_graph_expr("amalgam(K6@0,P2@0)"))
+    want = list(stream_masks(g))
+    real = enumeration._Search
+
+    class Marked(real):
+        def __init__(self, g, budget=None):
+            super().__init__(g, budget)
+            k = self.edges.index(edge)
+            assert self.partners[k]
+            self.rows[k] = self.rows[k][:6] + (None,)
+
+    monkeypatch.setattr(enumeration, "_Search", Marked)
+    try:
+        got = list(stream_masks(g))
+    except InternalCheckError:
+        return
+    assert got != want
+
+
 class _CountedRows(list):
     """A list that counts the reads of its items."""
 
@@ -579,12 +627,8 @@ def test_gamma_lookahead_prunes():
     assert tests <= 7000
     assert tests == 6270
     assert _consistency_tests(complete_graph(7)) == (47293, 224371)
-    # K8 minus the edges 0-4, 0-5, 0-6 and 0-7: 292,126 tests without the
-    # lookahead
-    k8_star = Graph.from_edges(
-        8, [(u, v) for u, v in complete_graph(8).edges() if u or v < 4]
-    )
-    assert _consistency_tests(k8_star) == (3300, 17205)
+    # K8 minus a 4-edge star: 292,126 tests without the lookahead
+    assert _consistency_tests(_k8_minus_star()) == (3300, 17205)
 
 
 def _brute_allowed(g, decided, u, v):

@@ -35,6 +35,7 @@ from graphtop.errors import (
 )
 from graphtop.expr import Amalgam, Box, Named, Union
 from graphtop.formulas import FormulaResult
+from graphtop.graphs import Record
 from graphtop.topology import first_intransitive
 
 from conftest import naive_transitive
@@ -316,6 +317,23 @@ def test_records_of_two_classes_differ_on_equal_fields():
     assert Union(_K2, _N1) != Box(_K2, _N1)
     assert Graph(2, (2, 1)) != Digraph(2, (2, 1))
     assert Graph(2, (2, 1)).adj == Digraph(2, (2, 1)).out
+
+
+class _Single(Record):
+    __slots__ = ("x",)
+
+
+@pytest.mark.parametrize(
+    "value, fields",
+    [(Graph(2, (2, 1)), (2, (2, 1))), (Named("K", 4), ("K", 4)), (_Single(7), (7,))],
+)
+def test_a_record_compares_hashes_and_pickles_as_its_field_tuple(value, fields):
+    """Records of two fields and more read their fields with one
+    attrgetter; a one-field record still hashes and pickles as a tuple."""
+    copy_ = pickle.loads(pickle.dumps(value))
+    assert copy_ == value and copy_ is not value
+    assert hash(value) == hash(copy_) == hash(fields)
+    assert value.__reduce__() == (type(value), fields)
 
 
 def test_an_edited_graph_pickle_is_refused_on_load():
