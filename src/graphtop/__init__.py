@@ -9,6 +9,7 @@ aggregates over all isomorphism classes of n-vertex graphs.
 """
 
 from .aggregate import IsoClassTable, aggregate_counts, graphs_up_to_iso
+from .decomposition import stirling2
 from .enumeration import (
     burnside,
     enumerate_transitive_digraphs,
@@ -27,7 +28,6 @@ from .formulas import (
     cycle_counts,
     formula_for_graph,
     product_counts,
-    stirling2,
     union_counts,
     wheel_counts,
 )

@@ -17,34 +17,34 @@ alone, so Burnside over H_X counts the orbits of (choice at X) x prod
 (classes of Y_i) (Harary & Palmer, *Graphical Enumeration*, ch. 2).  One
 post-order walk gives each node's (type, |Aut|, tau, h):
 
-- a single vertex: type (), and 1, 1, 1;
+- a single vertex: type (), and 1, 1, 1, taken as a constant, no call;
 - any other node has type (kind, sorted child types), and a prime node
   adds the graph_code of its quotient with the child types as seed
   colours: a complete isomorphism invariant;
 - parallel: |Aut| gains prod m_t! over the m_t children of type t, and
   h = prod C(h_t + m_t - 1, m_t), the multisets of child classes;
 - series, with s single-vertex children and a larger ones: tau gains
-  sum_k S(s, k) (a + k)!, |Aut| gains s! prod m_t! over the larger
-  types, and h = W prod h(Y) / prod m_t!.  Only permutations that fix
+  sum_k S(s, k) (a + k)! over one row S(s, 0..s), |Aut| gains s! prod
+  m_t! over the larger types, and h = W prod h(Y) / prod m_t!.  Only permutations that fix
   every larger child fix a weak order, and W = sum_k C(s - 1, k - 1)
   (a + k)! / k! counts the weak orders with the twins unlabelled (a!
   when s = 0);
 - prime: H is the type-preserving automorphism group of the quotient,
   whose code and generators come from one canon walk.  |Aut| gains |H|,
-  the product of the orbit sizes along the base; tau gains 2 (or becomes
-  0 if the quotient has no transitive orientation).  pi in H maps to
-  (sigma, keep): its action on D, the children whose h is not 1, and
-  whether it keeps the orientation.  Each member of the image, closed
-  from the generators' pairs, is hit |H|/|image| times, so h = (2/|image|)
-  sum prod h(Y_C) over the members that keep the orientation, C running
-  over the cycles of sigma.  A child with h = 0 stays in D and zeroes h;
+  the product of the orbit sizes along the base; tau gains 2, or becomes
+  0 if the quotient has no transitive orientation: the implication class
+  of its first arc, closed breadth-first, holds that arc's reverse.  pi
+  in H maps to (sigma, keep): its action on D, the children whose h is
+  not 1, and whether it keeps the orientation.  Each member of the
+  image, closed from the generators' pairs, is hit |H|/|image| times, so
+  h = (2/|image|) sum prod h(Y_C) over the members that keep the
+  orientation, C running over the cycles of sigma.  A child with h = 0 stays in D and zeroes h;
   with D empty, h is 1 if some pi reverses the orientation, else 2.
 
 Every division is checked to be exact.  Nothing here runs the search or
 lists a group: a prime node closes only its group's image on D.
 """
 
-from collections import Counter
 from math import comb, factorial, perm, prod
 
 from . import canon
@@ -53,19 +53,23 @@ from .errors import MAX_STIRLING_N, InternalCheckError, check_bound
 from .graphs import components_of
 
 PARALLEL, SERIES, PRIME = "parallel", "series", "prime"
+_LEAF = (), 1, 1, 1  # a single vertex's (type, |Aut|, tau, h)
+
+
+def stirling_row(n):
+    """S(n, 0..n), the partitions of an n-set by number of blocks, exactly."""
+    check_bound(n, MAX_STIRLING_N, "stirling2 on a {}-set")
+    row = [1]  # S(0, 0)
+    for i in range(1, n + 1):
+        row = [0, *(j * row[j] + row[j - 1] for j in range(1, i)), 1]
+    return row
 
 
 def stirling2(n, k):
     """Partitions of an n-set into exactly k nonempty blocks, exactly."""
-    check_bound(n, MAX_STIRLING_N, "stirling2 on a {}-set")
+    row = stirling_row(n)
     if not (0 <= k <= n):
         raise ValueError(f"stirling2 needs 0 <= k <= n, got ({n},{k})")
-    row = [1] + [0] * k  # S(0, 0..k)
-    for _ in range(n):
-        new = [0] * (k + 1)
-        for j in range(1, k + 1):
-            new[j] = j * row[j] + row[j - 1]
-        row = new
     return row[k]
 
 
@@ -120,42 +124,36 @@ def _prime_orientations(q):
     """One transitive orientation of a prime node's quotient q, as a set of
     arcs (a, b) between child indices, or None if there is none.
 
-    Arcs a->b and a->b' force each other (Gamma) when b and b' are not
-    adjacent, and so do b->a and b'->a.  The quotient is a comparability
+    Arcs a->b and a->c force each other (Gamma) when b and c are not
+    adjacent, and so do b->a and c->a.  The quotient is a comparability
     graph iff no implication class, a class of the closure of Gamma,
     holds an arc and its reverse (Golumbic, Theorem 5.1).  The edges of a
     prime graph form one colour class, so it then has exactly two
-    implication classes, one orientation and its reverse.
+    implication classes, one orientation and its reverse.  The class of
+    the first arc is closed breadth-first: out[a] is the mask of the b
+    with a->b in it.
     """
-    k = len(q)
-    parent = list(range(k * k))  # union-find over the arcs a->b, at a * k + b
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for a in range(k):
-        nbrs = list(_bits(q[a]))
-        for i, b in enumerate(nbrs):
-            for c in nbrs[i + 1 :]:
-                if not q[b] >> c & 1:
-                    union(a * k + b, a * k + c)
-                    union(b * k + a, c * k + a)
-    arcs = [(a, b) for a in range(k) for b in _bits(q[a])]
-    if any(find(a * k + b) == find(b * k + a) for a, b in arcs):
+    b0 = (q[0] & -q[0]).bit_length() - 1
+    out = [0] * len(q)
+    out[0] = 1 << b0
+    todo = [(0, b0)]
+    for a, b in todo:  # todo grows as the class does
+        for c in _bits(q[a] & ~q[b] & ~out[a] & ~(1 << b)):  # a->b forces a->c
+            out[a] |= 1 << c
+            todo.append((a, c))
+        for c in _bits(q[b] & ~q[a] & ~(1 << a)):  # a->b forces c->b
+            if not out[c] >> b & 1:
+                out[c] |= 1 << b
+                todo.append((c, b))
+    if out[b0] & 1:  # b0->0, the first arc's reverse
         return None
-    classes = len({find(a * k + b) for a, b in arcs})
-    if classes != 2:
+    arcs = sum(row.bit_count() for row in q)
+    if 2 * len(todo) != arcs:
         raise InternalCheckError(
-            f"prime quotient on {k} modules has {classes} implication classes, not 2"
+            f"prime quotient on {len(q)} modules has an implication class of "
+            f"{len(todo)} of its {arcs} arcs, not half"
         )
-    first = find(arcs[0][0] * k + arcs[0][1])
-    return {(a, b) for a, b in arcs if find(a * k + b) == first}
+    return set(todo)
 
 
 def _exact(num, den):
@@ -176,26 +174,27 @@ def _cycle_heads(pi):
 
 
 def _node(adj, co, s):
-    """(type, |Aut|, tau, h) of G[s], from its children up.
+    """(type, |Aut|, tau, h) of G[s], from its children up, for s of two
+    vertices or more.
 
     adj and co are the neighbour masks of G and of its complement.  A
     parallel node splits G[s] into its components, a series node into the
     components of the complement, and a prime node into its maximal
     proper modules.
     """
-    if not s & (s - 1):  # no vertex or one: a leaf
-        return (), 1, 1, 1
     kind, parts = PARALLEL, components_of(adj, s)
     if len(parts) == 1:
         kind, parts = SERIES, components_of(co, s)
         if len(parts) == 1:
             kind, parts = PRIME, _maximal_modules(adj, s)
-    kids = [_node(adj, co, p) for p in parts]
+    kids = [_node(adj, co, p) if p & (p - 1) else _LEAF for p in parts]
     types = [kid[0] for kid in kids]
     node_type = (kind, tuple(sorted(types)))
     aut = prod(kid[1] for kid in kids)
     t = prod(kid[2] for kid in kids)
-    mult = Counter(types)
+    mult = {}
+    for typ in types:
+        mult[typ] = mult.get(typ, 0) + 1
     if kind == PARALLEL:
         h_of = {kid[0]: kid[3] for kid in kids}
         aut *= prod(map(factorial, mult.values()))
@@ -205,7 +204,7 @@ def _node(adj, co, s):
         a = len(parts) - twins
         sym = prod(map(factorial, mult.values()))
         aut *= factorial(twins) * sym
-        t *= sum(stirling2(twins, k) * factorial(a + k) for k in range(twins + 1))
+        t *= sum(c * factorial(a + k) for k, c in enumerate(stirling_row(twins)))
         w = factorial(a) if not twins else sum(
             comb(twins - 1, k - 1) * perm(a + k, a) for k in range(1, twins + 1)
         )
@@ -244,5 +243,7 @@ def tree_counts(g):
     enumeration.h_burnside(g)).
     """
     full = (1 << g.n) - 1
+    if not full & (full - 1):  # no vertex or one
+        return _LEAF[1:]
     co = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
     return _node(g.adj, co, full)[1:]

@@ -7,7 +7,7 @@ from a genuine count of zero.  All arithmetic is exact.
 
 from math import comb
 
-from .decomposition import stirling2, tree_counts
+from .decomposition import stirling_row, tree_counts
 from .enumeration import sink_counts
 from .errors import MAX_COMPLETE_N, NotConnected, check_bound
 from .graphs import (
@@ -45,9 +45,9 @@ def complete_counts(n):
         raise ValueError(f"complete_counts needs n >= 1, got {n}")
     fact = 1
     total = 0
-    for k in range(1, n + 1):
-        fact *= k
-        total += stirling2(n, k) * fact
+    for k, s in enumerate(stirling_row(n)):
+        total += s * fact
+        fact *= k + 1
     return FormulaResult(total, 2 ** (n - 1), "complete")
 
 
@@ -110,23 +110,33 @@ def bipartite_counts(g):
 def union_counts(parts):
     """Counts for a disjoint union of connected parts with multiplicities.
 
-    parts is a list of (graph, multiplicity); isomorphic parts are merged
-    by canonical code, their multiplicities added.  A part's counts come
-    from connected_counts, else from tree_counts: no part is searched.
-    m copies of a part with h classes give C(h + m - 1, m) multisets of
-    classes, 0 when h = 0.
+    parts is a list of (graph, multiplicity); isomorphic parts are merged,
+    their multiplicities added.  Parts are grouped by vertex count and
+    sorted degrees; on four vertices or fewer that key fixes a connected
+    graph, and on five or more a group of two parts or more is split by
+    canonical code.  A part's counts come from connected_counts, else
+    from tree_counts: no part is searched.  m copies of a part with h
+    classes give C(h + m - 1, m) multisets of classes, 0 when h = 0.
     """
     if not parts:
         raise ValueError("union_counts needs at least one part")
-    merged = {}  # code -> [graph, multiplicity]
+    groups = {}  # (n, sorted degrees) -> [(graph, multiplicity), ...]
     for g, mult in parts:
         if mult < 1:
             raise ValueError("part multiplicity must be >= 1")
         if not is_connected(g):
             raise NotConnected("union parts must be connected")
-        merged.setdefault(canonical_code(g), [g, 0])[1] += mult
+        key = g.n, tuple(sorted(row.bit_count() for row in g.adj))
+        groups.setdefault(key, []).append((g, mult))
+    merged = []  # [graph, multiplicity] per class
+    for (n, _), group in groups.items():
+        by_code = {}
+        for g, mult in group:
+            code = canonical_code(g) if n > 4 and len(group) > 1 else None
+            by_code.setdefault(code, [g, 0])[1] += mult
+        merged += by_code.values()
     tau_total = h_total = 1
-    for g, mult in merged.values():
+    for g, mult in merged:
         closed = connected_counts(g)
         t, h = (closed.tau, closed.h) if closed else tree_counts(g)[1:]
         tau_total *= t**mult

@@ -21,24 +21,26 @@ from .errors import (
 
 class Record:
     """An immutable value whose fields are its __slots__, set once by
-    __init__ in slot order.  It equals only a record of its own class
-    with equal fields and hashes as the tuple of them; setting or
-    deleting a field raises AttributeError.  It is pickled and copied
-    through __init__, so a subclass's checks run again on the copy."""
+    __init__ in slot order; a subclass with empty __slots__ keeps its
+    base's fields.  It equals only a record of its own class with equal
+    fields and hashes as the tuple of them; setting or deleting a field
+    raises AttributeError.  It is pickled and copied through __init__, so
+    a subclass's checks run again on the copy."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        names = cls.__slots__  # attrgetter of one name gives a bare value
+        names = next((c.__slots__ for c in cls.__mro__ if vars(c).get("__slots__")), ())
+        cls._names = names
         if len(names) > 1:
             cls._fields = staticmethod(attrgetter(*names))
-        else:
+        else:  # attrgetter of one name gives a bare value
             cls._fields = staticmethod(lambda r: tuple(getattr(r, a) for a in names))
 
     def __init__(self, *values):
-        if len(values) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
-        for name, value in zip(self.__slots__, values):
+        if len(values) != len(self._names):
+            raise TypeError(f"{type(self).__name__} takes {len(self._names)} fields")
+        for name, value in zip(self._names, values):
             object.__setattr__(self, name, value)
 
     def __eq__(self, other):
@@ -56,7 +58,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r} of a record")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):

@@ -27,6 +27,7 @@ from graphtop import (
     wheel_graph,
 )
 from graphtop.aggregate import class_counts
+from graphtop.canon import _bits
 from graphtop.decomposition import tree_counts
 from graphtop.enumeration import stream_masks
 from graphtop.errors import InternalCheckError
@@ -251,3 +252,60 @@ def test_one_canon_walk_per_prime_node(monkeypatch, g, primes):
     assert calls == {"walks": primes, "primes": primes}
     monkeypatch.undo()
     assert got == _reference_counts(g)
+
+
+def _transitive_orientations(q):
+    """The edges (a, b), a < b, of the graph q, and every transitive
+    orientation of it by brute force: bit i of the mask is orientation i,
+    in which the e-th edge points a -> b iff bit e of i is set.  All 2^E
+    orientations are tested at once, one bit of a big int each."""
+    k = len(q)
+    edges = [(a, b) for a in range(k) for b in range(a + 1, k) if q[a] >> b & 1]
+    full = (1 << (1 << len(edges))) - 1
+    arc = {}
+    for e, (a, b) in enumerate(edges):
+        width = 1 << e  # runs of width 0s then width 1s: bit e of i
+        arc[a, b] = full // ((1 << 2 * width) - 1) * (((1 << width) - 1) << width)
+        arc[b, a] = full ^ arc[a, b]
+    bad = 0
+    for (a, b), ab in arc.items():
+        for c in _bits(q[b] & ~(1 << a)):  # a -> b -> c needs a -> c
+            bad |= ab & arc[b, c] & ~arc.get((a, c), 0)
+    return edges, full & ~bad
+
+
+def test_prime_orientations_match_a_brute_force_on_every_quotient(monkeypatch):
+    """Every prime quotient the tree meets over the classes with n <= 7:
+    None iff no orientation is transitive, else a transitive orientation
+    whose reverse is the only other one."""
+    met = {}
+    kernel = decomposition._prime_orientations
+
+    def captured(q):
+        met[tuple(q)] = kernel(q)
+        return met[tuple(q)]
+
+    monkeypatch.setattr(decomposition, "_prime_orientations", captured)
+    for n in range(8):
+        for entry in graphs_up_to_iso(n).entries:
+            tree_counts(entry.graph)
+    assert (len(met), sum(got is None for got in met.values())) == (458, 176)
+    for q, got in met.items():
+        edges, transitive = _transitive_orientations(q)
+        if got is None:
+            assert transitive == 0, q
+            continue
+        i = sum(1 << e for e, edge in enumerate(edges) if edge in got)
+        assert got == {(a, b) if i >> e & 1 else (b, a) for e, (a, b) in enumerate(edges)}, q
+        reverse = i ^ ((1 << len(edges)) - 1)
+        assert transitive == 1 << i | 1 << reverse, q
+
+
+def test_prime_orientations_refuses_a_class_that_is_not_half_the_arcs():
+    """C4's arcs fall into two classes, so it gets one of them; K3's six
+    arcs are six classes."""
+    assert decomposition._prime_orientations([0b1010, 0b0101, 0b1010, 0b0101]) == {
+        (0, 1), (2, 1), (2, 3), (0, 3)
+    }  # C4: one alternating orientation
+    with pytest.raises(InternalCheckError, match="1 of its 6 arcs, not half"):
+        decomposition._prime_orientations([0b110, 0b101, 0b011])

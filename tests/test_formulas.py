@@ -1,5 +1,4 @@
 import functools
-import itertools
 import json
 import random
 from math import comb, factorial
@@ -7,6 +6,7 @@ from math import comb, factorial
 import pytest
 
 from graphtop import (
+    Graph,
     amalgam_counts,
     amalgamate,
     bipartite_counts,
@@ -19,6 +19,7 @@ from graphtop import (
     cycle_graph,
     disjoint_union,
     formula_for_graph,
+    formulas,
     enumeration,
     graphs_up_to_iso,
     h_burnside,
@@ -32,7 +33,8 @@ from graphtop import (
     wheel_counts,
     wheel_graph,
 )
-from graphtop.errors import NotConnected
+from graphtop.decomposition import stirling_row, tree_counts
+from graphtop.errors import NotConnected, SizeBoundExceeded
 from graphtop.cli import main
 from graphtop.graphs import (
     canonical_code,
@@ -46,15 +48,20 @@ from graphtop.verify import count_compositions, count_ordered_partitions
 from conftest import bowtie, paw, relabel_graph, star
 
 
+@functools.cache
+def _block_counts(n):
+    """The number of blocks of every partition of an n-set, each partition
+    listed once as a restricted growth string: element i joins one of the
+    blocks opened before it or opens the next one."""
+    strings = [()]
+    for _ in range(n):
+        strings = [s + (b,) for s in strings for b in range(max(s, default=-1) + 2)]
+    return [max(s, default=-1) + 1 for s in strings]
+
+
 def brute_stirling2(n, k):
-    """Count k-block set partitions as canonically labeled surjections."""
-    count = 0
-    for labels in itertools.product(range(k), repeat=n):
-        if len(set(labels)) != k:
-            continue
-        if list(dict.fromkeys(labels)) == list(range(k)):
-            count += 1  # labels in first-appearance order: one per partition
-    return count
+    """Count k-block set partitions by listing every partition."""
+    return _block_counts(n).count(k)
 
 
 def test_stirling2_small():
@@ -64,6 +71,23 @@ def test_stirling2_small():
         assert stirling2(n, n) == 1
         for k in range(0, n + 1):
             assert stirling2(n, k) == brute_stirling2(n, k)
+
+
+def test_the_stirling_row_matches_the_brute_force_and_stirling2():
+    """stirling_row(n) is the one recurrence: stirling2 reads it, and so
+    do the tree's series node and complete_counts."""
+    for n in range(11):
+        assert stirling_row(n) == [brute_stirling2(n, k) for k in range(n + 1)]
+    assert sum(map(len, map(_block_counts, range(11)))) == sum(map(sum, map(stirling_row, range(11))))
+    for n in range(65):
+        assert stirling_row(n) == [stirling2(n, k) for k in range(n + 1)]
+    assert tree_counts(complete_graph(64))[1:] == (
+        sum(s * factorial(k) for k, s in enumerate(stirling_row(64))),
+        2**63,
+    )
+    with pytest.raises(SizeBoundExceeded) as err:
+        tree_counts(complete_graph(65))
+    assert [entry.name for entry in err.traceback][-3:] == ["_node", "stirling_row", "check_bound"]
 
 
 def test_stirling2_range_errors():
@@ -214,9 +238,7 @@ def test_union_closed_forms_agree_with_search_on_each_component():
             assert (result.tau, result.h) == stream_counts(g) == tuple(by_search)
 
 
-def test_a_union_walks_each_component_once(monkeypatch, capsys):
-    """K3 + K2 + K3: one canon walk per component, plus one for count's
-    graph field; the parts are not canonized a second time to group them."""
+def _count_walks(monkeypatch):
     walks = []
     search = canon._search
 
@@ -225,13 +247,57 @@ def test_a_union_walks_each_component_once(monkeypatch, capsys):
         return search(*args)
 
     monkeypatch.setattr(canon, "_search", counted)
+    return walks
+
+
+def test_a_union_walks_each_component_once(monkeypatch, capsys):
+    """K3 + K2 + K3: no part is canonized, since on four vertices or fewer
+    a connected part's (vertex count, sorted degrees) fixes its class;
+    count's graph field takes one canon walk."""
+    walks = _count_walks(monkeypatch)
     k2, k3 = complete_graph(2), complete_graph(3)
     result = formula_for_graph(disjoint_union(k3, disjoint_union(k2, k3)))
-    assert (result.tau, result.h, len(walks)) == (507, 20, 3)
+    assert (result.tau, result.h, len(walks)) == (507, 20, 0)
     walks.clear()
     assert main(["count", "union(K3,union(K2,K3))", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert (out["tau"], out["h"], len(walks)) == (507, 20, 4)
+    assert (out["tau"], out["h"], len(walks)) == (507, 20, 1)
+
+
+def _degree_key(g):
+    return g.n, tuple(sorted(row.bit_count() for row in g.adj))
+
+
+def test_a_connected_graph_on_four_vertices_or_fewer_has_its_own_degree_key():
+    keys = [
+        _degree_key(entry.graph)
+        for n in range(1, 5)
+        for entry in graphs_up_to_iso(n).entries
+        if is_connected(entry.graph)
+    ]
+    assert len(keys) == len(set(keys)) == 1 + 1 + 2 + 6
+
+
+def test_union_parts_that_share_a_degree_key_are_told_apart_by_code(monkeypatch):
+    """A triangle with a two-edge tail and C4 with a pendant vertex both
+    have degrees (1, 2, 2, 2, 3): each tied part is canonized once, and
+    only the isomorphic ones merge."""
+    tailed = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    pendant = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    moved = relabel_graph(tailed, [4, 2, 0, 3, 1])
+    assert _degree_key(tailed) == _degree_key(pendant) == _degree_key(moved) == (5, (1, 2, 2, 2, 3))
+    cases = [
+        ([tailed, pendant], (12, 8)),  # (6, 4) and (2, 2)
+        ([tailed, pendant, moved], (72, 20)),  # C(4 + 1, 2) = 10 pairs of tailed classes
+    ]
+    for parts, want in cases:
+        assert stream_counts(functools.reduce(disjoint_union, parts)) == want
+    coded = []
+    monkeypatch.setattr(formulas, "canonical_code", lambda g: coded.append(g) or canonical_code(g))
+    for parts, want in cases:
+        coded.clear()
+        result = union_counts([(part, 1) for part in parts])
+        assert (result.tau, result.h) == want and coded == parts
 
 
 def test_union_counts_takes_closed_forms_without_searching(monkeypatch, capsys):

@@ -323,13 +323,27 @@ class _Single(Record):
     __slots__ = ("x",)
 
 
+class _SlottedGraph(Graph):
+    __slots__ = ()
+
+
+class _SlottedNamed(Named):
+    __slots__ = ()
+
+
 @pytest.mark.parametrize(
     "value, fields",
-    [(Graph(2, (2, 1)), (2, (2, 1))), (Named("K", 4), ("K", 4)), (_Single(7), (7,))],
+    [
+        (Graph(2, (2, 1)), (2, (2, 1))),
+        (Named("K", 4), ("K", 4)),
+        (_Single(7), (7,)),
+        (_SlottedGraph(2, (2, 1)), (2, (2, 1))),
+    ],
 )
 def test_a_record_compares_hashes_and_pickles_as_its_field_tuple(value, fields):
     """Records of two fields and more read their fields with one
-    attrgetter; a one-field record still hashes and pickles as a tuple."""
+    attrgetter; a one-field record still hashes and pickles as a tuple,
+    and a subclass with empty __slots__ keeps its base's fields."""
     copy_ = pickle.loads(pickle.dumps(value))
     assert copy_ == value and copy_ is not value
     assert hash(value) == hash(copy_) == hash(fields)
@@ -357,6 +371,7 @@ def test_an_edited_graph_pickle_is_refused_on_load():
         ),
         (FormulaResult(None, None, "bipartite"), "FormulaResult(tau=None, h=None, theorem='bipartite')"),
         (FormulaResult(13, 4, "cycle"), "FormulaResult(tau=13, h=4, theorem='cycle')"),
+        (_SlottedNamed("K", 4), "_SlottedNamed(family='K', size=4)"),
     ],
 )
 def test_record_repr_names_its_fields(value, want):
