@@ -78,7 +78,6 @@ def test_the_stirling_row_matches_the_brute_force_and_stirling2():
     do the tree's series node and complete_counts."""
     for n in range(11):
         assert stirling_row(n) == [brute_stirling2(n, k) for k in range(n + 1)]
-    assert sum(map(len, map(_block_counts, range(11)))) == sum(map(sum, map(stirling_row, range(11))))
     for n in range(65):
         assert stirling_row(n) == [stirling2(n, k) for k in range(n + 1)]
     assert tree_counts(complete_graph(64))[1:] == (
