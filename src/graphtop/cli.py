@@ -4,17 +4,21 @@ Machine-readable results go to stdout (a single JSON document under
 --json); timing and diagnostics go to stderr.  Exit codes: 0 success,
 1 usage or input error or a worker process lost, 2 verification failure or
 internal inconsistency.
+
+The arguments are read by one walk over the _COMMANDS table, with no
+argparse: an option is spelled --opt value, --opt=value, or by a unique
+prefix of --opt; -n takes -n 3, -n3 or -n=3; -- ends the options; and a
+value may start with - (--budget-edges -1 reaches its range check).  -h
+or --help prints a usage line to stdout and exits 0.
 """
 
-import argparse
-import functools
 import json
 import os
-import re
 import sys
 import time
 from itertools import count
 from operator import getitem
+from types import SimpleNamespace
 
 from .aggregate import aggregate_counts, labeled_copies
 from .canon import _bits
@@ -31,9 +35,8 @@ class _UsageError(Exception):
     pass
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
+class _Help(Exception):
+    """-h or --help: main prints the usage text and exits 0."""
 
 
 def _dump(doc):
@@ -43,8 +46,9 @@ def _dump(doc):
 def _int(text):
     """An int option: ASCII decimal digits with an optional sign (int()
     alone also reads other scripts' digits, underscores and spaces)."""
-    if not re.fullmatch(r"[-+]?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
     return int(text)
 
 
@@ -52,7 +56,7 @@ def _int_at_least(text, least=0):
     """An int option of at least `least` (0 for --budget-edges)."""
     value = _int(text)
     if value < least:
-        raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        raise ValueError(f"must be at least {least}, got {value}")
     return value
 
 
@@ -198,41 +202,149 @@ def _cmd_verify(args):
     return run_verify()
 
 
-@functools.cache  # one per process: it holds constants, and each parse makes a new namespace
-def _build_parser():
-    parser = _ArgumentParser(prog="graphtop")
-    sub = parser.add_subparsers(dest="command", required=True)
+_REQUIRED = object()  # the default of an option that must be given
 
-    count = sub.add_parser("count", help="tau and h for one graph")
-    count.add_argument("expr", nargs="?", help="graph expression, e.g. box(K2,C4)")
-    count.add_argument("--file", help="edge-list file instead of an expression")
-    count.add_argument("--json", action="store_true")
-    count.set_defaults(func=_cmd_count)
+# command -> (help line, handler, takes an expression, options); an option
+# is (name, dest, converter, default), where the converter None marks a
+# flag, which is False until given
+_COMMANDS = {
+    "count": (
+        "tau and h for one graph: an expression such as box(K2,C4), or an edge-list --file",
+        _cmd_count,
+        True,
+        (("--file", "file", str, None), ("--json", "json", None, False)),
+    ),
+    "enumerate": (
+        "stream the transitive digraphs as JSON lines, or as DOT with --dot",
+        _cmd_enumerate,
+        True,
+        (
+            ("--file", "file", str, None),
+            ("--budget-edges", "budget_edges", _int_at_least, None),
+            ("--dot", "dot", None, False),
+        ),
+    ),
+    "aggregate": (
+        "sum over all n-vertex graph classes",
+        _cmd_aggregate,
+        False,
+        (
+            ("-n", "n", _int, _REQUIRED),
+            ("--allow-large", "allow_large", None, False),
+            ("--workers", "workers", _workers, 1),
+            ("--json", "json", None, False),
+        ),
+    ),
+    "verify": ("run the differential check suites", _cmd_verify, False, ()),
+}
+_HELP = (("-h", None, None, False), ("--help", None, None, False))
+_CHOICES = ", ".join(map(repr, _COMMANDS))
 
-    enum = sub.add_parser("enumerate", help="stream the transitive digraphs")
-    enum.add_argument("expr", nargs="?")
-    enum.add_argument("--file")
-    enum.add_argument("--budget-edges", type=_int_at_least, dest="budget_edges")
-    enum.add_argument("--dot", action="store_true", help="DOT in place of JSON lines")
-    enum.set_defaults(func=_cmd_enumerate)
 
-    agg = sub.add_parser("aggregate", help="sum over all n-vertex graph classes")
-    agg.add_argument("-n", type=_int, required=True)
-    agg.add_argument("--allow-large", action="store_true")
-    agg.add_argument("--workers", type=_workers, default=1)
-    agg.add_argument("--json", action="store_true")
-    agg.set_defaults(func=_cmd_aggregate)
+def _usage(command):
+    help_line, _, takes_expr, options = _COMMANDS[command]
+    words = [f"usage: graphtop {command} [-h]"]
+    for name, dest, convert, default in options:
+        word = name if convert is None else f"{name} {dest.upper()}"
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    if takes_expr:
+        words.append("[expr]")
+    return f"{' '.join(words)}\n\n{help_line}\n"
 
-    ver = sub.add_parser("verify", help="run the differential check suites")
-    ver.set_defaults(func=_cmd_verify)
-    return parser
+
+def _top_usage():
+    lines = [f"  {command:<10} {entry[0]}" for command, entry in _COMMANDS.items()]
+    return (
+        f"usage: graphtop [-h] {{{','.join(_COMMANDS)}}} ...\n\n"
+        + "\n".join(lines)
+        + "\n\nRun graphtop <command> -h for its options.\n"
+    )
+
+
+def _is_option(item):
+    # "-" alone and negative numbers are values, as in argparse
+    return len(item) > 1 and item[0] == "-" and not item[1].isdigit()
+
+
+def _option(item, options, where):
+    """The option row that `item` names, and the value written into it
+    (None if none): --opt or a unique prefix of it, each with an optional
+    =value; a short option with its value glued on (-n3, -n=3)."""
+    if item[:2] == "--":
+        given, eq, value = item.partition("=")
+        value = value if eq else None
+        rows = [o for o in options if o[0] == given] or [
+            o for o in options if given != "--" and o[0].startswith(given)
+        ]
+    else:
+        given, value = item[:2], (item[2:].removeprefix("=") if len(item) > 2 else None)
+        rows = [o for o in options if o[0] == given]
+    if len(rows) != 1:
+        raise _UsageError(
+            f"argument {given}: not an option of {where}, nor a unique prefix of one"
+        )
+    return rows[0], value
+
+
+def _parse(argv):
+    """A fresh namespace for argv: command, func, expr if the command takes
+    one, and one field per option of that command alone."""
+    if not argv:
+        raise _UsageError(f"argument command: required (choose from {_CHOICES})")
+    command, items = argv[0], iter(argv[1:])
+    if command not in _COMMANDS:
+        if not _is_option(command):
+            raise _UsageError(
+                f"argument command: invalid choice: {command!r} (choose from {_CHOICES})"
+            )
+        _option(command, _HELP, "graphtop")  # refuses all but -h and --help
+        raise _Help(_top_usage())
+    _, func, takes_expr, options = _COMMANDS[command]
+    args = SimpleNamespace(command=command, func=func)
+    for _, dest, _, default in options:
+        setattr(args, dest, default)
+    positionals = []
+    for item in items:
+        if item == "--":
+            positionals += items  # the rest of argv
+        elif not _is_option(item):
+            positionals.append(item)
+        else:
+            (name, dest, convert, _), value = _option(item, options + _HELP, command)
+            if convert is None:  # a flag, or help
+                if value is not None:
+                    raise _UsageError(f"argument {name}: ignored explicit argument {value!r}")
+                if dest is None:
+                    raise _Help(_usage(command))
+                setattr(args, dest, True)
+                continue
+            if value is None:
+                value = next(items, None)
+                if value is None or _is_option(value):
+                    raise _UsageError(f"argument {name}: expected one argument")
+            try:
+                setattr(args, dest, convert(value))
+            except ValueError as exc:
+                raise _UsageError(f"argument {name}: {exc}") from None
+    for name, dest, _, default in options:
+        if getattr(args, dest) is _REQUIRED:
+            raise _UsageError(f"argument {name}: required")
+    if len(positionals) > takes_expr:
+        takes = "one expression" if takes_expr else "no expression"
+        extra = positionals[takes_expr]
+        raise _UsageError(f"argument {extra}: unexpected, {command} takes {takes}")
+    if takes_expr:
+        args.expr = positionals[0] if positionals else None
+    return args
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.func(args)
+    except _Help as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

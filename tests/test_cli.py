@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -148,15 +149,11 @@ def test_count_reports_a_closed_form_that_disagrees_with_the_tree(capsys, monkey
     assert "the tree gives (76,8)" in err
 
 
-def test_parser_is_built_once_and_keeps_nothing_between_calls(
-    capsys, monkeypatch, worker_starts
-):
-    """main reuses one parser for every call in a process.  No option
-    value, usage error or --help carries over to a later call, each call
-    gets a namespace of its own command's options alone, and --workers
-    reads the CPUs this process may run on when it is parsed."""
-    assert cli._build_parser() is cli._build_parser()
-
+def test_each_call_parses_afresh_and_keeps_nothing(capsys, monkeypatch, worker_starts):
+    """No option value, usage error or --help carries over to a later
+    call of main, each call gets a fresh namespace of its own command's
+    fields alone, and --workers reads the CPUs this process may run on
+    when it is parsed."""
     namespaces = []
     graph_from_args = cli._graph_from_args
 
@@ -180,10 +177,8 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(
 
     argv = ("count", "K4", "--json")
     before = run_cli(capsys, *argv)
-    with pytest.raises(SystemExit) as exc:
-        main(["count", "--help"])
-    assert exc.value.code == 0
-    capsys.readouterr()
+    code, out, err = run_cli(capsys, "count", "--help")
+    assert code == 0 and out.startswith("usage: graphtop count ") and err == ""
     assert run_cli(capsys, "count")[0] == 1
     after = run_cli(capsys, *argv)
     assert after[:2] == before[:2] and after[0] == 0
@@ -195,10 +190,37 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(
     assert len({id(args) for args in namespaces}) == len(namespaces) == 5
     for args in namespaces:
         assert set(vars(args)) == options[args.command]
+    first, second = cli._parse(["aggregate", "-n", "3"]), cli._parse(["verify"])
+    assert vars(first) == {
+        "command": "aggregate", "func": cli._cmd_aggregate,
+        "n": 3, "allow_large": False, "workers": 1, "json": False,
+    }
+    assert vars(second) == {"command": "verify", "func": cli._cmd_verify}
+    assert first is not cli._parse(["aggregate", "-n", "3"])
 
     _allow_cpus(monkeypatch, 1)
-    args = cli._build_parser().parse_args(["aggregate", "-n", "3", "--workers", "2"])
-    assert args.workers == 1
+    assert cli._parse(["aggregate", "-n", "3", "--workers", "2"]).workers == 1
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("count", ("--file", "--json")),
+        ("enumerate", ("--file", "--budget-edges", "--dot")),
+        ("aggregate", ("-n", "--allow-large", "--workers", "--json")),
+        ("verify", ()),
+    ],
+)
+def test_help_names_each_option_of_its_command(capsys, command, options):
+    """-h exits 0 with nothing on stderr and one usage line that names
+    each option of the command."""
+    code, out, err = run_cli(capsys, command, "-h")
+    assert (code, err) == (0, "")
+    usage = [line for line in out.splitlines() if line.startswith("usage: ")]
+    assert len(usage) == 1 and usage[0].startswith(f"usage: graphtop {command} [-h]")
+    words = usage[0].replace("[", " ").replace("]", " ").split()
+    assert all(option in words for option in options)
+    assert [w for w in words if w.startswith("-") and w != "-h"] == list(options)
 
 
 def test_count_argument_validation(capsys):
@@ -590,6 +612,177 @@ def test_workers_clamped_to_cpu_count_without_an_affinity_mask(
     assert want[0] == 0 and worker_starts == []
 
 
+# the sha256 of a stdout that several spellings of one command print
+_EMPTY = hashlib.sha256(b"").hexdigest()
+_C3_JSONL = "6bd35ec9c8ebdf615b9a13b7040a7ace43ff4f6d5d933dd2ec66d42c7d509c93"
+_K3_JSON = "98048f7b05b1d6a395508c323c9f07b2407f58f993c994af91e01800f3da8e9d"
+_K4_JSON = "8d9e7c7ba1ec8632580947d120c9064a13b8e65d821435492b961e46554246be"
+_K4_TEXT = "a3c957c979bccd3300db225a0485f9d183c5e15a2d2b1e96211d8fde61aa3fe1"
+_N3_JSON = "8a47d23742236ccc03863fb8cb347eca54ac9f5c74050b741080ce0a2ba653a0"
+_N6_JSON = "97e46e6ef80ef2aac213fcb460bc86ca857e4f56733812ec6d181457ec58ce12"
+_N7_JSON = "7f5e697e84000bee9e870460657ee73756bcced0b1a70ead04facef0f86d1c36"
+
+# edge-list files that rows name in braces
+_FILES = {
+    "8k2": "n 16\n" + "".join(f"e {2 * i} {2 * i + 1}\n" for i in range(8)),
+    "k8star": "n 8\n"
+    + "".join(f"e {u} {v}\n" for u in range(8) for v in range(u + 1, 8) if u or v < 4),
+}
+
+# argv, exit code, the sha256 of stdout (or, for help, the start of its
+# usage line), and the token that the one error: line names (None: no error)
+_ARGV_TABLE = [
+    # the README examples
+    (("count", "K4", "--json"), 0, _K4_JSON, None),
+    (("count", "box(K2,C4)", "--json"), 0,
+     "3b5dbb31c1614ee617dd74bfddf5963869bef979fdebac4d98a32ceae81a062e", None),
+    (("count", "--file", "{8k2}"), 0,
+     "a229c1ee8a1ca5d2b9fe15fd8e2f29ce131143c6285bbdb8a3a0fd10f112b4c9", None),
+    (("enumerate", "C3"), 0, _C3_JSONL, None),
+    (("enumerate", "C3", "--dot"), 0,
+     "a7f0270df8c338465bfb7b581071c87430b22bef8ba3bddcc6526a3f83b37e61", None),
+    (("aggregate", "-n", "4", "--json"), 0,
+     "db19a08903a5871f88367b4594d4a07ec7ed513a0773c198c09614fb2882fa3d", None),
+    (("aggregate", "-n", "7", "--allow-large"), 0,
+     "d811bcf55eb62914e8332e517c0b3d33b1042c068345e82f6edeb1390f3dab87", None),
+    (("verify",), 0, "282731ea5c6d5e5ad4ecd9cd8c34973603551a5ade1a13884ad2ac3e77169d0d", None),
+    # the CLI forms of the CI workflow
+    (("aggregate", "-n", "6", "--json"), 0, _N6_JSON, None),
+    (("aggregate", "-n", "6", "--workers", "2", "--json"), 0, _N6_JSON, None),
+    (("count", "K7", "--json"), 0,
+     "d25d63ab2d42330fe65e3e84048f7e3b62b21731628807e8fba9f568ce85548a", None),
+    (("count", "union(C4,K3)", "--json"), 0,
+     "add19333df401975dbf6bd739f50ab8931011e1558dfa2b515bc8bb7a143f55a", None),
+    (("count", "union(K6,K1)", "--json"), 0,
+     "a630093f9e6c168295784871504c98628c0da2227b051140f3e664c3da599a16", None),
+    (("count", "union(K5,K2)", "--json"), 0,
+     "a81bca84a5985775935a23441890e5f41e4fddedf2a33fe564977f80577856a2", None),
+    (("count", "union(amalgam(K3@0,P1@0),K2)", "--json"), 0,
+     "24cdd8915c05c07f80395995d6bf5c8697074361fd78ab78de3a55ce1aa086f4", None),
+    (("count", "union(K3,union(K2,K3))", "--json"), 0,
+     "8dffdaf574372d29583625453286ee34733a2432e97a3b1872b8e91e2de4a9a1", None),
+    (("count", "union(C4,union(C4,union(K1,C4)))", "--json"), 0,
+     "8295aeef9d6125a9988d138cabcc304695ec6e4c7381f008d2db0df7a1dbe5a4", None),
+    (("count", "union(K8,K1)"), 0,
+     "09a5fa8633c994e969282d28174976a7c5af02c84674f3067f92742e48784ad6", None),
+    (("count", "K3", "--budget-edges", "5"), 1, _EMPTY, "--budget-edges"),
+    (("aggregate", "-n", "7", "--allow-large", "--json"), 0, _N7_JSON, None),
+    (("aggregate", "-n", "7", "--allow-large", "--workers", "2", "--json"), 0, _N7_JSON, None),
+    (("enumerate", "K8", "--budget-edges", "28"), 0,
+     "2430531980c58bfe69b64ad5aa7f0f658d9b861ad74c9b1b068141901a502a49", None),
+    (("enumerate", "K7"), 0,
+     "dcdbf799f61af55d8e4f656768e9fd073fbd1a6c178bcade47f5be15cdb31f21", None),
+    (("enumerate", "amalgam(K7@0,K3@0)"), 0,
+     "612b53a6e62b0896c763abd4046390b4ef1aec63762c1bf3b05ba5183ecf22fe", None),
+    (("enumerate", "--file", "{k8star}"), 0,
+     "7d3b3ff8c4a34b6ec7b234b04885f1f0eb349a8c76616aca4a0cd226ce8bcbf0", None),
+    (("enumerate", "K6", "--dot"), 0,
+     "a586a65c9b3b4f7cb2550d58704b06a651bb0ede8aea9487c135b42bc2b95b41", None),
+    (("enumerate", "amalgam(K6@0,P2@0)", "--dot"), 0,
+     "2cfd193c30b68fe4865a4a08066023449f21454f909dc75ce7e5419349d9cd6d", None),
+    # long-option prefixes, =, a glued short value and --
+    (("count", "K3", "--json"), 0, _K3_JSON, None),
+    (("count", "--js", "K3"), 0, _K3_JSON, None),
+    (("enumerate", "C3", "--budget-edges", "3"), 0, _C3_JSONL, None),
+    (("enumerate", "C3", "--budget-edges=3"), 0, _C3_JSONL, None),
+    (("enumerate", "C3", "--budg", "3"), 0, _C3_JSONL, None),
+    (("enumerate", "C3", "--budget=3"), 0, _C3_JSONL, None),
+    (("aggregate", "-n", "3", "--json"), 0, _N3_JSON, None),
+    (("aggregate", "-n3", "--json"), 0, _N3_JSON, None),
+    (("aggregate", "-n=3", "--json"), 0, _N3_JSON, None),
+    (("aggregate", "-n", "+3", "--json"), 0, _N3_JSON, None),
+    (("aggregate", "--allow", "-n", "3", "--json"), 0, _N3_JSON, None),
+    (("aggregate", "-n", "3", "--wor=1", "--json"), 0, _N3_JSON, None),
+    (("count", "K4"), 0, _K4_TEXT, None),
+    (("count", "--", "K4"), 0, _K4_TEXT, None),
+    (("count", "--json", "--", "K4"), 0, _K4_JSON, None),
+    # values that start with -
+    (("enumerate", "C3", "--budget-edges", "-1"), 1, _EMPTY, "--budget-edges"),
+    (("enumerate", "C3", "--budget-edges=-1"), 1, _EMPTY, "--budget-edges"),
+    (("aggregate", "-n", "-1", "--allow-large"), 1, _EMPTY, "-n"),
+    (("aggregate", "-n", "3", "--workers", "-3"), 1, _EMPTY, "--workers"),
+    (("count", "--file", "-"), 1, _EMPTY, "-"),
+    # refusals
+    ((), 1, _EMPTY, "command"),
+    (("frobnicate", "K3"), 1, _EMPTY, "frobnicate"),
+    (("--json", "count", "K3"), 1, _EMPTY, "--json"),
+    (("aggregate",), 1, _EMPTY, "-n"),
+    (("aggregate", "--json"), 1, _EMPTY, "-n"),
+    (("aggregate", "-n", "7"), 1, _EMPTY, "--allow-large"),
+    (("aggregate", "-n", "1.5"), 1, _EMPTY, "-n"),
+    (("aggregate", "-n", ""), 1, _EMPTY, "-n"),
+    (("aggregate", "-n", "1" * 5000), 1, _EMPTY, "-n"),
+    (("count", "--file"), 1, _EMPTY, "--file"),
+    (("count", "--file", "--json"), 1, _EMPTY, "--file"),
+    (("count", "K3", "K4"), 1, _EMPTY, "K4"),
+    (("count", "K4", "--", "--json"), 1, _EMPTY, "--json"),
+    (("count", "K2", "--file", "x"), 1, _EMPTY, "--file"),
+    (("count", "--json=1", "K3"), 1, _EMPTY, "--json"),
+    (("count", "K3", "-x"), 1, _EMPTY, "-x"),
+    (("verify", "K3"), 1, _EMPTY, "K3"),
+    # the removed options
+    (("aggregate", "-n", "3", "--budget-edges", "30"), 1, _EMPTY, "--budget-edges"),
+    (("verify", "--budget-edges", "30"), 1, _EMPTY, "--budget-edges"),
+    (("verify", "--suite", "oracles"), 1, _EMPTY, "--suite"),
+    (("count", "K3", "--workers", "2"), 1, _EMPTY, "--workers"),
+    (("enumerate", "K3", "--workers", "2"), 1, _EMPTY, "--workers"),
+    (("enumerate", "C3", "--jsonl"), 1, _EMPTY, "--jsonl"),
+    (("count", "K3", "--budget-edges", "30"), 1, _EMPTY, "--budget-edges"),
+    # help, for the whole CLI and for each command
+    (("-h",), 0, "usage: graphtop ", None),
+    (("--help",), 0, "usage: graphtop ", None),
+    (("count", "-h"), 0, "usage: graphtop count ", None),
+    (("count", "K3", "--h"), 0, "usage: graphtop count ", None),
+    (("enumerate", "--help"), 0, "usage: graphtop enumerate ", None),
+    (("aggregate", "-h"), 0, "usage: graphtop aggregate ", None),
+    (("verify", "-h"), 0, "usage: graphtop verify ", None),
+]
+
+
+class _HashedOut(io.TextIOBase):
+    """Hashes what is written, so a long stream takes no memory."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.head = ""
+
+    def write(self, text):
+        self.sha.update(text.encode())
+        self.head = self.head or text
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, named", _ARGV_TABLE, ids=lambda v: (" ".join(v)[:60] or "no-argument") if type(v) is tuple else None
+)
+def test_the_argv_table(monkeypatch, tmp_path, worker_starts, argv, code, out, named):
+    """Each argv gives its exit code (SystemExit(c) reads as c) and its
+    stdout bytes; a refusal writes one error: line that names the option,
+    command or value refused."""
+    for name, text in _FILES.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+    argv = [a.format(**{n: str(tmp_path / f"{n}.txt") for n in _FILES}) for a in argv]
+    _allow_cpus(monkeypatch, 2)
+    stdout, stderr = _HashedOut(), io.StringIO()
+    with deadline(120), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            got = main(argv)
+        except SystemExit as exc:
+            got = exc.code
+    errors = [line for line in stderr.getvalue().splitlines() if "error" in line]
+    assert got == code, stderr.getvalue()
+    if out.startswith("usage: "):  # the help text is the parser's own wording
+        assert stdout.head.startswith(out) and stderr.getvalue() == ""
+    else:
+        assert stdout.sha.hexdigest() == out
+    if named is None:
+        assert errors == []
+    else:
+        assert len(errors) == 1 == len(stderr.getvalue().splitlines())
+        assert errors[0].startswith("error: ")
+        assert re.search(rf"(?<![\w-]){re.escape(named)}(?![\w-])", errors[0]), errors[0]
+
+
 def test_automorphism_group_over_the_bound_is_rejected(capsys, monkeypatch):
     monkeypatch.setattr(canon, "MAX_AUT_ORDER", 100)
     with pytest.raises(SizeBoundExceeded, match=r"\|Aut\|=720 is over the bound of 100$"):
@@ -643,7 +836,10 @@ sys.path.insert(0, sys.argv[1])
 before = set(sys.modules)
 import graphtop, graphtop.cli
 
-unused = {"dataclasses", "inspect", "multiprocessing", "pickle", "socket", "selectors"}
+unused = {
+    "argparse", "dataclasses", "gettext", "inspect", "multiprocessing", "pickle",
+    "socket", "selectors",
+}
 print("loaded:", sorted(unused & set(sys.modules) - before))
 os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, so that --workers 2 forks
 
@@ -655,6 +851,9 @@ def run(argv):
     return code, out.getvalue()
 
 
+codes = run(["count", "K4", "--json"])[0], run(["aggregate", "-n", "4"])[0]
+parsers = {"argparse", "gettext", "locale"}
+print("after count and aggregate:", codes, sorted(parsers & set(sys.modules) - before))
 serial = run(["aggregate", "-n", "4", "--json"])
 forked = run(["aggregate", "-n", "4", "--workers", "2", "--json"])
 print("exit:", serial[0], "same bytes:", forked == serial, "forked:", "pickle" in sys.modules)
@@ -662,10 +861,11 @@ print("exit:", serial[0], "same bytes:", forked == serial, "forked:", "pickle" i
 
 
 def test_import_loads_only_what_a_serial_run_uses():
-    """import graphtop.cli loads no module that only the fan-out or a
-    dataclass needs (site may load typing first, so the check compares
-    sys.modules before and after); the fan-out, run in that interpreter
-    after it, imports them and prints a serial run's bytes."""
+    """import graphtop.cli loads no module that only the fan-out, a
+    dataclass or argparse needs (site may load typing first, so the check
+    compares sys.modules before and after); count and aggregate, run in
+    that interpreter after it, load no argparse, gettext or locale; and
+    the fan-out imports its modules and prints a serial run's bytes."""
     src = str(Path(graphtop.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-I", "-c", _IMPORT_CHECK, src],
@@ -674,4 +874,7 @@ def test_import_loads_only_what_a_serial_run_uses():
         timeout=60,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == "loaded: []\nexit: 0 same bytes: True forked: True\n"
+    assert result.stdout == (
+        "loaded: []\nafter count and aggregate: (0, 0) []\n"
+        "exit: 0 same bytes: True forked: True\n"
+    )
