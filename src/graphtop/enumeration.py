@@ -17,9 +17,12 @@ still have an allowed state.  The allowed states of an edge only shrink
 as more arcs are decided, so a partner with none now has none in any
 completion, and skipping the branch drops only subtrees without leaves;
 the leaves and their order stay the same.  An edge with no partner joins
-true twins, whose non-edge tests always pass, so the walk tests it on its
-demanded arcs alone, as every edge of a union of cliques.  The walk
-yields its leaves in lists, each checked for transitivity whole.
+true twins, N(u) - v = N(v) - u, whose non-edge tests always pass, so the
+walk tests it on its demanded arcs alone, as every edge of a union of
+cliques.  Only such an edge can carry both arcs: with u<->v, an arc u->b
+forces v->b and b->u forces b->v.  So an edge with a partner has two
+states, FWD and BWD.  The walk yields its leaves in lists, each checked
+for transitivity whole.
 """
 
 import os
@@ -93,43 +96,23 @@ class _Search:
         self.inn = [0] * g.n
 
     def allowed(self, k):
-        """The states of the undecided edge k = {u, v} consistent with the
-        decided arcs, in try order.
+        """Whether the undecided edge k = {u, v} can still take FWD or BWD
+        consistent with the decided arcs.
 
         An arc u->v demands w->v for every w->u and u->z for every v->z.
         Each demanded arc must be an edge of the graph, and an edge already
         decided must carry it.  Every state carries an arc, so the decided
-        edges that could miss one are those with v->w->u, and they must
-        carry both w->v and u->w.  The arc v->u is the mirror image.  A
-        direction the edge does not carry must not be demanded already.
-        So a demanded direction leaves one state at most, and only the
-        non-edge tests of the directions it carries decide it; both
-        directions demanded allow both only if the same w demand them.
-        _walk runs the same test inline for the edge it places.
+        edges that could miss one are those with v->w->u, which demand v->u:
+        FWD is allowed iff v->u is not demanded and its non-edge tests pass.
+        BWD is the mirror image.  BOTH is never asked for: the lookahead
+        calls this on partnered edges only, and a doubled edge joins true
+        twins.  _walk runs the same test inline for the edge it places.
         """
         u, v, nu, nv, _, _, _ = self.rows[k]
         out, inn = self.out, self.inn
         ou, ov, iu, iv = out[u], out[v], inn[u], inn[v]
-        vu = ov & iu  # v->w->u: demands v->u
-        uv = ou & iv  # u->w->v: demands u->v
         # k is undecided, so neither end is in the other's rows
-        if vu:
-            if uv:
-                if vu == uv and not (iu & nv or ov & nu or iv & nu or ou & nv):
-                    return (BOTH,)
-                return ()
-            return () if iv & nu or ou & nv else (BWD,)
-        if uv:
-            return () if iu & nv or ov & nu else (FWD,)
-        fwd = not (iu & nv or ov & nu)
-        bwd = not (iv & nu or ou & nv)
-        return _ALLOWED[fwd | bwd << 1]
-
-
-# the allowed states, in try order, of an edge with no demanded arc, at index
-# fwd_ok | bwd_ok << 1: with neither direction demanded, BOTH is allowed iff
-# each direction is
-_ALLOWED = [(), (FWD,), (BWD,), (FWD, BWD, BOTH)]
+        return not (ov & iu or iu & nv or ov & nu) or not (ou & iv or iv & nu or ou & nv)
 
 
 def _walk(search):
@@ -142,11 +125,13 @@ def _walk(search):
     demanded arcs alone; any other on its non-edge masks too, and then
     search.allowed must leave each partner in later a state (the
     lookahead).  Each test reads one row once, and nothing else reads the
-    rows.  An edge with one allowed state ORs it into the out and inn
-    rows; one with more pushes BOTH and BWD, with one snapshot (edge, row,
-    out and inn rows before it), and places FWD.  A dead edge or a failed
-    lookahead breaks out to the backtrack, which pops the innermost state
-    left, restores its snapshot, forced chain and all, and places it.
+    rows.  A twin row with more pushes BOTH and BWD, with one snapshot
+    (edge, row, out and inn rows before it), and places FWD.  Any other
+    row is never doubled: it places BWD alone when v->u is demanded or
+    FWD's non-edge masks are set, and otherwise places FWD, with BWD
+    pushed if it is allowed.  A dead edge or a failed lookahead breaks out
+    to the backtrack, which pops the innermost state left, restores its
+    snapshot, forced chain and all, and places it.
     """
     n, last = search.n, len(search.edges)
     allowed, rows, out, inn = search.allowed, search.rows, search.out, search.inn
@@ -178,27 +163,14 @@ def _walk(search):
             ov = out[v]
             iu = inn[u]
             iv = inn[v]
-            vu = ov & iu
-            uv = ou & iv
-            if vu:
-                if uv:
-                    if vu != uv or iu & nv or ov & nu or iv & nu or ou & nv:
-                        break
-                    out[u] = ou | bv
-                    inn[v] = iv | bu
-                elif iv & nu or ou & nv:
+            if ov & iu or iu & nv or ov & nu:  # no FWD: BWD, unless u->v is demanded
+                if ou & iv or iv & nu or ou & nv:
                     break
                 out[v] = ov | bu
                 inn[u] = iu | bv
-            elif iu & nv or ov & nu:  # no FWD: BWD, unless u->v is demanded
-                if uv or iv & nu or ou & nv:
-                    break
-                out[v] = ov | bu
-                inn[u] = iu | bv
-            else:  # FWD, and with no demanded arc and BWD allowed, all three
-                if not (uv or iv & nu or ou & nv):  # BWD, then BOTH, wait
-                    saved = k, row, tuple(out), tuple(inn)
-                    frames += (BOTH, saved), (BWD, saved)
+            else:  # FWD, and BWD waits if it is allowed
+                if not (ou & iv or iv & nu or ou & nv):
+                    frames.append((BWD, (k, row, tuple(out), tuple(inn))))
                 out[u] = ou | bv
                 inn[v] = iv | bu
             # a later edge with no state left has none in any completion

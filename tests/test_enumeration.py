@@ -473,10 +473,36 @@ def test_the_edgeless_leaf_goes_through_the_check(monkeypatch, n):
         tau(Graph(n, [0] * n))
 
 
+def doubled_edges_join_twins(g, arcs):
+    """The number of edges {u, v} that carry both u->v and v->u in arcs,
+    once each such edge is checked to join true twins of g:
+    N(u) - v = N(v) - u."""
+    doubled = [(u, v) for u, v in arcs if u < v and (v, u) in arcs]
+    for u, v in doubled:
+        assert g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u), (g.edges(), (u, v))
+    return len(doubled)
+
+
+def test_a_doubled_edge_joins_true_twins():
+    """The fact that lets the search give a partnered edge two states, on
+    the brute-force oracle alone: in every transitive digraph over every
+    class with 1 <= n <= 5, an edge carrying both arcs joins true twins
+    (u<->v, u->b forces v->b and b->u forces b->v)."""
+    digraphs = doubled = 0
+    for n in range(1, 6):
+        for entry in graphs_up_to_iso(n).entries:
+            for arcs in brute_transitive_digraphs(entry.graph):
+                digraphs += 1
+                doubled += doubled_edges_join_twins(entry.graph, arcs)
+    assert digraphs == 1028
+    assert doubled > 0
+
+
 def check_stream_order(g):
     """The stream's edge-state vectors along edge_order(g) strictly
-    increase (FWD < BWD < BOTH), and the stream is every transitive
-    digraph over g."""
+    increase (FWD < BWD < BOTH), every doubled edge joins true twins, and
+    the stream is every transitive digraph over g.  Returns the number of
+    leaves and of doubled edges over them."""
     edges = edge_order(g)
     stream = list(stream_masks(g))
     vectors = [
@@ -488,9 +514,10 @@ def check_stream_order(g):
         frozenset((u, v) for u in range(g.n) for v in range(g.n) if out[u] >> v & 1)
         for out in stream
     }
+    doubled = sum(doubled_edges_join_twins(g, arcs) for arcs in found)
     if g.edge_count <= 8:
         assert found == set(brute_transitive_digraphs(g))
-        return
+        return len(stream), doubled
     # 3^m edge states are too many to try: the members are distinct (the
     # vectors strictly increase), each is transitive with underlying graph
     # exactly g (no state is 0, no arc leaves the edges), and there are as
@@ -499,6 +526,7 @@ def check_stream_order(g):
     assert all(g.adj[u] >> v & 1 for arcs in found for u, v in arcs)
     assert all(naive_transitive(arcs) for arcs in found)
     assert len(found) == tree_counts(g)[1]
+    return len(stream), doubled
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -618,17 +646,20 @@ def _consistency_tests(g):
 def test_gamma_lookahead_prunes():
     """A branch that leaves a later Gamma-partner no state is dropped at
     once, and only undecided partners are looked at.  K7 has no induced
-    P3, so no partners, and its search is as it was without the lookahead."""
+    P3, so no partners, and its search is as it was without the lookahead.
+    A partnered edge has no BOTH to try, and a partner left only BOTH
+    counts as dead."""
     amalgam = build_graph(parse_graph_expr("amalgam(K6@0,P2@0)"))
     leaves, tests = _consistency_tests(amalgam)
     assert leaves == 1082
-    # 6,270 tests; 23,252 without the lookahead, 12,762 if decided
-    # partners are re-checked
+    # 6,261 tests; 6,270 with a BOTH branch on partnered edges, 23,252
+    # without the lookahead, 12,762 if decided partners are re-checked
     assert tests <= 7000
-    assert tests == 6270
+    assert tests == 6261
     assert _consistency_tests(complete_graph(7)) == (47293, 224371)
-    # K8 minus a 4-edge star: 292,126 tests without the lookahead
-    assert _consistency_tests(_k8_minus_star()) == (3300, 17205)
+    # K8 minus a 4-edge star: 17,205 tests with a BOTH branch on partnered
+    # edges, 292,126 without the lookahead
+    assert _consistency_tests(_k8_minus_star()) == (3300, 16988)
 
 
 def _brute_allowed(g, decided, u, v):
@@ -665,9 +696,11 @@ def _state_arcs(u, v, state):
 def test_allowed_matches_brute_force_on_random_partial_assignments():
     """_Search.allowed against the brute-force rule, on consistent partial
     assignments that no edge-order prefix need reach: edges decided in a
-    random order, each in a random state the rule allows.  Both directions
-    demanded by different w (v->w->u but not u->w->v) must refuse BOTH;
-    the walk never meets that case on n <= 7, so it is counted here."""
+    random order, each in a random state the rule allows.  allowed asks
+    for FWD or BWD alone, so it must be true iff the rule allows a state
+    other than BOTH.  Both directions demanded, by the same w or by
+    different ones, allow neither; the walk never meets the second case on
+    n <= 7, so it is counted here."""
     rng = random.Random(28)
     cases = set()
     graphs = 0
@@ -695,7 +728,8 @@ def test_allowed_matches_brute_force_on_random_partial_assignments():
             for k, (u, v) in enumerate(search.edges):
                 if (u, v) in decided:
                     continue
-                assert search.allowed(k) == _brute_allowed(g, decided, u, v), (
+                states = _brute_allowed(g, decided, u, v)
+                assert search.allowed(k) == any(s != enumeration.BOTH for s in states), (
                     g.edges(),
                     decided,
                     (u, v),

@@ -93,6 +93,12 @@ def test_graph_validation():
         Graph.from_edges(2, [(0, 0)])  # loop
     with pytest.raises(VertexOutOfRange):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(ValueError, match="^adjacency length must equal vertex count$"):
+        Graph(3, (2, 1))
+    with pytest.raises(VertexOutOfRange, match="^vertex 1 has a neighbor >= 2$"):
+        Graph(2, (0, 4))
+    with pytest.raises(ValueError, match="^loop at vertex 1$"):
+        Graph(2, (0, 2))
     g = Graph.from_edges(3, [(0, 1), (1, 0)])  # duplicates collapse
     assert g.edge_count == 1
 
@@ -280,6 +286,10 @@ def test_edge_list_parsing():
         parse_edge_list("n 2\ne 0 7\n")  # out of range
     with pytest.raises(EdgeListFormatError):
         parse_edge_list("")  # missing n
+    with pytest.raises(EdgeListFormatError, match="^line 2: duplicate n line$"):
+        parse_edge_list("n 2\nn 2\n")
+    with pytest.raises(EdgeListFormatError, match="^line 2: expected 'e <u> <v>'$"):
+        parse_edge_list("n 3\ne 0 1 2\n")
 
 
 def test_edge_list_stops_at_an_oversized_n_line():

@@ -350,6 +350,32 @@ def test_a_record_compares_hashes_and_pickles_as_its_field_tuple(value, fields):
     assert value.__reduce__() == (type(value), fields)
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Digraph(3, (2, 1)), ValueError, "out-neighbor rows must equal vertex count"),
+        (lambda: Digraph(2, (4, 0)), VertexOutOfRange, "vertex 0 has an arc head >= 2"),
+        (lambda: Digraph(2, (0, 2)), ValueError, "loop at vertex 1"),
+        (lambda: Digraph.from_arcs(2, [(0, 2)]), VertexOutOfRange, r"arc \(0,2\) outside 0\.\.1"),
+        (lambda: Preorder(2, (1,)), NotAPreorder, "relation rows must equal ground-set size"),
+        (lambda: Preorder(2, (5, 2)), NotAPreorder, "row 0 mentions a point >= 2"),
+        (lambda: _Single(1, 2), TypeError, "_Single takes 1 fields"),
+    ],
+    ids=[
+        "digraph-rows",
+        "digraph-head",
+        "digraph-loop",
+        "arc-outside",
+        "preorder-rows",
+        "preorder-point",
+        "record-fields",
+    ],
+)
+def test_constructors_refuse_malformed_input(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
 def test_an_edited_graph_pickle_is_refused_on_load():
     """A pickle calls Graph(n, adj), so its checks run on the copy: here
     on a K2 pickle edited to hold the asymmetric rows (2, 0)."""
@@ -398,6 +424,10 @@ def test_is_transitive_matches_naive_oracle():
                 for b in range(n):
                     if out[a] >> b & 1:
                         cases.append(out[:a] + [out[a] & ~(1 << b)] + out[a + 1 :])
+    # rows of 17 points or more are packed three bytes wide or wider
+    for _ in range(300):
+        make = rng.choice((_random_transitive, _near_miss, _random_loop_free_masks))
+        cases.append(list(make(rng, rng.randint(17, 40))))
     outcomes = set()
     for out in cases:
         n = len(out)
@@ -436,12 +466,13 @@ def _near_miss(rng, n):
             return tuple(out)
 
 
-@pytest.mark.parametrize("n", range(17))
+@pytest.mark.parametrize("n", [*range(18), 40])
 def test_first_intransitive_matches_naive_oracle(n):
     """The batch check against the triple loop on every row width: n = 8
     fills the 8-bit rows, n = 9 starts the 16-bit rows, n = 16 fills
-    them.  The first bad leaf sits in the first, a middle and the last
-    slot of batches of 1 and 512 leaves; after it, anything may follow."""
+    them, and n = 17 and n = 40 pack rows three and five bytes wide.  The
+    first bad leaf sits in the first, a middle and the last slot of
+    batches of 1 and 512 leaves; after it, anything may follow."""
     rng = random.Random(1900 + n)
     verdict = {}
 
