@@ -27,6 +27,12 @@ class VertexOutOfRange(GraphTopError, ValueError):
     """A vertex index is outside 0..n-1."""
 
 
+def vertex_range(n):
+    """The vertices 0..n-1 as a message names them: "0..2" for n = 3, and
+    "the empty vertex set" for n = 0, where 0..-1 would read as a range."""
+    return f"0..{n - 1}" if n > 0 else "the empty vertex set"
+
+
 class SizeBoundExceeded(GraphTopError, ValueError):
     """Input is larger than the documented implementation bound."""
 

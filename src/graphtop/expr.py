@@ -9,7 +9,7 @@ Grammar (whitespace-insensitive; offsets in errors are byte positions):
     NAME := K | C | W | P | N
 """
 
-from .errors import MAX_EXPR_CHARS, MAX_VERTICES, ExprError, check_bound
+from .errors import MAX_EXPR_CHARS, MAX_VERTICES, ExprError, check_bound, vertex_range
 from .graphs import (
     Record,
     amalgamate,
@@ -168,7 +168,7 @@ def _build(expr):
             if not (0 <= v < g.n):
                 raise ExprError(
                     "vertex-out-of-range",
-                    f"anchor {v} outside 0..{g.n - 1} in {expr_to_text(expr)}",
+                    f"anchor {v} outside {vertex_range(g.n)} in {expr_to_text(expr)}",
                 )
         return amalgamate(left, expr.left_vertex, right, expr.right_vertex)
     raise TypeError(f"not a graph expression: {expr!r}")

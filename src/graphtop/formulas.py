@@ -216,8 +216,9 @@ def formula_for_graph(g):
     """
     if g.n == 0:
         return None
-    if not is_connected(g):
-        return union_counts([(induced_subgraph(g, c), 1) for c in components(g)])
+    comps = components(g)
+    if len(comps) > 1:
+        return union_counts([(induced_subgraph(g, c), 1) for c in comps])
     return connected_counts(g)
 
 

@@ -16,6 +16,7 @@ from .errors import (
     NotConnected,
     VertexOutOfRange,
     check_bound,
+    vertex_range,
 )
 
 
@@ -98,7 +99,7 @@ class Graph(Record):
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"edge ({u},{v}) outside 0..{n - 1}")
+                raise VertexOutOfRange(f"edge ({u},{v}) outside {vertex_range(n)}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             adj[u] |= 1 << v
@@ -129,7 +130,7 @@ class Graph(Record):
 
     def _check_vertex(self, u):
         if not (0 <= u < self.n):
-            raise VertexOutOfRange(f"vertex {u} outside 0..{self.n - 1}")
+            raise VertexOutOfRange(f"vertex {u} outside {vertex_range(self.n)}")
 
     def __repr__(self):
         return f"Graph({self.n}, edges={self.edges()})"
@@ -272,15 +273,20 @@ def is_cut_vertex(g, v):
 
 
 def induced_subgraph(g, vertices):
-    """Subgraph induced by the given vertices, relabeled order-preservingly."""
+    """Subgraph induced by the given vertices, relabeled order-preservingly:
+    each kept vertex's row, cut to the kept set, is compressed bit by bit."""
     vs = sorted(set(vertices))
     for u in vs:
         g._check_vertex(u)
-    index = {u: i for i, u in enumerate(vs)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges() if u in index and v in index
-    ]
-    return Graph.from_edges(len(vs), edges)
+    bit = {u: 1 << i for i, u in enumerate(vs)}
+    keep = sum(1 << u for u in vs)
+    adj = []
+    for u in vs:
+        row = 0
+        for v in _bits(g.adj[u] & keep):
+            row |= bit[v]
+        adj.append(row)
+    return Graph(len(vs), adj)
 
 
 def bipartition(g):
@@ -364,7 +370,9 @@ def is_reflexible(g):
 #
 # '#' starts a comment, blank lines are ignored; duplicate and loop edges
 # are rejected, and so is a count over errors.MAX_VERTICES, as soon as
-# its line is read: files and expressions share one bound.
+# its line is read: files and expressions share one bound.  Each e line
+# sets its two bits in the adjacency masks as it is read, so a duplicate,
+# in either endpoint order, is a bit already set.
 
 
 def _count(text):
@@ -387,15 +395,33 @@ def parse_edge_lines(lines):
     Lines are taken one at a time, so an error, an oversized n line
     included, stops the parse before the lines after it are read.
     """
-    n = None
-    adj_edges = []
-    seen = set()
+    n = adj = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
-        if parts[0] == "n":
+        if parts[0] == "e":
+            if adj is None:
+                raise EdgeListFormatError(f"line {lineno}: edge before n line")
+            if len(parts) != 3:
+                raise EdgeListFormatError(f"line {lineno}: expected 'e <u> <v>'")
+            # an endpoint of under ten ASCII digits is read here; _count
+            # decides every other string
+            a, b = parts[1], parts[2]
+            u = int(a) if len(a) < 10 and a.isascii() and a.isdigit() else _count(a)
+            v = int(b) if len(b) < 10 and b.isascii() and b.isdigit() else _count(b)
+            if u is None or v is None:
+                raise EdgeListFormatError(f"line {lineno}: non-integer endpoint")
+            if not (u < n and v < n):
+                raise EdgeListFormatError(f"line {lineno}: vertex outside {vertex_range(n)}")
+            if u == v:
+                raise EdgeListFormatError(f"line {lineno}: loop edge {u}")
+            if adj[u] >> v & 1:
+                key = (min(u, v), max(u, v))
+                raise EdgeListFormatError(f"line {lineno}: duplicate edge {key}")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        elif parts[0] == "n":
             if n is not None:
                 raise EdgeListFormatError(f"line {lineno}: duplicate n line")
             n = _count(parts[1]) if len(parts) == 2 else None
@@ -404,28 +430,12 @@ def parse_edge_lines(lines):
             d = parts[1].lstrip("0")
             what = "line {1}: n={2}" if len(d) < 10 else "line {1}: n of {3} digits"
             check_bound(n, MAX_VERTICES, what, lineno, d, len(d))
-        elif parts[0] == "e":
-            if n is None:
-                raise EdgeListFormatError(f"line {lineno}: edge before n line")
-            if len(parts) != 3:
-                raise EdgeListFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            u, v = _count(parts[1]), _count(parts[2])
-            if u is None or v is None:
-                raise EdgeListFormatError(f"line {lineno}: non-integer endpoint")
-            if not (u < n and v < n):
-                raise EdgeListFormatError(f"line {lineno}: vertex outside 0..{n - 1}")
-            if u == v:
-                raise EdgeListFormatError(f"line {lineno}: loop edge {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise EdgeListFormatError(f"line {lineno}: duplicate edge {key}")
-            seen.add(key)
-            adj_edges.append(key)
+            adj = [0] * n
         else:
             raise EdgeListFormatError(f"line {lineno}: unknown directive {parts[0]!r}")
     if n is None:
         raise EdgeListFormatError("missing n line")
-    return Graph.from_edges(n, adj_edges)
+    return Graph(n, adj)
 
 
 def load_edge_list(path):

@@ -22,6 +22,7 @@ from .errors import (
     NotTransitive,
     VertexOutOfRange,
     check_bound,
+    vertex_range,
 )
 from .graphs import Graph, Record
 
@@ -54,7 +55,7 @@ class Preorder(Record):
         rel = [0] * n
         for x, y in pairs:
             if not (0 <= x < n and 0 <= y < n):
-                raise VertexOutOfRange(f"pair ({x},{y}) outside 0..{n - 1}")
+                raise VertexOutOfRange(f"pair ({x},{y}) outside {vertex_range(n)}")
             rel[x] |= 1 << y
         return cls(n, rel)
 
@@ -86,7 +87,8 @@ class Topology(Record):
         opens = frozenset(opens)
         for m in opens:
             if m & ~((1 << n) - 1):
-                raise VertexOutOfRange(f"open set {m:#x} has a point outside 0..{n - 1}")
+                outside = vertex_range(n)
+                raise VertexOutOfRange(f"open set {m:#x} has a point outside {outside}")
         super().__init__(n, opens)
 
     @classmethod
@@ -96,7 +98,7 @@ class Topology(Record):
             mask = 0
             for x in s:
                 if not (0 <= x < n):
-                    raise VertexOutOfRange(f"point {x} outside 0..{n - 1}")
+                    raise VertexOutOfRange(f"point {x} outside {vertex_range(n)}")
                 mask |= 1 << x
             opens.add(mask)
         return cls(n, opens)
@@ -139,7 +141,7 @@ class Digraph(Record):
         out = [0] * n
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
-                raise VertexOutOfRange(f"arc ({u},{v}) outside 0..{n - 1}")
+                raise VertexOutOfRange(f"arc ({u},{v}) outside {vertex_range(n)}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             out[u] |= 1 << v
@@ -157,7 +159,7 @@ class Digraph(Record):
 
     def relabel(self, perm):
         if sorted(perm) != list(range(self.n)):
-            raise ValueError(f"relabel needs a permutation of 0..{self.n - 1}")
+            raise ValueError(f"relabel needs a permutation of {vertex_range(self.n)}")
         new = [0] * self.n
         for u in range(self.n):
             acc = 0
@@ -310,7 +312,7 @@ def is_continuous(point_map, tx, ty):
         raise GroundSetMismatch(f"map has {len(point_map)} points, space has {tx.n}")
     for y in point_map:
         if not (0 <= y < ty.n):
-            raise GroundSetMismatch(f"image point {y} outside 0..{ty.n - 1}")
+            raise GroundSetMismatch(f"image point {y} outside {vertex_range(ty.n)}")
 
     by_preimage = True
     for m in ty.opens:

@@ -219,6 +219,27 @@ def test_an_edge_list_count_with_leading_zeros_reads_as_its_value():
         parse_edge_list("n 3\ne 02 2\n")
 
 
+def test_an_endpoint_reads_the_same_either_side_of_ten_digits():
+    """Under ten characters an endpoint is read inline, else by _count:
+    the two agree on leading zeros, on range and on loops."""
+    for zeros in range(7, 12):
+        u = "0" * zeros + "1"
+        assert parse_edge_list(f"n 3\ne {u} 2\n") == Graph.from_edges(3, [(1, 2)])
+        with pytest.raises(EdgeListFormatError, match="^line 2: loop edge 1$"):
+            parse_edge_list(f"n 3\ne {u} 1\n")
+    for big in ("9" * 9, "1" + "0" * 9, "9" * 12):
+        with pytest.raises(EdgeListFormatError, match=r"^line 2: vertex outside 0\.\.2$"):
+            parse_edge_list(f"n 3\ne 0 {big}\n")
+
+
+def test_an_edge_on_an_empty_graph_names_the_empty_vertex_set(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("n 0\ne 0 1\n")
+    code, out, err = run_cli(capsys, "count", "--file", str(path))
+    assert_one_error_line(code, out, err)
+    assert err == "error: line 2: vertex outside the empty vertex set\n"
+
+
 @pytest.mark.parametrize("text", [LONG_K, LONG_ANCHOR, DEEP_UNION], ids=["K", "anchor", "union"])
 def test_an_expression_over_the_length_bound_is_one_error_line(capsys, text):
     """A 5,000-digit integer once failed in int(), and a union nested

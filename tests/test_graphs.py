@@ -1,4 +1,5 @@
 import io
+import random
 
 import pytest
 
@@ -270,26 +271,106 @@ def test_edge_list_round_trip():
     assert parse_edge_list(buf.getvalue()) == g
 
 
+# (edge-list text, the exact message of its refusal); the first faulty
+# line is the one reported, and on that line the checks run in the order
+# endpoint syntax, range, loop, duplicate
+EDGE_LIST_REFUSALS = [
+    ("n 2\ne 0 0\n", "line 2: loop edge 0"),
+    ("n 2\ne 0 1\ne 0 1\n", "line 3: duplicate edge (0, 1)"),
+    ("n 2\ne 0 1\ne 1 0\n", "line 3: duplicate edge (0, 1)"),
+    ("n 3\ne 2 1\ne 2 1\n", "line 3: duplicate edge (1, 2)"),
+    ("n 3\n# c\ne 2 1  # x\n\ne 01 2\n", "line 5: duplicate edge (1, 2)"),
+    ("e 0 1\n", "line 1: edge before n line"),
+    ("# c\n\ne 0 1\nn 2\n", "line 3: edge before n line"),
+    ("n 2\nv 0 1\n", "line 2: unknown directive 'v'"),
+    ("n 2\nE 0 1\n", "line 2: unknown directive 'E'"),
+    ("n 2\ne 0 7\n", "line 2: vertex outside 0..1"),
+    ("n 3\ne 5 5\n", "line 2: vertex outside 0..2"),
+    ("n 3\ne 0 x\n", "line 2: non-integer endpoint"),
+    ("n 3\ne -1 0\n", "line 2: non-integer endpoint"),
+    ("n 3\ne +1 0\n", "line 2: non-integer endpoint"),
+    ("n 3\ne 1_0 0\n", "line 2: non-integer endpoint"),
+    ("n 3\ne x 9\n", "line 2: non-integer endpoint"),
+    ("n\n", "line 1: expected 'n <count>'"),
+    ("n 3 4\n", "line 1: expected 'n <count>'"),
+    ("n x\n", "line 1: expected 'n <count>'"),
+    ("n 2\nn 2\n", "line 2: duplicate n line"),
+    ("n 3\ne 0 1 2\n", "line 2: expected 'e <u> <v>'"),
+    ("n 3\ne 0\n", "line 2: expected 'e <u> <v>'"),
+    ("n 3\ne 0 1\ne 0 0\ne 1 0\n", "line 3: loop edge 0"),
+    ("", "missing n line"),
+    ("# only a comment\n\n", "missing n line"),
+]
+
+
 def test_edge_list_parsing():
     g = parse_edge_list("# a comment\nn 3\n\ne 0 1  # trailing\ne 1 2\n")
     assert g.edges() == [(0, 1), (1, 2)]
+    assert parse_edge_list("n 3\r\ne 2 0#x\r\ne 000000001 2\r\n").edges() == [(0, 2), (1, 2)]
 
-    with pytest.raises(EdgeListFormatError):
-        parse_edge_list("n 2\ne 0 0\n")  # loop
-    with pytest.raises(EdgeListFormatError):
-        parse_edge_list("n 2\ne 0 1\ne 1 0\n")  # duplicate
-    with pytest.raises(EdgeListFormatError):
-        parse_edge_list("e 0 1\n")  # edge before n
-    with pytest.raises(EdgeListFormatError):
-        parse_edge_list("n 2\nv 0 1\n")  # unknown directive
-    with pytest.raises(EdgeListFormatError):
-        parse_edge_list("n 2\ne 0 7\n")  # out of range
-    with pytest.raises(EdgeListFormatError):
-        parse_edge_list("")  # missing n
-    with pytest.raises(EdgeListFormatError, match="^line 2: duplicate n line$"):
-        parse_edge_list("n 2\nn 2\n")
-    with pytest.raises(EdgeListFormatError, match="^line 2: expected 'e <u> <v>'$"):
-        parse_edge_list("n 3\ne 0 1 2\n")
+    for text, message in EDGE_LIST_REFUSALS:
+        with pytest.raises(EdgeListFormatError) as err:
+            parse_edge_list(text)
+        assert str(err.value) == message, text
+
+
+def test_vertex_ranges_name_an_empty_graph_as_an_empty_vertex_set(tmp_path):
+    """With n = 0 no range 0..-1 is printed; every n >= 1 keeps 0..n-1."""
+    empty = "the empty vertex set"
+    assert parse_edge_list("n 0\n") == Graph(0, ())
+    with pytest.raises(EdgeListFormatError) as err:
+        parse_edge_list("n 0\ne 0 1\n")
+    assert str(err.value) == f"line 2: vertex outside {empty}"
+    with pytest.raises(VertexOutOfRange) as err:
+        Graph.from_edges(0, [(0, 1)])
+    assert str(err.value) == f"edge (0,1) outside {empty}"
+    for check in (lambda g: g.has_edge(0, 1), lambda g: g.degree(0)):
+        with pytest.raises(VertexOutOfRange) as err:
+            check(Graph(0, ()))
+        assert str(err.value) == f"vertex 0 outside {empty}"
+    with pytest.raises(VertexOutOfRange) as err:
+        Graph.from_edges(1, [(0, 1)])
+    assert str(err.value) == "edge (0,1) outside 0..0"
+    with pytest.raises(VertexOutOfRange) as err:
+        path_graph(2).degree(3)
+    assert str(err.value) == "vertex 3 outside 0..2"
+
+
+def _induced_by_definition(g, vertices):
+    """Graph.from_edges over the edges with both ends kept, each end
+    relabeled by its rank among the kept vertices."""
+    vs = sorted(set(vertices))
+    rank = {u: i for i, u in enumerate(vs)}
+    kept = [(rank[u], rank[v]) for u, v in g.edges() if u in rank and v in rank]
+    return Graph.from_edges(len(vs), kept)
+
+
+def test_induced_subgraph_matches_its_definition():
+    for n in range(1, 7):
+        for entry in graphs_up_to_iso(n).entries:
+            g = entry.graph
+            for mask in range(1 << n):
+                vs = [u for u in range(n) if mask >> u & 1]
+                assert induced_subgraph(g, vs) == _induced_by_definition(g, vs), (g, vs)
+    rng = random.Random(16)
+    pairs = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+    for density in (0.3, 0.7, 1.0):
+        g = Graph.from_edges(16, [p for p in pairs if rng.random() < density])
+        assert max(g.adj) >= 1 << 10  # rows past the bit table
+        for _ in range(40):
+            vs = rng.sample(range(16), rng.randint(0, 16))
+            want = _induced_by_definition(g, vs)
+            assert induced_subgraph(g, vs) == want
+            # an unsorted list with repeats gives the same graph
+            assert induced_subgraph(g, vs + vs[: len(vs) // 2]) == want
+        assert induced_subgraph(g, range(16)) == g
+    g = cycle_graph(5)
+    # 0, 1, 4 become 0, 1, 2, in order: the edges 0-1 and 4-0 stay
+    assert induced_subgraph(g, [4, 0, 4, 1, 0]) == Graph.from_edges(3, [(0, 1), (2, 0)])
+    with pytest.raises(VertexOutOfRange, match=r"^vertex 5 outside 0\.\.4$"):
+        induced_subgraph(g, [3, 5, 1])
+    with pytest.raises(VertexOutOfRange):
+        induced_subgraph(g, [-1, 0])
 
 
 def test_edge_list_stops_at_an_oversized_n_line():

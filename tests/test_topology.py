@@ -376,6 +376,29 @@ def test_constructors_refuse_malformed_input(make, error, message):
         make()
 
 
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: Preorder.from_pairs(0, [(0, 0)]), VertexOutOfRange, "pair (0,0) outside"),
+        (lambda: Topology(0, [0, 1]), VertexOutOfRange, "open set 0x1 has a point outside"),
+        (lambda: Topology.from_sets(0, [[0]]), VertexOutOfRange, "point 0 outside"),
+        (lambda: Digraph.from_arcs(0, [(0, 1)]), VertexOutOfRange, "arc (0,1) outside"),
+        (lambda: Digraph(0, ()).relabel([0]), ValueError, "relabel needs a permutation of"),
+        (
+            lambda: is_continuous([0], Topology(1, [0, 1]), Topology(0, [0])),
+            GroundSetMismatch,
+            "image point 0 outside",
+        ),
+    ],
+    ids=["pairs", "opens", "sets", "arcs", "relabel", "image"],
+)
+def test_ranges_over_no_points_name_the_empty_vertex_set(make, error, message):
+    """n = 0 gives no range 0..-1 in a constructor's refusal."""
+    with pytest.raises(error) as err:
+        make()
+    assert str(err.value) == f"{message} the empty vertex set"
+
+
 def test_an_edited_graph_pickle_is_refused_on_load():
     """A pickle calls Graph(n, adj), so its checks run on the copy: here
     on a K2 pickle edited to hold the asymmetric rows (2, 0)."""
