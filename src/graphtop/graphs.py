@@ -405,11 +405,7 @@ def parse_edge_lines(lines):
                 raise EdgeListFormatError(f"line {lineno}: edge before n line")
             if len(parts) != 3:
                 raise EdgeListFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            # an endpoint of under ten ASCII digits is read here; _count
-            # decides every other string
-            a, b = parts[1], parts[2]
-            u = int(a) if len(a) < 10 and a.isascii() and a.isdigit() else _count(a)
-            v = int(b) if len(b) < 10 and b.isascii() and b.isdigit() else _count(b)
+            u, v = _count(parts[1]), _count(parts[2])
             if u is None or v is None:
                 raise EdgeListFormatError(f"line {lineno}: non-integer endpoint")
             if not (u < n and v < n):

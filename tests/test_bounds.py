@@ -219,9 +219,9 @@ def test_an_edge_list_count_with_leading_zeros_reads_as_its_value():
         parse_edge_list("n 3\ne 02 2\n")
 
 
-def test_an_endpoint_reads_the_same_either_side_of_ten_digits():
-    """Under ten characters an endpoint is read inline, else by _count:
-    the two agree on leading zeros, on range and on loops."""
+def test_an_endpoint_reads_leading_zeros_and_long_digit_strings():
+    """An endpoint is read as the n line's count is: leading zeros are
+    dropped, and ten or more digits left are out of range."""
     for zeros in range(7, 12):
         u = "0" * zeros + "1"
         assert parse_edge_list(f"n 3\ne {u} 2\n") == Graph.from_edges(3, [(1, 2)])
