@@ -219,19 +219,6 @@ def test_an_edge_list_count_with_leading_zeros_reads_as_its_value():
         parse_edge_list("n 3\ne 02 2\n")
 
 
-def test_an_endpoint_reads_leading_zeros_and_long_digit_strings():
-    """An endpoint is read as the n line's count is: leading zeros are
-    dropped, and ten or more digits left are out of range."""
-    for zeros in range(7, 12):
-        u = "0" * zeros + "1"
-        assert parse_edge_list(f"n 3\ne {u} 2\n") == Graph.from_edges(3, [(1, 2)])
-        with pytest.raises(EdgeListFormatError, match="^line 2: loop edge 1$"):
-            parse_edge_list(f"n 3\ne {u} 1\n")
-    for big in ("9" * 9, "1" + "0" * 9, "9" * 12):
-        with pytest.raises(EdgeListFormatError, match=r"^line 2: vertex outside 0\.\.2$"):
-            parse_edge_list(f"n 3\ne 0 {big}\n")
-
-
 def test_an_edge_on_an_empty_graph_names_the_empty_vertex_set(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("n 0\ne 0 1\n")

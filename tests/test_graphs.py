@@ -286,6 +286,8 @@ EDGE_LIST_REFUSALS = [
     ("n 2\nE 0 1\n", "line 2: unknown directive 'E'"),
     ("n 2\ne 0 7\n", "line 2: vertex outside 0..1"),
     ("n 3\ne 5 5\n", "line 2: vertex outside 0..2"),
+    ("n 3\ne 0 1000000000\n", "line 2: vertex outside 0..2"),
+    ("n 3\ne 0000000001 01\n", "line 2: loop edge 1"),
     ("n 3\ne 0 x\n", "line 2: non-integer endpoint"),
     ("n 3\ne -1 0\n", "line 2: non-integer endpoint"),
     ("n 3\ne +1 0\n", "line 2: non-integer endpoint"),
